@@ -2,10 +2,11 @@
 
 Value flows (TD, Monte Carlo, n-step, TD(lambda)) are linear ODEs with the
 true value function as the global fixed point; they are available in closed
-form (matrix exponential) and as fixed-step RK4 integrations.  Feature flows
-(coupled semi-gradient systems over a feature matrix and ensemble head
-weights, including the random-cumulant variant) integrate with RK4 and
-report divergence instead of overflowing.
+form (exact semigroup steps) and as fixed-step RK4 integrations.  Feature
+flows (coupled semi-gradient systems over a feature matrix and ensemble head
+weights, including the random-cumulant variant) integrate with RK4.  Every
+integration runs through one fixed-step engine, which reports divergence
+instead of overflowing.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -19,17 +20,18 @@ import numpy as np
 from scipy.linalg import expm
 
 from .mdp import exact_value
-from .spectral import Subspace, eigendecompose, eigenbasis_coefficients, grassmann_distance, resolvent
+from .spectral import Subspace, eigenbasis_coefficients, grassmann_distance, resolvent
 
 _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
+_MAX_STEPS = 10**7
 
 
 class DivergenceDetected(RuntimeError):
     """A flow's sup norm crossed the divergence threshold.
 
-    Carries the first-crossing time and norm; flows that can do so cheaply
-    attach the trajectory recorded up to the crossing as ``trajectory``.
+    Carries the first-crossing time and norm; integrated flows attach the
+    trajectory recorded up to and including the crossing as ``trajectory``.
     """
 
     def __init__(self, time: float, sup_norm: float):
@@ -48,7 +50,9 @@ class FlowConfig:
     ``alpha``/``beta`` are the feature/weight learning rates of the coupled
     flows; the value flows ignore them.  ``method`` selects closed-form
     evaluation, RK4 integration, or (for the kernel flow) discrete
-    gradient steps ("euler", step size ``dt``).
+    gradient steps ("euler", step size ``dt``).  ``dt`` and ``t_end`` must be
+    finite, and RK4/Euler runs may take at most ``_MAX_STEPS`` steps, so an
+    over-fine grid fails here rather than partway through a run.
     """
 
     gamma: float
@@ -61,12 +65,14 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be nonnegative and finite")
         if self.method not in ("closed_form", "rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.method != "closed_form" and self.t_end / self.dt > _MAX_STEPS + 0.5:
+            raise ValueError(f"t_end / dt asks for more than {_MAX_STEPS} integrator steps")
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,11 @@ class FlowTrajectory:
         return self.states[-1]
 
 
-def _recorded_steps(cfg: FlowConfig) -> tuple[int, int]:
-    """(total integrator steps, recording stride)."""
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
-    n_steps = max(n_steps, 1) if cfg.t_end > 0 else 0
-    stride = max(1, int(np.ceil(n_steps / _MAX_SNAPSHOTS))) if n_steps else 1
-    return n_steps, stride
+def _recorded_steps(cfg: FlowConfig) -> np.ndarray:
+    """Step indices of the recorded snapshots: 0, every stride-th step, and the last."""
+    n_steps = max(int(round(cfg.t_end / cfg.dt)), 1) if cfg.t_end > 0 else 0
+    stride = max(1, int(np.ceil(n_steps / _MAX_SNAPSHOTS)))
+    return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
 
 
 def _closed_form_grid(
@@ -96,55 +101,62 @@ def _closed_form_grid(
 ) -> np.ndarray:
     """Snapshots of ``exp(t G)(X0 - offset) + offset`` at the given times.
 
-    Uses the eigenbasis when the generator's spectrum is real (exact and
-    vectorized over times); otherwise steps the exact semigroup
-    ``expm(G * delta_t)`` between consecutive recorded times.
+    Steps the exact semigroup ``expm(G * delta_t)`` between consecutive
+    recorded times, computing one ``expm`` per distinct step length.  No
+    eigenbasis is involved, so ill-conditioned eigenvectors cannot spoil it.
     """
-    D0 = X0 - offset
-    try:
-        spec = eigendecompose(generator)
-    except np.linalg.LinAlgError:
-        spec = None
-    if spec is not None and spec.is_real:
-        U = spec.right_eigenvectors
-        lam = spec.eigenvalues
-        W = np.linalg.solve(U, D0.reshape(D0.shape[0], -1))
-        decay = np.exp(np.multiply.outer(times, lam))  # (T, n)
-        snaps = np.einsum("xi,ti,ic->txc", U, decay, W)
-        snaps = snaps.reshape((len(times),) + D0.shape) + offset
-        return snaps
-    snaps = np.empty((len(times),) + D0.shape)
-    current = D0.astype(float).copy()
+    snaps = np.empty((len(times),) + X0.shape)
+    current = X0 - offset
     snaps[0] = current + offset
-    cached_delta, cached_step = None, None
+    propagators = {}
     for k in range(1, len(times)):
         delta = times[k] - times[k - 1]
-        if delta != cached_delta:
-            cached_delta, cached_step = delta, expm(generator * delta)
-        current = cached_step @ current
+        if delta not in propagators:
+            propagators[delta] = expm(generator * delta)
+        current = propagators[delta] @ current
         snaps[k] = current + offset
     return snaps
 
 
-def _rk4_grid(
-    f, X0: np.ndarray, times_all: np.ndarray, stride: int, check_divergence: bool
-) -> np.ndarray:
-    recorded = [X0.copy()]
-    X = X0.copy()
+def _integrate(f, x0: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 or Euler (``cfg.method``) of ``dx/dt = f(x)`` from ``x0``.
+
+    Returns the recorded times and snapshots.  Raises
+    :class:`DivergenceDetected`, with the trajectory recorded up to and
+    including the crossing step attached, once the sup norm crosses 1e8.
+    """
+    steps = _recorded_steps(cfg)
+    times = cfg.dt * steps
+    steps = steps.tolist()
+    snaps = np.empty((len(steps),) + x0.shape)
+    snaps[0] = x = x0
+    j, t_prev = 1, 0.0
     # overflow inside a stage just means the divergence check below fires
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(times_all)):
-            h = times_all[k] - times_all[k - 1]
-            k1 = f(X)
-            k2 = f(X + 0.5 * h * k1)
-            k3 = f(X + 0.5 * h * k2)
-            k4 = f(X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if check_divergence and not np.max(np.abs(X)) <= _DIVERGENCE_SUP:
-                raise DivergenceDetected(times_all[k], float(np.max(np.abs(X))))
-            if k % stride == 0 or k == len(times_all) - 1:
-                recorded.append(X.copy())
-    return np.asarray(recorded)
+        for k in range(1, steps[-1] + 1):
+            t = k * cfg.dt
+            h = t - t_prev
+            if cfg.method == "euler":
+                x = x + h * f(x)
+            else:
+                k1 = f(x)
+                k2 = f(x + 0.5 * h * k1)
+                k3 = f(x + 0.5 * h * k2)
+                k4 = f(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t_prev = t
+            sup = float(np.max(np.abs(x)))
+            if not sup <= _DIVERGENCE_SUP:
+                exc = DivergenceDetected(t, sup)
+                snaps[j] = x
+                exc.trajectory = FlowTrajectory(
+                    times=np.append(times[:j], t), states=snaps[: j + 1], meta={"diverged": True}
+                )
+                raise exc
+            if k == steps[j]:
+                snaps[j] = x
+                j += 1
+    return times, snaps
 
 
 def _linear_value_flow(
@@ -166,18 +178,12 @@ def _linear_value_flow(
     Vpi = exact_value(P, R, cfg.gamma)
     offset = Vpi if V0.ndim == 1 else Vpi[:, None]
 
-    n_steps, stride = _recorded_steps(cfg)
-    times_all = cfg.dt * np.arange(n_steps + 1)
-    rec_idx = np.unique(np.concatenate([np.arange(0, n_steps + 1, stride), [n_steps]]))
-    times = times_all[rec_idx]
-
     if cfg.method == "closed_form":
+        times = cfg.dt * _recorded_steps(cfg)
         states = _closed_form_grid(generator, offset, V0, times)
     else:
         b = -generator @ offset
-        states = _rk4_grid(
-            lambda V: generator @ V + b, V0, times_all, stride, check_divergence=False
-        )
+        times, states = _integrate(lambda V: generator @ V + b, V0, cfg)
     meta = dict(meta)
     meta["fixed_point"] = Vpi
     meta["t_end_effective"] = float(times[-1])
@@ -259,42 +265,29 @@ def _coupled_flow(
     if P.shape != (n, n):
         raise ValueError("P dimension does not match phi0")
     B = cfg.gamma * P - np.eye(n)
+    split = n * K
 
-    def f(phi, W):
+    def f(x):
+        phi, W = x[:split].reshape(n, K), x[split:].reshape(K, M)
         delta = targets + B @ (phi @ W)
-        return cfg.alpha * (delta @ W.T), cfg.beta * (phi.T @ delta)
+        return np.concatenate(
+            [(cfg.alpha * (delta @ W.T)).ravel(), (cfg.beta * (phi.T @ delta)).ravel()]
+        )
 
-    n_steps, stride = _recorded_steps(cfg)
-    times_all = cfg.dt * np.arange(n_steps + 1)
-    phis = [phi0.copy()]
-    weights = [w0.copy()]
-    rec_times = [0.0]
-    phi, W = phi0.copy(), w0.copy()
-    # overflow inside a stage just means the divergence check below fires
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            h = times_all[k] - times_all[k - 1]
-            k1p, k1w = f(phi, W)
-            k2p, k2w = f(phi + 0.5 * h * k1p, W + 0.5 * h * k1w)
-            k3p, k3w = f(phi + 0.5 * h * k2p, W + 0.5 * h * k2w)
-            k4p, k4w = f(phi + h * k3p, W + h * k3w)
-            phi = phi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-            W = W + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-            sup = max(float(np.max(np.abs(phi))), float(np.max(np.abs(W))))
-            if not sup <= _DIVERGENCE_SUP:
-                raise DivergenceDetected(times_all[k], sup)
-            if k % stride == 0 or k == n_steps:
-                phis.append(phi.copy())
-                weights.append(W.copy())
-                rec_times.append(times_all[k])
-    times = np.asarray(rec_times)
-    weights = np.asarray(weights)
-    if cfg.beta == 0.0:
-        assert np.max(np.abs(weights - w0[None])) == 0.0, "weights moved with beta=0"
-    meta = dict(meta)
-    meta["weights"] = weights
-    meta["t_end_effective"] = float(times[-1])
-    return FlowTrajectory(times=times, states=np.asarray(phis), meta=meta)
+    def trajectory(times, states, meta):
+        weights = states[:, split:].reshape(-1, K, M)
+        meta = dict(meta, weights=weights, t_end_effective=float(times[-1]))
+        return FlowTrajectory(times=times, states=states[:, :split].reshape(-1, n, K), meta=meta)
+
+    try:
+        traj = trajectory(*_integrate(f, np.concatenate([phi0.ravel(), w0.ravel()]), cfg), meta)
+    except DivergenceDetected as exc:
+        partial = exc.trajectory
+        exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
+        raise
+    if cfg.beta == 0.0 and np.any(traj.meta["weights"] != w0):
+        raise RuntimeError("weights moved with beta=0")
+    return traj
 
 
 def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
@@ -302,8 +295,9 @@ def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
 
     Every head regresses the same reward: the per-head TD error is
     ``R + (gamma P - I) Phi w_m``.  With ``beta = 0`` the weights stay at
-    their initialization (asserted).  Raises :class:`DivergenceDetected`
-    when any snapshot's sup norm crosses 1e8.
+    their initialization (checked; a RuntimeError otherwise).  Raises
+    :class:`DivergenceDetected`, with the partial trajectory attached, when
+    the sup norm crosses 1e8.
     """
     R = np.asarray(R, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -431,10 +425,12 @@ def second_order_check(
     """Discrete TD iterates vs first-order and second-order flow endpoints.
 
     Runs ``n_steps`` discrete updates ``V <- V + alpha f(V)`` with
-    ``f(V) = R + gamma P V - V``, then evaluates at ``t = n_steps * alpha``
-    the first-order flow ``dV = f`` and the step-size-corrected flow
-    ``dV = f + (alpha/2)(I - gamma P) f`` (the modified equation whose
-    truncation error is O(alpha^2)).  Returns the three endpoints.
+    ``f(V) = R + gamma P V - V`` (Euler steps on the shared engine, whose
+    step is ``t_k - t_{k-1}`` with ``t_k = k alpha``), then evaluates at
+    ``t = n_steps * alpha`` the first-order flow ``dV = f`` and the
+    step-size-corrected flow ``dV = f + (alpha/2)(I - gamma P) f`` (the
+    modified equation whose truncation error is O(alpha^2)).  Returns the
+    three endpoints.
     """
     V0 = np.asarray(V0, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -444,13 +440,9 @@ def second_order_check(
     n = P.shape[0]
     A = np.eye(n) - gamma * P
     Vpi = exact_value(P, R, gamma)
-    V = V0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            V = V + alpha * (R + gamma * (P @ V) - V)
-            if not np.max(np.abs(V)) <= _DIVERGENCE_SUP:
-                raise DivergenceDetected((k + 1) * alpha, float(np.max(np.abs(V))))
     t = n_steps * alpha
+    cfg = FlowConfig(gamma=gamma, t_end=t, dt=alpha, method="euler")
+    V = _integrate(lambda V: R + gamma * (P @ V) - V, V0, cfg)[1][-1]
     first = expm(-t * A) @ (V0 - Vpi) + Vpi
     corrected = expm(-t * (A + 0.5 * alpha * (A @ A))) @ (V0 - Vpi) + Vpi
     return V, first, corrected

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import DivergenceDetected, FlowConfig, FlowTrajectory, _DIVERGENCE_SUP, _recorded_steps
+from .flows import FlowConfig, FlowTrajectory, _integrate
 from .mdp import exact_value
 from .spectral import NonRealSpectrum, eigendecompose
 
@@ -119,9 +119,10 @@ def kernel_td_flow(
 
     ``method="rk4"`` integrates the continuous flow; ``method="euler"`` takes
     discrete semi-gradient steps of size ``dt`` (the regime in which large
-    lengthscales destabilize bootstrapping at high discounts).  Raises
-    :class:`~tdlab.flows.DivergenceDetected` at the first step whose sup norm
-    crosses 1e8.
+    lengthscales destabilize bootstrapping at high discounts).  Both run on
+    the fixed-step engine of :mod:`tdlab.flows`, which raises
+    :class:`~tdlab.flows.DivergenceDetected`, with the partial trajectory
+    attached, at the first step whose sup norm crosses 1e8.
     """
     V0 = np.asarray(V0, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -146,41 +147,12 @@ def kernel_td_flow(
         delta = (R + gamma * (P @ V) - V)[train_idx]
         return K_all @ delta
 
-    n_steps, stride = _recorded_steps(cfg)
-    times_all = cfg.dt * np.arange(n_steps + 1)
-    snaps = [V0.copy()]
-    rec_times = [0.0]
-    V = V0.copy()
-    # overflow inside a stage just means the divergence check below fires
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            h = cfg.dt
-            if cfg.method == "euler":
-                V = V + h * f(V)
-            else:
-                k1 = f(V)
-                k2 = f(V + 0.5 * h * k1)
-                k3 = f(V + 0.5 * h * k2)
-                k4 = f(V + h * k3)
-                V = V + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            sup = float(np.max(np.abs(V)))
-            if not sup <= _DIVERGENCE_SUP:
-                exc = DivergenceDetected(times_all[k], sup)
-                exc.trajectory = FlowTrajectory(
-                    times=np.append(np.asarray(rec_times), times_all[k]),
-                    states=np.asarray(snaps + [V.copy()]),
-                    meta={"flow": "kernel_td", "diverged": True},
-                )
-                raise exc
-            if k % stride == 0 or k == n_steps:
-                snaps.append(V.copy())
-                rec_times.append(times_all[k])
-    states = np.asarray(snaps)
+    times, states = _integrate(f, V0, cfg)
     residual = np.max(
         np.abs((R[None, :] + gamma * states @ P.T - states)[:, train_idx]), axis=1
     )
     return FlowTrajectory(
-        times=np.asarray(rec_times),
+        times=times,
         states=states,
         metrics={"train_residual_sup": residual},
         meta={"flow": "kernel_td", "train_idx": train_idx, "method": cfg.method},

@@ -232,9 +232,6 @@ def deterministic_policy(actions, n_actions: int) -> np.ndarray:
     return pol
 
 
-_deterministic_policy_matrix = deterministic_policy
-
-
 def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int = 1) -> TabularMdp:
     """MDP with uniformly random transition rows and standard-normal rewards."""
     raw = rng.uniform(0.1, 1.0, size=(n_states, n_actions, n_states))
@@ -274,7 +271,7 @@ def policy_iteration(
     actions = np.zeros(mdp.n_states, dtype=int)
     policies, values = [], []
     for _ in range(max_iters):
-        policy = _deterministic_policy_matrix(actions, mdp.n_actions)
+        policy = deterministic_policy(actions, mdp.n_actions)
         P_pi = transition_matrix(mdp, policy)
         V = exact_value(P_pi, mdp.rewards, gamma)
         policies.append(actions.copy())

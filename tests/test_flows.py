@@ -23,6 +23,7 @@ from tdlab.flows import (
 )
 from tdlab.mdp import (
     build_chain_mdp,
+    build_four_rooms,
     exact_value,
     random_mdp,
     random_walk_matrix,
@@ -156,6 +157,83 @@ def test_flow_config_validation():
         FlowConfig(gamma=0.9, method="leapfrog")
 
 
+@pytest.mark.parametrize("field", ["dt", "t_end"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_flow_config_rejects_non_finite_times(field, value):
+    with pytest.raises(ValueError, match=field):
+        FlowConfig(gamma=0.9, **{field: value})
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_flow_config_rejects_step_budget_up_front(method):
+    """A too-fine integrator grid fails when the config is built, before any step runs."""
+    with pytest.raises(ValueError, match="integrator steps"):
+        FlowConfig(gamma=0.9, t_end=8.0, dt=1e-9, method=method)
+    FlowConfig(gamma=0.9, t_end=10.0, dt=1e-6, method=method)  # exactly at the budget
+    # the closed form records at most ~1024 snapshots whatever dt is
+    cfg = FlowConfig(gamma=0.9, t_end=8.0, dt=1e-9)
+    traj = td_value_flow(np.zeros(2), np.eye(2), np.ones(2), cfg)
+    assert len(traj.times) <= 1026
+
+
+def four_rooms_walk():
+    mdp = build_four_rooms()
+    return transition_matrix(mdp, uniform_policy(mdp))
+
+
+def lazy_absorbing_chain(n=12):
+    """Stays put with probability 0.5 + 1e-3 i, else steps right; clustered real spectrum."""
+    P = np.zeros((n, n))
+    for i in range(n - 1):
+        P[i, i] = 0.5 + 1e-3 * i
+        P[i, i + 1] = 1.0 - P[i, i]
+    P[-1, -1] = 1.0
+    return P
+
+
+def shift_absorbing_chain(n=6):
+    """Deterministic shift right into an absorbing state; defective eigenvalue 0."""
+    P = np.zeros((n, n))
+    P[np.arange(n - 1), np.arange(1, n)] = 1.0
+    P[-1, -1] = 1.0
+    return P
+
+
+@pytest.mark.parametrize(
+    "chain, gamma",
+    [(four_rooms_walk, 0.99), (lazy_absorbing_chain, 0.9), (shift_absorbing_chain, 0.9)],
+    ids=["four-rooms", "lazy-absorbing", "shift-absorbing"],
+)
+def test_closed_form_matches_expm_on_ill_conditioned_eigenbases(chain, gamma):
+    """Every recorded snapshot equals ``expm(t G)(V0 - V_pi) + V_pi``.
+
+    Each chain's eigenvector matrix is ill-conditioned or singular, which is
+    where an eigenbasis evaluation of the matrix exponential breaks down.
+    """
+    P = chain()
+    n = P.shape[0]
+    rng = np.random.default_rng(26)
+    R, V0 = rng.standard_normal(n), rng.standard_normal(n)
+    traj = td_value_flow(V0, P, R, FlowConfig(gamma=gamma, t_end=1.0, dt=0.01))
+    Vpi = exact_value(P, R, gamma)
+    G = gamma * P - np.eye(n)
+    expected = np.array([expm(t * G) @ (V0 - Vpi) + Vpi for t in traj.times])
+    assert np.max(np.abs(traj.states - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_rk4_value_flow_divergence_detected():
+    """An RK4 step far outside the stability region raises instead of returning overflow."""
+    P = np.array([[0.2, 0.8], [0.8, 0.2]])
+    R = np.array([1.0, 0.0])
+    cfg = FlowConfig(gamma=0.9, t_end=500.0, dt=5.0, method="rk4")
+    with pytest.raises(DivergenceDetected) as info:
+        td_value_flow(np.zeros(2), P, R, cfg)
+    exc = info.value
+    assert 0 < exc.time < 500.0
+    assert exc.trajectory.times[-1] == exc.time
+    assert np.max(np.abs(exc.trajectory.states[-1])) == exc.sup_norm
+
+
 def test_trajectory_snapshots_are_thinned():
     P, R, V0, gamma = small_problem(10)
     traj = td_value_flow(V0, P, R, FlowConfig(gamma=gamma, t_end=10.0, dt=1e-3))
@@ -207,8 +285,16 @@ def test_coupled_flow_divergence_detected():
     cfg = FlowConfig(gamma=0.99, alpha=10.0, beta=10.0, t_end=20.0, dt=0.01, method="rk4")
     with pytest.raises(DivergenceDetected) as info:
         coupled_feature_flow(phi0, w0, P, R, cfg)
-    assert info.value.time > 0
-    assert not info.value.sup_norm <= 1e8
+    exc = info.value
+    assert exc.time > 0
+    assert not exc.sup_norm <= 1e8
+    # the partial trajectory, up to and including the crossing step, is attached
+    partial = exc.trajectory
+    assert partial is not None
+    assert partial.times[-1] == exc.time
+    assert partial.states.shape[1:] == (8, 3)
+    assert partial.meta["weights"].shape == (len(partial.times), 3, 4)
+    assert_allclose(partial.states[0], phi0, atol=0)
 
 
 def test_random_cumulant_flow_reaches_resolvent_solution():

@@ -6,7 +6,9 @@ log likelihood, k-sample average likelihood, and Gaussian moment-matched) are
 lower bounds validated against them.  The sample-then-optimize sampler mirrors
 the gradient-descent procedure of the marginal-likelihood-from-training-loss
 connection; its converged iterates are exact posterior samples, which the
-closed-form mode exploits.
+closed-form mode exploits.  Every estimator reads one prequential chain (the
+posteriors after 0..n points and their sample factors), built once per
+(model, data); ``evidence_report`` shares a single chain among all of them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .flows import DivergenceDetected
 
@@ -156,13 +157,7 @@ def blr_posterior(model: BlrModel, data: OrderedDataset, upto: int | None = None
     return GaussianPosterior(mean=mean, covariance=cov)
 
 
-def _predictive_moments(post: GaussianPosterior, phi_i: np.ndarray, noise_variance: float):
-    mean = float(phi_i @ post.mean)
-    var = float(phi_i @ post.covariance @ phi_i) + noise_variance
-    return mean, var
-
-
-def _gaussian_logpdf(x: float, mean: float, var: float) -> float:
+def _gaussian_logpdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
 
 
@@ -172,13 +167,7 @@ def exact_log_ml(model: BlrModel, data: OrderedDataset) -> float:
     Equals the joint Gaussian evidence ``log N(y; 0, s0^2 Phi Phi^T + sN^2 I)``
     for any presentation order.
     """
-    phi, y = data.reordered(model)
-    total = 0.0
-    for i in range(data.n):
-        post = blr_posterior(model, data, upto=i)
-        mean, var = _predictive_moments(post, phi[i], model.noise_variance)
-        total += _gaussian_logpdf(y[i], mean, var)
-    return float(total)
+    return _prequential_chain(model, data).log_ml()
 
 
 def gaussian_kl(p: GaussianPosterior, q: GaussianPosterior) -> float:
@@ -198,12 +187,7 @@ def kl_gap(model: BlrModel, data: OrderedDataset) -> float:
 
     This is exactly the bias ``exact_log_ml - E[posterior-sample estimate]``.
     """
-    total = 0.0
-    for i in range(data.n):
-        before = blr_posterior(model, data, upto=i)
-        after = blr_posterior(model, data, upto=i + 1)
-        total += gaussian_kl(before, after)
-    return float(total)
+    return _prequential_chain(model, data).kl_gap()
 
 
 class EstimateResult(NamedTuple):
@@ -212,11 +196,74 @@ class EstimateResult(NamedTuple):
     per_seed: np.ndarray
 
 
-def _prequential_chain(model: BlrModel, data: OrderedDataset):
+def _estimate(per_seed: np.ndarray) -> EstimateResult:
+    """Mean over seeds with its standard error (0 for a single seed)."""
+    n_seeds = per_seed.size
+    stderr = float(np.std(per_seed, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0
+    return EstimateResult(value=float(np.mean(per_seed)), stderr=stderr, per_seed=per_seed)
+
+
+class _Chain(NamedTuple):
+    """The prequential posteriors of one (model, data) pair, in presentation order."""
+
+    phi: np.ndarray  # (n, d) features
+    y: np.ndarray  # (n,) targets
+    posts: list  # n + 1 posteriors, after 0..n points
+    factors: list  # sample factors of posts[0..n-1]
+    noise_variance: float
+
+    def log_ml(self) -> float:
+        total = 0.0
+        for phi_i, y_i, post in zip(self.phi, self.y, self.posts):
+            mean = float(phi_i @ post.mean)
+            var = float(phi_i @ post.covariance @ phi_i) + self.noise_variance
+            total += _gaussian_logpdf(y_i, mean, var)
+        return float(total)
+
+    def kl_gap(self) -> float:
+        return float(sum(gaussian_kl(p, q) for p, q in zip(self.posts, self.posts[1:])))
+
+    def draw(self, i: int, point_seed: np.random.SeedSequence, k: int) -> np.ndarray:
+        """k sampled predictions at point i from the posterior given the points before it."""
+        Z = np.random.default_rng(point_seed).standard_normal((k, self.factors[i].shape[0]))
+        return (self.posts[i].mean + Z @ self.factors[i].T) @ self.phi[i]
+
+    def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
+        """Summed L_k point scores, shape (len(ks), n_seeds), on nested draws of max(ks)."""
+        if min(ks) < 1 or n_seeds < 1:
+            raise ValueError("k and n_seeds must be positive")
+        n, k_max = len(self.y), max(ks)
+        logliks = np.empty((n_seeds, n, k_max))
+        for s, pass_seed in enumerate(np.random.SeedSequence(seed).spawn(n_seeds)):
+            for i, point_seed in enumerate(pass_seed.spawn(n)):
+                preds = self.draw(i, point_seed, k_max)
+                logliks[s, i] = _gaussian_logpdf(self.y[i], preds, self.noise_variance)
+        # Running log-sum-exp over the draws: entry k-1 is log sum_{j<k} exp(loglik_j).
+        # It needs no shift; one shared max shift would underflow, since on the
+        # feature_dimension task (d = 30) 64 draws at one point span up to ~3e4 nats.
+        prefix = np.logaddexp.accumulate(logliks, axis=2)
+        ks = np.asarray(ks)
+        return np.ascontiguousarray((prefix[:, :, ks - 1] - np.log(ks)).sum(axis=1).T)
+
+    def ls_total(self, k: int, seed: int) -> float:
+        """One seed's moment-matched score from k draws per point."""
+        if k < 2:
+            raise DegenerateSample("estimate_LS needs k >= 2 samples for a variance")
+        point_seeds = np.random.SeedSequence(seed).spawn(1)[0].spawn(len(self.y))
+        total = 0.0
+        for i, point_seed in enumerate(point_seeds):
+            f = self.draw(i, point_seed, k)
+            var = float(np.var(f, ddof=1)) + self.noise_variance
+            if var <= 0:
+                raise DegenerateSample("nonpositive predictive variance estimate")
+            total += _gaussian_logpdf(self.y[i], float(np.mean(f)), var)
+        return float(total)
+
+
+def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
     phi, y = data.reordered(model)
-    posts = [blr_posterior(model, data, upto=i) for i in range(data.n)]
-    factors = [p.sample_factor() for p in posts]
-    return phi, y, posts, factors
+    posts = [blr_posterior(model, data, upto=i) for i in range(data.n + 1)]
+    return _Chain(phi, y, posts, [p.sample_factor() for p in posts[:-1]], model.noise_variance)
 
 
 def estimate_Lk(model: BlrModel, data: OrderedDataset, k, n_seeds: int = 1, seed: int = 0):
@@ -229,33 +276,8 @@ def estimate_Lk(model: BlrModel, data: OrderedDataset, k, n_seeds: int = 1, seed
     ``estimate_Lk(..., 1, ...)`` coincide exactly with :func:`estimate_L`.
     """
     ks = (k,) if np.isscalar(k) else tuple(k)
-    if min(ks) < 1 or n_seeds < 1:
-        raise ValueError("k and n_seeds must be positive")
-    k_max = max(ks)
-    phi, y, posts, factors = _prequential_chain(model, data)
-    per_seed = np.zeros((len(ks), n_seeds))
-    pass_seeds = np.random.SeedSequence(seed).spawn(n_seeds)
-    for s in range(n_seeds):
-        point_seeds = pass_seeds[s].spawn(max(data.n, 1))
-        for i in range(data.n):
-            rng = np.random.default_rng(point_seeds[i])
-            Z = rng.standard_normal((k_max, factors[i].shape[0]))
-            thetas = posts[i].mean + Z @ factors[i].T
-            preds = thetas @ phi[i]
-            logliks = -0.5 * (
-                (y[i] - preds) ** 2 / model.noise_variance
-                + np.log(2.0 * np.pi * model.noise_variance)
-            )
-            for a, kk in enumerate(ks):
-                per_seed[a, s] += logsumexp(logliks[:kk]) - np.log(kk)
-    results = [
-        EstimateResult(
-            value=float(np.mean(per_seed[a])),
-            stderr=float(np.std(per_seed[a], ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
-            per_seed=per_seed[a].copy(),
-        )
-        for a in range(len(ks))
-    ]
+    per_seed = _prequential_chain(model, data).lk_per_seed(ks, n_seeds, seed)
+    results = [_estimate(row) for row in per_seed]
     return results[0] if np.isscalar(k) else results
 
 
@@ -271,22 +293,7 @@ def estimate_LS(model: BlrModel, data: OrderedDataset, k: int, seed: int = 0) ->
     unbiased sample variance (divisor k-1).  Stays finite as the noise
     variance shrinks, unlike the average-likelihood estimators.
     """
-    if k < 2:
-        raise DegenerateSample("estimate_LS needs k >= 2 samples for a variance")
-    phi, y, posts, factors = _prequential_chain(model, data)
-    point_seeds = np.random.SeedSequence(seed).spawn(1)[0].spawn(max(data.n, 1))
-    total = 0.0
-    for i in range(data.n):
-        rng = np.random.default_rng(point_seeds[i])
-        Z = rng.standard_normal((k, factors[i].shape[0]))
-        f = (posts[i].mean + Z @ factors[i].T) @ phi[i]
-        mu_hat = float(np.mean(f))
-        var_hat = float(np.var(f, ddof=1))
-        var = var_hat + model.noise_variance
-        if var <= 0:
-            raise DegenerateSample("nonpositive predictive variance estimate")
-        total += _gaussian_logpdf(y[i], mu_hat, var)
-    return float(total)
+    return _prequential_chain(model, data).ls_total(k, seed)
 
 
 def _gd_minimize(phi, y_tilde, lam, theta_init, theta0, lr, steps):
@@ -457,17 +464,11 @@ def ensemble_weight_ranking(models, data: OrderedDataset, seed: int = 0) -> np.n
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    n = data.n
-    preds = np.zeros((n, len(models)))
-    model_seeds = np.random.SeedSequence(seed).spawn(len(models))
-    for j, model in enumerate(models):
-        phi, _ = data.reordered(model)
-        point_seeds = model_seeds[j].spawn(max(n, 1))
-        for i in range(n):
-            post = blr_posterior(model, data, upto=i)
-            rng = np.random.default_rng(point_seeds[i])
-            theta = post.mean + post.sample_factor() @ rng.standard_normal(post.dim)
-            preds[i, j] = float(phi[i] @ theta)
+    preds = np.zeros((data.n, len(models)))
+    for j, model_seed in enumerate(np.random.SeedSequence(seed).spawn(len(models))):
+        chain = _prequential_chain(models[j], data)
+        for i, point_seed in enumerate(model_seed.spawn(data.n)):
+            preds[i, j] = chain.draw(i, point_seed, 1)[0]
     _, y = data.reordered(models[0])
     gram = preds.T @ preds + 1e-10 * np.eye(len(models))
     return np.linalg.solve(gram, preds.T @ y)
@@ -501,19 +502,15 @@ def evidence_report(
 ) -> EvidenceReport:
     """Exact evidence next to every estimator, with Monte-Carlo error bars."""
     k_values = tuple(k_values)
-    lk = estimate_Lk(model, data, k_values, n_seeds=n_seeds, seed=seed)
-    ls_vals = np.array([estimate_LS(model, data, ls_samples, seed=seed + 1 + s) for s in range(n_seeds)])
-    ls = EstimateResult(
-        value=float(np.mean(ls_vals)),
-        stderr=float(np.std(ls_vals, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
-        per_seed=ls_vals,
-    )
+    chain = _prequential_chain(model, data)
+    lk = [_estimate(row) for row in chain.lk_per_seed((1,) + k_values, n_seeds, seed)]
+    ls_vals = np.array([chain.ls_total(ls_samples, seed + 1 + s) for s in range(n_seeds)])
     return EvidenceReport(
-        exact_log_ml=exact_log_ml(model, data),
-        L_hat=lk[k_values.index(1)] if 1 in k_values else estimate_L(model, data, n_seeds=n_seeds, seed=seed),
-        Lk_hat={k: lk[a] for a, k in enumerate(k_values)},
-        LS_hat=ls,
-        kl_gap=kl_gap(model, data),
+        exact_log_ml=chain.log_ml(),
+        L_hat=lk[0],
+        Lk_hat=dict(zip(k_values, lk[1:])),
+        LS_hat=_estimate(ls_vals),
+        kl_gap=chain.kl_gap(),
         n_seeds=n_seeds,
         k_values=k_values,
     )

@@ -11,6 +11,7 @@ reproduce byte-identical CSVs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -595,7 +596,7 @@ EXPERIMENTS = {d.name: d for d in _DEFS}
 EXPERIMENT_ORDER = tuple(d.name for d in _DEFS)
 
 
-def _coerce(name: str, key: str, default, raw):
+def _parse(name: str, key: str, default, raw):
     if isinstance(raw, type(default)) and not isinstance(raw, str):
         return raw
     text = str(raw).strip()
@@ -613,6 +614,13 @@ def _coerce(name: str, key: str, default, raw):
         return text
     except ValueError as exc:
         raise ConfigError(f"{name}.{key}: cannot parse {raw!r} as {type(default).__name__}") from exc
+
+
+def _coerce(name: str, key: str, default, raw):
+    value = _parse(name, key, default, raw)
+    if isinstance(default, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}.{key}: {raw!r} is not a finite number")
+    return value
 
 
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
@@ -638,6 +646,8 @@ def run_experiment(
     """Run an experiment and write artifacts plus ``manifest.json``; returns the manifest path."""
     if reps < 1:
         raise ConfigError("reps must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     config = resolve_config(name, overrides)
     exp = EXPERIMENTS[name]
     out_dir = Path(out_dir)

@@ -50,9 +50,10 @@ class FlowConfig:
     ``alpha``/``beta`` are the feature/weight learning rates of the coupled
     flows; the value flows ignore them.  ``method`` selects closed-form
     evaluation, RK4 integration, or (for the kernel flow) discrete
-    gradient steps ("euler", step size ``dt``).  ``dt`` and ``t_end`` must be
-    finite, and RK4/Euler runs may take at most ``_MAX_STEPS`` steps, so an
-    over-fine grid fails here rather than partway through a run.
+    gradient steps ("euler", step size ``dt``).  ``dt``, ``t_end`` and
+    ``t_end / dt`` must be finite, and RK4/Euler runs may take at most
+    ``_MAX_STEPS`` steps, so an over-fine grid fails here rather than partway
+    through a run.
     """
 
     gamma: float
@@ -71,7 +72,10 @@ class FlowConfig:
             raise ValueError("t_end must be nonnegative and finite")
         if self.method not in ("closed_form", "rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method != "closed_form" and self.t_end / self.dt > _MAX_STEPS + 0.5:
+        n_steps = self.t_end / self.dt
+        if not n_steps < np.inf:
+            raise ValueError("t_end / dt overflows: the step grid has no finite length")
+        if self.method != "closed_form" and n_steps > _MAX_STEPS + 0.5:
             raise ValueError(f"t_end / dt asks for more than {_MAX_STEPS} integrator steps")
 
 

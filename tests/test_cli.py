@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from tdlab.cli import main
-from tdlab.experiments import EXPERIMENT_ORDER
+from tdlab.experiments import EXPERIMENT_ORDER, ConfigError, resolve_config
 
 
 def run_cli(args):
@@ -69,6 +69,21 @@ def test_unparseable_value_is_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[two-state]\nn_inits = soup\n")
     assert run_cli(["run", "two-state", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("dt", "inf"), ("gamma", "nan")])
+def test_non_finite_float_is_config_error(tmp_path, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[two-state]\n{key} = {value}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    assert run_cli(["run", "two-state", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError, match="finite"):
+        resolve_config("two-state", {key: float(value)})
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    assert run_cli(["run", "two-state", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_malformed_and_missing_files_are_config_errors(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import logsumexp
 
 from tdlab.evidence import (
     BlrModel,
@@ -265,6 +266,100 @@ def test_evidence_report_bundles_consistent_numbers():
     assert rep.L_hat.value == rep.Lk_hat[1].value
     assert rep.lower_bounds_hold()
     assert rep.kl_gap == pytest.approx(kl_gap(model, data))
+    assert_allclose(rep.LS_hat.per_seed, [estimate_LS(model, data, 8, seed=2 + 1 + s) for s in range(10)])
+    # without k = 1 among the k values, L_hat is still the one-draw estimator
+    rep = evidence_report(model, data, k_values=(4, 16), n_seeds=10, ls_samples=8, seed=2)
+    single = estimate_L(model, data, n_seeds=10, seed=2)
+    assert rep.L_hat.value == pytest.approx(single.value, rel=1e-12)
+    assert_allclose(rep.L_hat.per_seed, single.per_seed, rtol=1e-12)
+
+
+def gaussian_logpdf(x, mean, var):
+    return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
+
+
+def per_point_reference(model, data, ks, n_seeds, seed, ls_samples):
+    """Every estimator as a loop that re-solves the posterior at each point.
+
+    Same seeds and draws as the library; a per-k scipy logsumexp instead of a
+    running log-sum-exp.
+    """
+    phi, y = data.reordered(model)
+    nv = model.noise_variance
+
+    def draw(i, point_seed, k):
+        post = blr_posterior(model, data, upto=i)
+        Z = np.random.default_rng(point_seed).standard_normal((k, post.dim))
+        return (post.mean + Z @ post.sample_factor().T) @ phi[i]
+
+    log_ml = gap = 0.0
+    for i in range(data.n):
+        before, after = blr_posterior(model, data, upto=i), blr_posterior(model, data, upto=i + 1)
+        var = float(phi[i] @ before.covariance @ phi[i]) + nv
+        log_ml += gaussian_logpdf(y[i], float(phi[i] @ before.mean), var)
+        gap += gaussian_kl(before, after)
+    lk = np.zeros((len(ks), n_seeds))
+    for s, pass_seed in enumerate(np.random.SeedSequence(seed).spawn(n_seeds)):
+        for i, point_seed in enumerate(pass_seed.spawn(data.n)):
+            logliks = gaussian_logpdf(y[i], draw(i, point_seed, max(ks)), nv)
+            for a, k in enumerate(ks):
+                lk[a, s] += logsumexp(logliks[:k]) - np.log(k)
+    ls = np.zeros(n_seeds)
+    for s in range(n_seeds):
+        point_seeds = np.random.SeedSequence(seed + 1 + s).spawn(1)[0].spawn(data.n)
+        for i, point_seed in enumerate(point_seeds):
+            f = draw(i, point_seed, ls_samples)
+            ls[s] += gaussian_logpdf(y[i], float(np.mean(f)), float(np.var(f, ddof=1)) + nv)
+    return log_ml, gap, lk, ls
+
+
+def reference_stacking_weights(models, data, seed):
+    preds = np.zeros((data.n, len(models)))
+    for j, model_seed in enumerate(np.random.SeedSequence(seed).spawn(len(models))):
+        phi, y = data.reordered(models[j])
+        for i, point_seed in enumerate(model_seed.spawn(data.n)):
+            post = blr_posterior(models[j], data, upto=i)
+            theta = post.mean + post.sample_factor() @ np.random.default_rng(point_seed).standard_normal(post.dim)
+            preds[i, j] = float(phi[i] @ theta)
+    return np.linalg.solve(preds.T @ preds + 1e-10 * np.eye(len(models)), preds.T @ y)
+
+
+def test_shared_chain_reproduces_per_point_loops():
+    """Reading every estimator off one posterior chain changes no draw and no value.
+
+    d = 30 has 30 points, so each prefix posterior repeats eigenvalue 1; its
+    sample factor depends on the exact covariance, which the chain keeps.
+    """
+    models, data = model_selection_task("feature_dimension", seed=0)
+    chosen = [m for m in models if m.feature_map in (5, 30)]
+    ks, n_seeds, seed, ls_samples = (1, 4, 16, 64), 2, 3, 16
+    close = dict(rtol=1e-12, atol=0)
+    for model in chosen:
+        log_ml, gap, lk, ls = per_point_reference(model, data, ks, n_seeds, seed, ls_samples)
+        assert_allclose(exact_log_ml(model, data), log_ml, **close)
+        assert_allclose(kl_gap(model, data), gap, **close)
+        for a, est in enumerate(estimate_Lk(model, data, ks, n_seeds=n_seeds, seed=seed)):
+            assert_allclose(est.per_seed, lk[a], **close)
+        ls_values = [estimate_LS(model, data, ls_samples, seed=seed + 1 + s) for s in range(n_seeds)]
+        assert_allclose(ls_values, ls, **close)
+
+        rep = evidence_report(model, data, k_values=ks, n_seeds=n_seeds, ls_samples=ls_samples, seed=seed)
+        assert_allclose(rep.exact_log_ml, log_ml, **close)
+        assert_allclose(rep.kl_gap, gap, **close)
+        assert (rep.n_seeds, rep.k_values) == (n_seeds, ks)
+        for a, est in enumerate([rep.L_hat] + [rep.Lk_hat[k] for k in ks]):
+            per_seed = lk[max(a - 1, 0)]
+            assert_allclose(est.per_seed, per_seed, **close)
+            assert_allclose(est.value, np.mean(per_seed), **close)
+            assert_allclose(est.stderr, np.std(per_seed, ddof=1) / np.sqrt(n_seeds), **close)
+        assert_allclose(rep.LS_hat.per_seed, ls, **close)
+        assert_allclose(rep.LS_hat.value, np.mean(ls), **close)
+        assert_allclose(rep.LS_hat.stderr, np.std(ls, ddof=1) / np.sqrt(n_seeds), **close)
+    assert_allclose(
+        ensemble_weight_ranking(chosen, data, seed=seed),
+        reference_stacking_weights(chosen, data, seed),
+        **close,
+    )
 
 
 def test_posterior_container_validation():

@@ -155,6 +155,8 @@ def test_flow_config_validation():
         FlowConfig(gamma=0.9, dt=-0.1)
     with pytest.raises(ValueError):
         FlowConfig(gamma=0.9, method="leapfrog")
+    with pytest.raises(ValueError, match="overflows"):  # t_end / dt = inf, closed form too
+        FlowConfig(gamma=0.9, t_end=1.0, dt=5e-324)
 
 
 @pytest.mark.parametrize("field", ["dt", "t_end"])
@@ -171,9 +173,10 @@ def test_flow_config_rejects_step_budget_up_front(method):
         FlowConfig(gamma=0.9, t_end=8.0, dt=1e-9, method=method)
     FlowConfig(gamma=0.9, t_end=10.0, dt=1e-6, method=method)  # exactly at the budget
     # the closed form records at most ~1024 snapshots whatever dt is
-    cfg = FlowConfig(gamma=0.9, t_end=8.0, dt=1e-9)
-    traj = td_value_flow(np.zeros(2), np.eye(2), np.ones(2), cfg)
-    assert len(traj.times) <= 1026
+    for dt in (1e-9, 1e-300):
+        cfg = FlowConfig(gamma=0.9, t_end=8.0, dt=dt)
+        traj = td_value_flow(np.zeros(2), np.eye(2), np.ones(2), cfg)
+        assert len(traj.times) <= 1026
 
 
 def four_rooms_walk():

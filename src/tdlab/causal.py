@@ -4,21 +4,24 @@ Multi-environment datasets carry per-step inputs, next-step values, and
 rewards.  A regression's residuals are judged invariant when neither their
 means nor their variances differ detectably across environments; subsets that
 pass are causal candidates, and the closure loop walks from the reward through
-its ancestors.  The synthetic three-variable family reproduces the classic
-trap where a non-causal variable mirrors a causal one.
+its ancestors.  Mean-centred Levene is by definition the one-way F-test of the
+absolute deviations from each environment's mean.  The synthetic
+three-variable family reproduces the classic trap where a non-causal variable
+mirrors a causal one.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
 _MAX_VARIABLES = 12
+_SCAN_BLOCK = 64
 _REWARD = "reward"
 
 
@@ -76,37 +79,38 @@ class CausalReport:
     combine: str
 
 
-def _invariance_pvalue(residuals: np.ndarray, groups: list) -> float:
-    """Bonferroni combination of mean-equality and variance-equality tests."""
-    pieces = [residuals[g] for g in groups]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_mean = stats.f_oneway(*pieces).pvalue
-        p_var = stats.levene(*pieces, center="mean").pvalue
-    ps = [p for p in (p_mean, p_var) if np.isfinite(p)]
-    if not ps:
-        return 1.0  # constant residuals: nothing to reject
-    return min(1.0, 2.0 * min(ps))
-
-
 def _scan_subsets(target_by_env, candidates, data: EnvDataset) -> dict:
-    """P-value for every candidate subset; rank-deficient fits map to None."""
+    """P-value for every candidate subset; rank-deficient fits map to None.
+
+    Each subset's pooled residuals are one matrix column, and two F-tests
+    judge up to ``_SCAN_BLOCK`` columns at once (bounding memory at 12
+    variables): on the residuals by environment (equal means) and on their
+    absolute deviations from the environment means (Levene: equal variances).
+    They are Bonferroni-combined; constant residuals, which neither test can
+    judge, map to 1.0.
+    """
     X = np.vstack([env.inputs for env in data.environments])
     y = np.concatenate([np.asarray(t, dtype=float) for t in target_by_env])
-    sizes = [env.inputs.shape[0] for env in data.environments]
-    edges = np.cumsum([0] + sizes)
-    groups = [np.arange(edges[e], edges[e + 1]) for e in range(len(sizes))]
-
+    edges = np.cumsum([env.inputs.shape[0] for env in data.environments])[:-1]
+    subsets = [s for r in range(len(candidates) + 1) for s in combinations(candidates, r)]
     table = {}
-    for subset in chain.from_iterable(
-        combinations(candidates, r) for r in range(len(candidates) + 1)
-    ):
-        design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
-        if np.linalg.matrix_rank(design) < design.shape[1]:
-            table[subset] = None
-            continue
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        table[subset] = _invariance_pvalue(y - design @ coef, groups)
+    for start in range(0, len(subsets), _SCAN_BLOCK):
+        block = subsets[start : start + _SCAN_BLOCK]
+        residuals = np.empty((len(y), len(block)))
+        full_rank = []
+        for j, subset in enumerate(block):
+            design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
+            coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+            residuals[:, j] = y - design @ coef
+            full_rank.append(rank == design.shape[1])
+        by_env = np.split(residuals, edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p_mean = stats.f_oneway(*by_env).pvalue
+            p_var = stats.f_oneway(*(np.abs(r - r.mean(axis=0)) for r in by_env)).pvalue
+        p_min = np.fmin(p_mean, p_var)
+        pvalues = np.where(np.isnan(p_min), 1.0, np.minimum(1.0, 2.0 * p_min))
+        table.update((s, float(pv) if ok else None) for s, pv, ok in zip(block, pvalues, full_rank))
     return table
 
 
@@ -122,6 +126,17 @@ def _combine_accepted(table: dict, alpha: float, combine: str) -> frozenset:
     return frozenset(result)
 
 
+def _check_scan(n_candidates: int, data: EnvDataset, alpha: float, combine: str) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if n_candidates > _MAX_VARIABLES:
+        raise ValueError(f"subset enumeration capped at {_MAX_VARIABLES} variables")
+    if combine not in ("intersection", "largest"):
+        raise ValueError(f"unknown combine mode {combine!r}")
+    if data.n_envs < 2:
+        raise InsufficientEnvironments("need at least two environments")
+
+
 def icp_parents(
     target_by_env, candidates, data: EnvDataset, alpha: float, combine: str = "intersection"
 ) -> frozenset:
@@ -134,17 +149,10 @@ def icp_parents(
     variables no invariant explanation can do without — or, with
     ``combine="largest"``, the largest accepted subset.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     candidates = tuple(int(v) for v in candidates)
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    if len(candidates) > _MAX_VARIABLES:
-        raise ValueError(f"subset enumeration capped at {_MAX_VARIABLES} variables")
-    if combine not in ("intersection", "largest"):
-        raise ValueError(f"unknown combine mode {combine!r}")
-    if data.n_envs < 2:
-        raise InsufficientEnvironments("need at least two environments")
+    _check_scan(len(candidates), data, alpha, combine)
     if len(target_by_env) != data.n_envs:
         raise ValueError("target must provide one vector per environment")
     table = _scan_subsets(target_by_env, candidates, data)
@@ -163,10 +171,7 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05, combine: str = "intersect
     shadow variable standing in for a true parent) or nothing is accepted.
     """
     p = data.n_vars
-    if p > _MAX_VARIABLES:
-        raise ValueError(f"subset enumeration capped at {_MAX_VARIABLES} variables")
-    if data.n_envs < 2:
-        raise InsufficientEnvironments("need at least two environments")
+    _check_scan(p, data, alpha, combine)
     per_call_alpha = alpha / p
     candidates = tuple(range(p))
     table_all = {}
@@ -188,11 +193,7 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05, combine: str = "intersect
             table_all[(node, subset)] = pv
         if node == _REWARD:
             accepted = [set(s) for s, pv in table.items() if pv is not None and pv > per_call_alpha]
-            if not accepted:
-                non_identified = True
-            else:
-                agreed = set.intersection(*accepted)
-                non_identified = all(agreed != s for s in accepted)
+            non_identified = not accepted or set.intersection(*accepted) not in accepted
         parents = _combine_accepted(table, per_call_alpha, combine)
         for v in parents:
             selected.add(v)
@@ -220,22 +221,19 @@ def _simulate_three_var(
     reward = x1 + x2 + N(0, 0.01).  ``clamp=(var, value)`` pins a variable to
     a constant at every step, modelling a hard intervention.
     """
-    scales = np.asarray(noise_scales, dtype=float)
-    x = rng.standard_normal(3)
+    x0 = rng.standard_normal(3)
+    draws = rng.standard_normal((n_steps, 4))  # per step: e1, e2, e3, reward noise
+    steps = np.asarray(noise_scales, dtype=float) * draws[:, :3]
     if clamp is not None:
-        x[clamp[0]] = clamp[1]
-    inputs = np.empty((n_steps, 3))
-    nexts = np.empty((n_steps, 3))
-    rewards = np.empty(n_steps)
-    for t in range(n_steps):
-        eps = scales * rng.standard_normal(3)
-        x_next = np.array([x[0] + eps[0], x[1] + eps[1], x[1] + eps[2]])
-        if clamp is not None:
-            x_next[clamp[0]] = clamp[1]
-        inputs[t] = x
-        nexts[t] = x_next
-        rewards[t] = x[0] + x[1] + 0.1 * rng.standard_normal()
-        x = x_next
+        var, value = clamp
+        x0[var] = value
+        steps[:, var] = 0.0  # a pinned random walk takes no steps
+    walks = np.cumsum(np.vstack([x0[:2], steps[:, :2]]), axis=0)
+    states = np.column_stack([walks, np.append(x0[2], walks[:-1, 1] + steps[:, 2])])
+    if clamp is not None:
+        states[:, var] = value  # the shadow copies x2, so it is pinned afterwards
+    inputs, nexts = states[:-1], states[1:].copy()  # overlapping views would alias x_{t+1}
+    rewards = inputs[:, 0] + inputs[:, 1] + 0.1 * draws[:, 3]
     return Environment(inputs=inputs, next_inputs=nexts, rewards=rewards)
 
 

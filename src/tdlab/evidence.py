@@ -67,7 +67,6 @@ def make_rff_feature_map(
     if frequency <= 0 or n_features < 1:
         raise ValueError("frequency must be positive and n_features >= 1")
     rng = np.random.default_rng(seed)
-    omega_by_dim: dict[int, np.ndarray] = {}
     offsets = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
     base = rng.standard_normal((8, n_features))  # supports input dims up to 8
 

@@ -96,18 +96,6 @@ class ArtifactWriter:
         return path
 
 
-def _float_list(text) -> list[float]:
-    return [float(x) for x in str(text).split(",") if x.strip()]
-
-
-def _int_list(text) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x.strip()]
-
-
-def _str_list(text) -> list[str]:
-    return [x.strip() for x in str(text).split(",") if x.strip()]
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 
@@ -172,7 +160,7 @@ def _run_four_rooms(cfg, rng, art):
     spectrum = eigendecompose(P)
     target = subspace_from_span(real_invariant_basis(spectrum, K))
     rows = []
-    for M in _int_list(cfg["m_heads"]):
+    for M in cfg["m_heads"]:
         phi0 = rng.standard_normal((mdp.n_states, K))
         w0 = cfg["weight_scale"] * rng.standard_normal((K, M))
         flow_cfg = FlowConfig(
@@ -240,8 +228,8 @@ def _run_kernel_circle(cfg, rng, art):
     embedding = circle_embedding(cfg["n_states"], cfg["radius"])
     sweep_rows = []
     value_header = ("t", "diverged") + tuple(f"v_{s}" for s in range(cfg["n_states"]))
-    for gamma in _float_list(cfg["gammas"]):
-        for ell in _float_list(cfg["lengthscales"]):
+    for gamma in cfg["gammas"]:
+        for ell in cfg["lengthscales"]:
             spec = KernelSpec(lengthscale=ell, embedding=embedding)
             split = split_kernel(spec, train_idx)
             flow_cfg = FlowConfig(
@@ -287,15 +275,13 @@ def _run_smooth_kernel(cfg, rng, art):
     """Eigen-kernel generalization across train fractions, targets, and MDP draws."""
     n, gamma = cfg["n_states"], cfg["gamma"]
     S = np.arange(cfg["smooth_k"])
-    fractions = _float_list(cfg["fractions"])
-    targets = _str_list(cfg["targets"])
     problems = []
     for _ in range(cfg["n_mdps"]):
         P = random_walk_matrix(rng, n, cfg["edge_prob"])
         problems.append((P, rng.standard_normal(n)))
     rows = []
-    for target in targets:
-        for frac in fractions:
+    for target in cfg["targets"]:
+        for frac in cfg["fractions"]:
             mses = [
                 smooth_kernel_generalization(
                     P, R, gamma, S, frac, target=target, nstep_n=cfg["nstep_n"]
@@ -322,7 +308,7 @@ def _run_bms_select(cfg, rng, art):
         task_seed = int(rng.integers(2**31))
     base = int(rng.integers(2**31))
     models, data = model_selection_task(cfg["kind"], task_seed)
-    k_values = tuple(_int_list(cfg["k_values"]))
+    k_values = cfg["k_values"]
     n_seeds = cfg["n_estimator_seeds"]
 
     header = (
@@ -405,7 +391,7 @@ def _run_misa(cfg, rng, art):
     curve = intervention_robustness(
         weights_full,
         weights_misa,
-        _float_list(cfg["do_values"]),
+        cfg["do_values"],
         seed=base,
         n_steps=cfg["n_steps"],
     )
@@ -422,7 +408,7 @@ def _run_capacity(cfg, rng, art):
     n, gamma = cfg["n_states"], cfg["gamma"]
     d = cfg["d_features"]
     rank_rows = []
-    for r in _int_list(cfg["constructed_ranks"]):
+    for r in cfg["constructed_ranks"]:
         A = rng.standard_normal((cfg["n_samples"], r))
         B = rng.standard_normal((r, d))
         rank_rows.append((r, feature_rank(A @ B, cfg["eps"]).rank))
@@ -452,7 +438,7 @@ def _run_capacity(cfg, rng, art):
 
     rbf_rows = []
     rbf_weights = rng.standard_normal(n)
-    for ell in _float_list(cfg["lengthscales"]):
+    for ell in cfg["lengthscales"]:
         phi = build_kernel(KernelSpec(lengthscale=ell, embedding=line_embedding(n)), np.arange(n))
         model = LinearValueModel(phi, rbf_weights, Sgd(cfg["sgd_lr"]))
         U = update_matrix(model, transitions, gamma)
@@ -466,10 +452,9 @@ def _run_second_order(cfg, rng, art):
     mdp = random_mdp(rng, cfg["n_states"])
     P = transition_matrix(mdp, uniform_policy(mdp))
     V0 = cfg["v_scale"] * rng.standard_normal(cfg["n_states"])
-    alphas = _float_list(cfg["alphas"])
     table_rows = []
     errors = []
-    for alpha in alphas:
+    for alpha in cfg["alphas"]:
         n_steps = int(round(cfg["t_total"] / alpha))
         discrete, first, corrected = second_order_check(
             V0, P, mdp.rewards, cfg["gamma"], alpha, n_steps
@@ -522,7 +507,7 @@ _DEFS = [
         "four-rooms-features", 2,
         "Coupled feature flows on the four-rooms walk vs the top eigenvector subspace",
         {
-            "gamma": 0.99, "k_features": 10, "m_heads": "1,20,200", "t_end": 100.0,
+            "gamma": 0.99, "k_features": 10, "m_heads": (1, 20, 200), "t_end": 100.0,
             "dt": 0.01, "alpha": 1.0, "beta": 0.0, "weight_scale": 1.0,
         },
         _run_four_rooms,
@@ -541,7 +526,7 @@ _DEFS = [
         "Kernel TD stability/generalization sweep on the circle MDP",
         {
             "n_states": 50, "reward_state": 24, "n_train": 40, "radius": 800.0,
-            "gammas": "0.5,0.99", "lengthscales": "0.01,1,100", "t_end": 100.0,
+            "gammas": (0.5, 0.99), "lengthscales": (0.01, 1.0, 100.0), "t_end": 100.0,
             "dt": 1.0, "method": "euler",
         },
         _run_kernel_circle,
@@ -551,8 +536,8 @@ _DEFS = [
         "Eigen-kernel regression MSE across train fractions and target smoothness",
         {
             "n_states": 40, "edge_prob": 0.3, "smooth_k": 20, "gamma": 0.9,
-            "n_mdps": 50, "fractions": "0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-            "targets": "value,projected-top,projected-bottom,nstep", "nstep_n": 5,
+            "n_mdps": 50, "fractions": (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+            "targets": ("value", "projected-top", "projected-bottom", "nstep"), "nstep_n": 5,
         },
         _run_smooth_kernel,
     ),
@@ -561,7 +546,7 @@ _DEFS = [
         "Exact evidence vs all estimators on a model-selection task",
         {
             "kind": "feature_dimension", "task_seed": 0, "n_estimator_seeds": 20,
-            "k_values": "1,4,16,64", "ls_samples": 16, "alg1_method": "exact",
+            "k_values": (1, 4, 16, 64), "ls_samples": 16, "alg1_method": "exact",
         },
         _run_bms_select,
     ),
@@ -570,7 +555,7 @@ _DEFS = [
         "Linear MISA selection rate and hard-intervention robustness curves",
         {
             "n_envs": 3, "n_steps": 1000, "alpha": 0.05, "n_seeds": 100,
-            "do_values": "0,1,2,3,4,5,6,7,8,9,10", "intervention_scale": 3.0,
+            "do_values": tuple(float(v) for v in range(11)), "intervention_scale": 3.0,
         },
         _run_misa,
     ),
@@ -578,8 +563,8 @@ _DEFS = [
         "capacity-ranks", 8,
         "Feature/update rank estimators: constructed ranks and lengthscale sweep",
         {
-            "n_states": 30, "gamma": 0.9, "lengthscales": "10,1,0.1", "sgd_lr": 0.1,
-            "constructed_ranks": "1,2,3,4,5,6,7,8", "n_samples": 5000,
+            "n_states": 30, "gamma": 0.9, "lengthscales": (10.0, 1.0, 0.1), "sgd_lr": 0.1,
+            "constructed_ranks": tuple(range(1, 9)), "n_samples": 5000,
             "d_features": 12, "eps": 0.01,
         },
         _run_capacity,
@@ -587,7 +572,7 @@ _DEFS = [
     ExperimentDef(
         "second-order", 9,
         "Richardson ratios for the step-size-corrected TD flow",
-        {"n_states": 5, "gamma": 0.9, "alphas": "0.1,0.05,0.025", "t_total": 2.0, "v_scale": 1.0},
+        {"n_states": 5, "gamma": 0.9, "alphas": (0.1, 0.05, 0.025), "t_total": 2.0, "v_scale": 1.0},
         _run_second_order,
     ),
 ]
@@ -617,6 +602,13 @@ def _parse(name: str, key: str, default, raw):
 
 
 def _coerce(name: str, key: str, default, raw):
+    if isinstance(default, tuple):
+        # comma-separated text or a sequence; every item is typed like the default's
+        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+        items = [x for x in items if not (isinstance(x, str) and not x.strip())]
+        if not items:
+            raise ConfigError(f"{name}.{key}: {raw!r} is an empty list")
+        return tuple(_coerce(name, key, default[0], x) for x in items)
     value = _parse(name, key, default, raw)
     if isinstance(default, float) and not math.isfinite(value):
         raise ConfigError(f"{name}.{key}: {raw!r} is not a finite number")

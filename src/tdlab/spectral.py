@@ -20,14 +20,12 @@ class NonRealSpectrum(ValueError):
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is positive real."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            U[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return U
+    pivots = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    size = np.abs(pivots)
+    nonzero = size > 0
+    phases = np.where(nonzero, np.conj(pivots) / np.where(nonzero, size, 1.0), 1.0)
+    # C order like a copy: later BLAS calls round differently on Fortran-ordered input
+    return np.multiply(U, phases, order="C")
 
 
 @dataclass(frozen=True)

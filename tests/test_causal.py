@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from tdlab.causal import (
     EnvDataset,
     Environment,
     InsufficientEnvironments,
+    _simulate_three_var,
     build_synthetic_family,
     fit_reward_weights,
     icp_parents,
@@ -73,6 +77,9 @@ def test_icp_validates_arguments():
         icp_parents(targets, range(3), data, alpha=0.05, combine="union")
     with pytest.raises(ValueError):
         icp_parents(targets[:1], range(3), data, alpha=0.05)
+    for bad in ({"alpha": 0.0}, {"alpha": 5.0}, {"combine": "union"}):
+        with pytest.raises(ValueError):
+            linear_misa(data, **bad)
 
 
 def test_single_environment_is_rejected():
@@ -167,3 +174,119 @@ def test_synthetic_family_intervention_inflates_one_variable():
         assert np.argmax(variances) == e
         assert variances[e] > 15.0  # scale 5 squared, versus 1 elsewhere
         assert np.all(np.delete(variances, e) < 2.0)
+
+
+def reference_scan(target_by_env, data):
+    """Per-subset invariance scan: rank check, fit, then the two scipy tests."""
+    X = np.vstack([env.inputs for env in data.environments])
+    y = np.concatenate(target_by_env)
+    edges = np.cumsum([0] + [env.inputs.shape[0] for env in data.environments])
+    table = {}
+    p = data.n_vars
+    for subset in (s for r in range(p + 1) for s in combinations(range(p), r)):
+        design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
+        if np.linalg.matrix_rank(design) < design.shape[1]:
+            table[subset] = None
+            continue
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        pieces = [resid[a:b] for a, b in zip(edges[:-1], edges[1:])]
+        ps = [
+            q
+            for q in (stats.f_oneway(*pieces).pvalue, stats.levene(*pieces, center="mean").pvalue)
+            if np.isfinite(q)
+        ]
+        table[subset] = min(1.0, 2.0 * min(ps)) if ps else 1.0
+    return table
+
+
+def reference_misa_table(data, report):
+    """The reference scan of every node that ``report`` expanded."""
+    table = {}
+    for node in {node for node, _ in report.per_subset_pvalues}:
+        if node == "reward":
+            target = reward_targets(data)
+        else:
+            target = [env.next_inputs[:, node] for env in data.environments]
+        table.update({(node, s): pv for s, pv in reference_scan(target, data).items()})
+    return table
+
+
+def assert_same_table(actual, expected):
+    assert actual.keys() == expected.keys()
+    for key, want in expected.items():
+        got = actual[key]
+        if want is None:
+            assert got is None, key
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), key
+
+
+@pytest.mark.parametrize("scale", [3.0, 1.0])
+def test_scan_matches_per_subset_scipy_tests(scale):
+    """The one-matrix scan gives every subset the p-value of the per-subset
+    f_oneway + levene(center="mean") loop, for intervened and i.i.d. families."""
+    for seed in range(4):
+        data = build_synthetic_family(seed=seed, n_steps=400, intervention_scales=(scale,) * 3)
+        report = linear_misa(data)
+        assert_same_table(report.per_subset_pvalues, reference_misa_table(data, report))
+
+
+def test_scan_maps_rank_deficient_subsets_to_none():
+    """A duplicated input column makes every subset holding both copies rank
+    deficient; those map to None and the rest keep the reference p-values.
+    Three extra noise columns make 128 subsets, more than one scan block."""
+    base = build_synthetic_family(seed=4, n_steps=300)
+    rng = np.random.default_rng(4)
+
+    def widen(a):
+        return np.column_stack([a, a[:, 0], rng.standard_normal((len(a), 3))])
+
+    envs = tuple(
+        Environment(widen(env.inputs), widen(env.next_inputs), env.rewards)
+        for env in base.environments
+    )
+    data = EnvDataset(environments=envs)
+    report = linear_misa(data)
+    expected = reference_misa_table(data, report)
+    assert len(expected) >= 128
+    assert_same_table(report.per_subset_pvalues, expected)
+    assert expected[("reward", (0, 3))] is None
+    assert expected[("reward", (0, 1))] is not None
+
+
+def reference_simulation(rng, n_steps, noise_scales, clamp=None):
+    """The three-variable system stepped one transition at a time."""
+    scales = np.asarray(noise_scales, dtype=float)
+    x = rng.standard_normal(3)
+    if clamp is not None:
+        x[clamp[0]] = clamp[1]
+    inputs, nexts, rewards = [], [], []
+    for _ in range(n_steps):
+        eps = scales * rng.standard_normal(3)
+        x_next = np.array([x[0] + eps[0], x[1] + eps[1], x[1] + eps[2]])
+        if clamp is not None:
+            x_next[clamp[0]] = clamp[1]
+        inputs.append(x)
+        nexts.append(x_next)
+        rewards.append(x[0] + x[1] + 0.1 * rng.standard_normal())
+        x = x_next
+    return Environment(np.array(inputs), np.array(nexts), np.array(rewards))
+
+
+def test_simulator_matches_the_step_loop():
+    """Cumulative sums over one block of draws reproduce the per-step loop bit
+    for bit, with and without a clamp on each variable."""
+    family = build_synthetic_family(n_envs=4, n_steps=200, seed=11, intervention_scales=(3.0, 0.5, 2.0))
+    for e, env in enumerate(family.environments):
+        scales = np.ones(3)
+        scales[e % 3] = (3.0, 0.5, 2.0)[e % 3]
+        expected = reference_simulation(np.random.default_rng([11, e]), 200, scales)
+        for got, want in zip(env, expected):
+            assert np.array_equal(got, want)
+    for clamp in ((0, 2.5), (1, -1.0), (2, 7.0)):
+        got = _simulate_three_var(np.random.default_rng(5), 200, (1.0, 2.0, 0.5), clamp=clamp)
+        want = reference_simulation(np.random.default_rng(5), 200, (1.0, 2.0, 0.5), clamp=clamp)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), clamp
+        assert np.all(got.inputs[:, clamp[0]] == clamp[1])

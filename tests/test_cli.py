@@ -81,6 +81,27 @@ def test_non_finite_float_is_config_error(tmp_path, key, value):
         resolve_config("two-state", {key: float(value)})
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("four-rooms-features", "m_heads", "1,x"), ("bms-select", "k_values", "")],
+)
+def test_bad_list_value_is_config_error(tmp_path, section, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_list_values_are_typed_once():
+    config = resolve_config("kernel-circle", {"gammas": "0.5, 0.9,", "lengthscales": [1, "2"]})
+    assert config["gammas"] == (0.5, 0.9)
+    assert config["lengthscales"] == (1.0, 2.0)
+    targets = resolve_config("smooth-kernel-generalization", {"targets": " value ,nstep"})["targets"]
+    assert targets == ("value", "nstep")
+    with pytest.raises(ConfigError, match="finite"):
+        resolve_config("second-order", {"alphas": "0.1,inf"})
+
+
 def test_negative_seed_is_config_error(tmp_path, capsys):
     assert run_cli(["run", "two-state", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
     assert "seed" in capsys.readouterr().err

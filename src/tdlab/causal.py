@@ -147,11 +147,14 @@ def icp_parents(
     (one-way F) and equal variances (Levene), Bonferroni-combined at level
     ``alpha``.  Returns the intersection of all accepted subsets — the set of
     variables no invariant explanation can do without — or, with
-    ``combine="largest"``, the largest accepted subset.
+    ``combine="largest"``, the largest accepted subset.  ``candidates`` are
+    distinct variable indices in ``[0, data.n_vars)``.
     """
     candidates = tuple(int(v) for v in candidates)
     if not candidates:
         raise ValueError("candidates must be nonempty")
+    if len(set(candidates)) < len(candidates) or not all(0 <= v < data.n_vars for v in candidates):
+        raise ValueError(f"candidates must be distinct variable indices in [0, {data.n_vars})")
     _check_scan(len(candidates), data, alpha, combine)
     if len(target_by_env) != data.n_envs:
         raise ValueError("target must provide one vector per environment")

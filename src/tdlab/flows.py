@@ -5,8 +5,10 @@ true value function as the global fixed point; they are available in closed
 form (exact semigroup steps) and as fixed-step RK4 integrations.  Feature
 flows (coupled semi-gradient systems over a feature matrix and ensemble head
 weights, including the random-cumulant variant) integrate with RK4.  Every
-integration runs through one fixed-step engine, which reports divergence
-instead of overflowing.
+integration reports divergence instead of overflowing.  Linear flows (every
+flow but the coupled one with ``beta != 0``) step by composed affine maps:
+one RK4 or Euler step of ``x' = A x + c`` is exactly ``x <- M x + m``, so the
+recorded snapshots come from powers of that map rather than a step loop.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -25,6 +27,10 @@ from .spectral import Subspace, eigenbasis_coefficients, grassmann_distance, res
 _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
 _MAX_STEPS = 10**7
+# a block of stacked powers spans at most this many steps and holds at most
+# this many floats, so composing its powers never costs more than it saves
+_BLOCK_STEPS = 64
+_BLOCK_ENTRIES = 2**16
 
 
 class DivergenceDetected(RuntimeError):
@@ -122,10 +128,23 @@ def _closed_form_grid(
     return snaps
 
 
-def _integrate(f, x0: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 or Euler (``cfg.method``) of ``dx/dt = f(x)`` from ``x0``.
+def _diverged(t, sup, times, snaps, j, x, steps, stepwise) -> DivergenceDetected:
+    """The divergence error, with the snapshots before step ``steps`` and its state ``x``."""
+    exc = DivergenceDetected(t, sup)
+    snaps[j] = x
+    exc.trajectory = FlowTrajectory(
+        times=np.append(times[:j], t),
+        states=snaps[: j + 1],
+        meta={"diverged": True, "steps": steps, "stepwise_strides": stepwise},
+    )
+    return exc
 
-    Returns the recorded times and snapshots.  Raises
+
+def _integrate(f, x0: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Fixed-step RK4 of the nonlinear flow ``dx/dt = f(x)`` from ``x0``, one step at a time.
+
+    Returns the recorded times, the snapshots and the work done (``steps``
+    taken; ``stepwise_strides``, here every stride).  Raises
     :class:`DivergenceDetected`, with the trajectory recorded up to and
     including the crossing step attached, once the sup norm crosses 1e8.
     """
@@ -140,27 +159,124 @@ def _integrate(f, x0: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarr
         for k in range(1, steps[-1] + 1):
             t = k * cfg.dt
             h = t - t_prev
-            if cfg.method == "euler":
-                x = x + h * f(x)
-            else:
-                k1 = f(x)
-                k2 = f(x + 0.5 * h * k1)
-                k3 = f(x + 0.5 * h * k2)
-                k4 = f(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t_prev = t
             sup = float(np.max(np.abs(x)))
             if not sup <= _DIVERGENCE_SUP:
-                exc = DivergenceDetected(t, sup)
-                snaps[j] = x
-                exc.trajectory = FlowTrajectory(
-                    times=np.append(times[:j], t), states=snaps[: j + 1], meta={"diverged": True}
-                )
-                raise exc
+                raise _diverged(t, sup, times, snaps, j, x, k, j)
             if k == steps[j]:
                 snaps[j] = x
                 j += 1
-    return times, snaps
+    return times, snaps, {"steps": steps[-1], "stepwise_strides": len(steps) - 1}
+
+
+def _step_map(A: np.ndarray, c: np.ndarray, h: float, method: str):
+    """One RK4 or Euler step of ``x' = A x + c`` as the affine map ``x <- M x + m``.
+
+    RK4: ``M = R(hA)`` and ``m = h S(hA) c`` with ``R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24`` and ``S(z) = 1 + z/2 + z^2/6 + z^3/24`` (the stability
+    function and ``(R(z) - 1)/z``); Euler: ``M = I + hA`` and ``m = h c``.
+    ``A`` may be a stack ``(J, n, n)`` of systems.
+    """
+    Z = h * A
+    eye = np.eye(A.shape[-1])
+    if method == "euler":
+        return eye + Z, h * c
+    Z2 = Z @ Z
+    Z3 = Z2 @ Z
+    M = eye + Z + Z2 / 2 + Z3 / 6 + (Z2 @ Z2) / 24
+    S = eye + Z / 2 + Z2 / 6 + Z3 / 24
+    return M, h * (S @ c)
+
+
+def _propagate(A, c, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0):
+    """Fixed-step RK4 or Euler (``cfg.method``) of the linear flow ``dx/dt = A x + c``.
+
+    The same steps as a step loop, with the arithmetic reordered: ``i``
+    steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so the power of one
+    stride is composed once and each recorded snapshot costs one product;
+    when snapshots are close, a block of them spanning up to
+    ``_BLOCK_STEPS`` steps costs one product with stacked powers.  ``A`` is
+    ``(n, n)`` acting on ``x0`` of shape ``(n,)`` or ``(n, K)``, or a stack
+    ``(J, n, n)`` of independent systems acting on ``x0`` of shape
+    ``(J, n, 1)``.  ``record`` maps states
+    (stacked too) to the recorded snapshots; the divergence check reads the
+    larger of their sup norm and ``floor``.
+
+    A stretch is taken whole only if ``||M^i|| ||x|| + ||m_i||`` (infinity
+    norms, summed over a stack) stays within 1e8 at every step ``i`` inside
+    it; otherwise it is stepped one step at a time and checked after each
+    step, so divergence is raised at the step where it happens, with the
+    trajectory recorded up to it attached.  The sum over a stack bounds
+    ``record``'s sup norm when that multiplies by entries of modulus at most
+    one.  Returns the recorded times, the snapshots and the work done:
+    ``steps`` taken and the ``stepwise_strides`` that failed the bound.
+    """
+    M, m = _step_map(A, c, cfg.dt, cfg.method)
+    J, n = (M.shape[0] if M.ndim == 3 else 1), M.shape[-1]
+
+    def sup(x):  # per system
+        return np.abs(x).reshape(J, -1).max(axis=1)
+
+    steps = _recorded_steps(cfg)
+    times = cfg.dt * steps
+    steps = steps.tolist()
+    gaps = np.diff(steps).tolist()
+    first = record(x0)
+    snaps = np.empty((len(steps),) + first.shape)
+    snaps[0] = first
+    if not gaps:
+        return times, snaps, {"steps": 0, "stepwise_strides": 0}
+    stride, n_strides = gaps[0], gaps.count(gaps[0])
+    block = max(1, min(_BLOCK_STEPS // stride, _BLOCK_ENTRIES // (J * n * n), n_strides))
+    span = block * stride
+    # the norms of M^i and m_i bound every step of a stretch; every
+    # stride-th power (and the last, shorter gap's) moves the state
+    power_norms, offset_norms = np.empty((span, J)), np.empty((span, J))
+    at_stride = []
+    power, offset = M, m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, span + 1):
+            if i > 1:
+                power, offset = M @ power, M @ offset + m
+            power_norms[i - 1] = np.abs(power).sum(axis=-1).max(axis=-1)
+            offset_norms[i - 1] = sup(offset)
+            if i % stride == 0:
+                at_stride.append((power, offset))
+            if i == gaps[-1]:
+                last = power[None], offset[None]
+        stacked = [np.stack(maps) for maps in zip(*at_stride)]
+
+        x, k, j, stepwise = x0, 0, 1, 0
+        while j < len(steps):
+            gap = gaps[j - 1]
+            if gap == stride:
+                b = min(block, n_strides - (j - 1))
+                powers, offsets = stacked[0][:b], stacked[1][:b]
+            else:
+                b, (powers, offsets) = 1, last
+            bound = power_norms[: b * gap] @ sup(x) + offset_norms[: b * gap].sum(axis=1)
+            if np.max(bound) <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP:
+                X = powers @ x + offsets
+                snaps[j : j + b] = record(X)
+                x, k, j = X[-1], k + b * gap, j + b
+                continue
+            stepwise += b
+            for _ in range(b * gap):
+                x = M @ x + m
+                k += 1
+                rec = record(x)
+                now = max(float(np.max(np.abs(rec))), floor)
+                if not now <= _DIVERGENCE_SUP:
+                    raise _diverged(k * cfg.dt, now, times, snaps, j, rec, k, stepwise)
+                if k == steps[j]:
+                    snaps[j] = rec
+                    j += 1
+    return times, snaps, {"steps": k, "stepwise_strides": stepwise}
 
 
 def _linear_value_flow(
@@ -182,13 +298,13 @@ def _linear_value_flow(
     Vpi = exact_value(P, R, cfg.gamma)
     offset = Vpi if V0.ndim == 1 else Vpi[:, None]
 
+    meta = dict(meta)
     if cfg.method == "closed_form":
         times = cfg.dt * _recorded_steps(cfg)
         states = _closed_form_grid(generator, offset, V0, times)
     else:
-        b = -generator @ offset
-        times, states = _integrate(lambda V: generator @ V + b, V0, cfg)
-    meta = dict(meta)
+        times, states, work = _propagate(generator, -generator @ offset, V0, cfg)
+        meta.update(work)
     meta["fixed_point"] = Vpi
     meta["t_end_effective"] = float(times[-1])
     return FlowTrajectory(times=times, states=states, meta=meta)
@@ -268,40 +384,68 @@ def _coupled_flow(
         raise ValueError(f"targets must have shape ({n}, {M}), got {targets.shape}")
     if P.shape != (n, n):
         raise ValueError("P dimension does not match phi0")
+    if cfg.method != "rk4":
+        raise ValueError("coupled flows support the rk4 method only")
     B = cfg.gamma * P - np.eye(n)
-    split = n * K
 
-    def f(x):
-        phi, W = x[:split].reshape(n, K), x[split:].reshape(K, M)
-        delta = targets + B @ (phi @ W)
-        return np.concatenate(
-            [(cfg.alpha * (delta @ W.T)).ravel(), (cfg.beta * (phi.T @ delta)).ravel()]
-        )
+    if cfg.beta == 0.0:
+        # Frozen weights: with W W^T = Q diag(lam) Q^T, column j of Psi = Phi Q
+        # follows the linear flow psi' = alpha lam_j B psi + c_j, C = alpha T W^T Q.
+        lam, Q = np.linalg.eigh(w0 @ w0.T)
+        C = cfg.alpha * (targets @ w0.T) @ Q
+
+        def run():
+            return _propagate(
+                (cfg.alpha * lam)[:, None, None] * B,
+                C.T[:, :, None],
+                (phi0 @ Q).T[:, :, None],
+                cfg,
+                record=lambda psi: np.swapaxes(psi[..., 0], -1, -2) @ Q.T,
+                floor=float(np.max(np.abs(w0), initial=0.0)),
+            )
+
+        def unpack(states):
+            return states, np.broadcast_to(w0, (len(states), K, M))
+
+    else:
+        split = n * K
+
+        def f(x):
+            phi, W = x[:split].reshape(n, K), x[split:].reshape(K, M)
+            delta = targets + B @ (phi @ W)
+            return np.concatenate(
+                [(cfg.alpha * (delta @ W.T)).ravel(), (cfg.beta * (phi.T @ delta)).ravel()]
+            )
+
+        def run():
+            return _integrate(f, np.concatenate([phi0.ravel(), w0.ravel()]), cfg)
+
+        def unpack(states):
+            return states[:, :split].reshape(-1, n, K), states[:, split:].reshape(-1, K, M)
 
     def trajectory(times, states, meta):
-        weights = states[:, split:].reshape(-1, K, M)
+        phi, weights = unpack(states)
         meta = dict(meta, weights=weights, t_end_effective=float(times[-1]))
-        return FlowTrajectory(times=times, states=states[:, :split].reshape(-1, n, K), meta=meta)
+        return FlowTrajectory(times=times, states=phi, meta=meta)
 
     try:
-        traj = trajectory(*_integrate(f, np.concatenate([phi0.ravel(), w0.ravel()]), cfg), meta)
+        times, states, work = run()
     except DivergenceDetected as exc:
         partial = exc.trajectory
         exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
         raise
-    if cfg.beta == 0.0 and np.any(traj.meta["weights"] != w0):
-        raise RuntimeError("weights moved with beta=0")
-    return traj
+    return trajectory(times, states, dict(meta, **work))
 
 
 def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     """Semi-gradient feature/weight flow summed over ensemble heads.
 
     Every head regresses the same reward: the per-head TD error is
-    ``R + (gamma P - I) Phi w_m``.  With ``beta = 0`` the weights stay at
-    their initialization (checked; a RuntimeError otherwise).  Raises
-    :class:`DivergenceDetected`, with the partial trajectory attached, when
-    the sup norm crosses 1e8.
+    ``R + (gamma P - I) Phi w_m``.  RK4 only.  With ``beta = 0`` the weights
+    stay at their initialization (``meta["weights"]`` is a read-only view of
+    ``w0``) and the flow is linear in ``Phi``, so it runs on composed affine
+    maps.  Raises :class:`DivergenceDetected`, with the partial trajectory
+    attached, when the sup norm of ``Phi`` and the weights crosses 1e8.
     """
     R = np.asarray(R, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -429,12 +573,11 @@ def second_order_check(
     """Discrete TD iterates vs first-order and second-order flow endpoints.
 
     Runs ``n_steps`` discrete updates ``V <- V + alpha f(V)`` with
-    ``f(V) = R + gamma P V - V`` (Euler steps on the shared engine, whose
-    step is ``t_k - t_{k-1}`` with ``t_k = k alpha``), then evaluates at
-    ``t = n_steps * alpha`` the first-order flow ``dV = f`` and the
-    step-size-corrected flow ``dV = f + (alpha/2)(I - gamma P) f`` (the
-    modified equation whose truncation error is O(alpha^2)).  Returns the
-    three endpoints.
+    ``f(V) = R + gamma P V - V`` (Euler steps of size exactly ``alpha``),
+    then evaluates at ``t = n_steps * alpha`` the first-order flow
+    ``dV = f`` and the step-size-corrected flow
+    ``dV = f + (alpha/2)(I - gamma P) f`` (the modified equation whose
+    truncation error is O(alpha^2)).  Returns the three endpoints.
     """
     V0 = np.asarray(V0, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -446,7 +589,7 @@ def second_order_check(
     Vpi = exact_value(P, R, gamma)
     t = n_steps * alpha
     cfg = FlowConfig(gamma=gamma, t_end=t, dt=alpha, method="euler")
-    V = _integrate(lambda V: R + gamma * (P @ V) - V, V0, cfg)[1][-1]
+    V = _propagate(-A, R, V0, cfg)[1][-1]
     first = expm(-t * A) @ (V0 - Vpi) + Vpi
     corrected = expm(-t * (A + 0.5 * alpha * (A @ A))) @ (V0 - Vpi) + Vpi
     return V, first, corrected

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowConfig, FlowTrajectory, _integrate
+from .flows import FlowConfig, FlowTrajectory, _propagate
 from .mdp import exact_value
 from .spectral import NonRealSpectrum, eigendecompose
 
@@ -120,7 +120,7 @@ def kernel_td_flow(
     ``method="rk4"`` integrates the continuous flow; ``method="euler"`` takes
     discrete semi-gradient steps of size ``dt`` (the regime in which large
     lengthscales destabilize bootstrapping at high discounts).  Both run on
-    the fixed-step engine of :mod:`tdlab.flows`, which raises
+    the linear-flow engine of :mod:`tdlab.flows`, which raises
     :class:`~tdlab.flows.DivergenceDetected`, with the partial trajectory
     attached, at the first step whose sup norm crosses 1e8.
     """
@@ -142,12 +142,9 @@ def kernel_td_flow(
     K_all = np.empty((n, m))
     K_all[train_idx] = split.K_train
     K_all[test_idx] = split.K_cross
-
-    def f(V):
-        delta = (R + gamma * (P @ V) - V)[train_idx]
-        return K_all @ delta
-
-    times, states = _integrate(f, V0, cfg)
+    # linear in V: dV/dt = K_all (gamma P - I)[train] V + K_all R[train]
+    A = K_all @ (gamma * P - np.eye(n))[train_idx]
+    times, states, work = _propagate(A, K_all @ R[train_idx], V0, cfg)
     residual = np.max(
         np.abs((R[None, :] + gamma * states @ P.T - states)[:, train_idx]), axis=1
     )
@@ -155,7 +152,7 @@ def kernel_td_flow(
         times=times,
         states=states,
         metrics={"train_residual_sup": residual},
-        meta={"flow": "kernel_td", "train_idx": train_idx, "method": cfg.method},
+        meta={"flow": "kernel_td", "train_idx": train_idx, "method": cfg.method, **work},
     )
 
 

@@ -71,12 +71,21 @@ def test_icp_validates_arguments():
         icp_parents(targets, range(3), data, alpha=1.5)
     with pytest.raises(ValueError):
         icp_parents(targets, [], data, alpha=0.05)
-    with pytest.raises(ValueError):
-        icp_parents(targets, range(13), data, alpha=0.05)
+    rng = np.random.default_rng(0)
+    wide = EnvDataset(environments=tuple(
+        Environment(rng.standard_normal((20, 13)), rng.standard_normal((20, 13)), rng.standard_normal(20))
+        for _ in range(2)
+    ))
+    with pytest.raises(ValueError, match="capped"):
+        icp_parents([env.rewards for env in wide.environments], range(13), wide, alpha=0.05)
     with pytest.raises(ValueError):
         icp_parents(targets, range(3), data, alpha=0.05, combine="union")
     with pytest.raises(ValueError):
         icp_parents(targets[:1], range(3), data, alpha=0.05)
+    # negative (read from the end), out-of-range and repeated indices
+    for bad in ([-2, 0, 1], [0, 1, 5], [0, 1, 1]):
+        with pytest.raises(ValueError, match="distinct variable indices"):
+            icp_parents(targets, bad, data, alpha=0.05)
     for bad in ({"alpha": 0.0}, {"alpha": 5.0}, {"combine": "union"}):
         with pytest.raises(ValueError):
             linear_misa(data, **bad)

@@ -316,6 +316,124 @@ def test_random_cumulant_flow_reaches_resolvent_solution():
     assert_allclose(traj.final @ w0, resolvent(P, gamma) @ C, atol=1e-6)
 
 
+@pytest.mark.parametrize("method", ["closed_form", "euler"])
+def test_coupled_flows_refuse_methods_they_do_not_run(method):
+    P, R, _, gamma = small_problem(27)
+    phi0, w0 = np.ones((5, 2)), np.ones((2, 3))
+    cfg = FlowConfig(gamma=gamma, t_end=1.0, dt=0.01, method=method)
+    with pytest.raises(ValueError, match="rk4"):
+        coupled_feature_flow(phi0, w0, P, R, cfg)
+    with pytest.raises(ValueError, match="rk4"):
+        random_cumulant_flow(phi0, w0, np.ones((5, 3)), P, cfg)
+
+
+# ---------------------------------------------------------------------------
+# linear flows against the per-step loop
+
+
+def step_loop(f, x0, cfg):
+    """The per-step RK4/Euler loop that linear flows ran before, checked after every step.
+
+    Returns the state after every step and the step whose sup norm crossed
+    1e8 (``None`` if none did).
+    """
+    x = np.array(x0, dtype=float)
+    states, h = [x], cfg.dt
+    for k in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
+        if cfg.method == "euler":
+            x = x + h * f(x)
+        else:
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(x)
+        if not np.max(np.abs(x)) <= 1e8:
+            return np.array(states), k
+    return np.array(states), None
+
+
+def assert_matches_step_loop(traj, states, dt):
+    """Every snapshot within 1e-12 of the loop trajectory's max |x|, on the loop's grid."""
+    steps = np.rint(np.asarray(traj.times) / dt).astype(int)
+    assert np.max(np.abs(traj.states - states[steps])) <= 1e-12 * np.max(np.abs(states))
+    assert traj.meta["steps"] == steps[-1]
+
+
+@pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+def test_td_value_flow_matches_step_loop(columns):
+    # 2,500 steps: stride 3, stacked blocks, and a last gap of one step
+    P, R, V0, gamma = small_problem(28)
+    if columns:
+        V0 = np.random.default_rng(28).standard_normal((5, columns))
+    Rb = R if columns is None else R[:, None]
+    cfg = FlowConfig(gamma=gamma, t_end=2.5, dt=1e-3, method="rk4")
+    traj = td_value_flow(V0, P, R, cfg)
+    states, crossed = step_loop(lambda V: Rb + gamma * P @ V - V, V0, cfg)
+    assert crossed is None
+    assert_matches_step_loop(traj, states, cfg.dt)
+    assert traj.meta["stepwise_strides"] == 0
+
+
+@pytest.mark.parametrize("M", [2, 7], ids=["M<K", "M>K"])
+def test_coupled_flow_matches_step_loop(M):
+    """Frozen weights with W W^T rank deficient (M < K) and full rank (M > K)."""
+    P, R, _, gamma = small_problem(29, n=6)
+    rng = np.random.default_rng(29)
+    K = 4
+    phi0, w0 = rng.standard_normal((6, K)), rng.standard_normal((K, M))
+    cfg = FlowConfig(gamma=gamma, alpha=0.5, beta=0.0, t_end=2.0, dt=1e-3, method="rk4")
+    traj = coupled_feature_flow(phi0, w0, P, R, cfg)
+    B, T = gamma * P - np.eye(6), np.tile(R[:, None], (1, M))
+    states, _ = step_loop(lambda phi: cfg.alpha * (T + B @ phi @ w0) @ w0.T, phi0, cfg)
+    assert_matches_step_loop(traj, states, cfg.dt)
+    assert traj.meta["weights"].shape == (len(traj.times), K, M)
+    assert np.array_equal(traj.meta["weights"][-1], w0)
+    assert not traj.meta["weights"].flags.writeable
+
+
+def test_random_cumulant_flow_matches_step_loop():
+    P, _, _, gamma = small_problem(30, n=8)
+    rng = np.random.default_rng(30)
+    phi0, w0, C = rng.standard_normal((8, 5)), rng.standard_normal((5, 5)), rng.standard_normal((8, 5))
+    cfg = FlowConfig(gamma=gamma, alpha=0.2, beta=0.0, t_end=6.0, dt=0.01, method="rk4")
+    traj = random_cumulant_flow(phi0, w0, C, P, cfg)
+    B = gamma * P - np.eye(8)
+    states, _ = step_loop(lambda phi: cfg.alpha * (C + B @ phi @ w0) @ w0.T, phi0, cfg)
+    assert_matches_step_loop(traj, states, cfg.dt)
+
+
+def test_second_order_check_matches_step_loop():
+    P, R, V0, gamma = small_problem(31)
+    alpha, n_steps = 0.05, 40
+    discrete, _, _ = second_order_check(V0, P, R, gamma, alpha, n_steps)
+    cfg = FlowConfig(gamma=gamma, t_end=n_steps * alpha, dt=alpha, method="euler")
+    states, _ = step_loop(lambda V: R + gamma * P @ V - V, V0, cfg)
+    assert len(states) == n_steps + 1
+    assert np.max(np.abs(discrete - states[-1])) <= 1e-12 * np.max(np.abs(states))
+
+
+def test_transient_growth_falls_back_to_steps_and_still_matches():
+    """A non-normal generator whose norm bound crosses 1e8 while the flow stays below it.
+
+    ``P`` is nilpotent, so ``gamma P - I`` is a Jordan block: the bound
+    ``||M^i|| ||V||`` peaks near 3.6e8 and the second column grows
+    transiently to 3.6e6, but no state crosses 1e8.  The stretches that
+    fail the bound are stepped one at a time, and the result is the same.
+    """
+    P = np.array([[0.0, 1e4], [0.0, 0.0]])
+    gamma, R = 0.99, np.zeros(2)
+    V0 = np.array([[1e5, 0.0], [0.0, 1e3]])
+    cfg = FlowConfig(gamma=gamma, t_end=5.0, dt=0.01, method="rk4")
+    traj = td_value_flow(V0, P, R, cfg)
+    states, crossed = step_loop(lambda V: gamma * P @ V - V, V0, cfg)
+    assert crossed is None
+    assert np.max(np.abs(states[:, 0, 1])) > 3e6
+    assert traj.meta["stepwise_strides"] > 0
+    assert_matches_step_loop(traj, states, cfg.dt)
+
+
 # ---------------------------------------------------------------------------
 # limiting ensembles and covariance
 

@@ -15,6 +15,7 @@ from tdlab.kernel_td import (
 )
 from tdlab.mdp import build_circle_mdp, random_walk_matrix, transition_matrix, uniform_policy
 from tdlab.spectral import NonRealSpectrum
+from test_flows import assert_matches_step_loop, step_loop
 
 
 def rbf_oracle(points, lengthscale):
@@ -136,6 +137,50 @@ def test_kernel_flow_long_lengthscale_high_gamma_diverges():
     assert exc.trajectory.meta["diverged"]
     assert exc.trajectory.times[-1] == pytest.approx(exc.time)
     assert np.max(np.abs(exc.trajectory.states[-1])) == pytest.approx(exc.sup_norm)
+
+
+def kernel_td_f(mdp, P, split, train_idx, gamma):
+    """The kernel-TD vector field, written out as the step loop evaluated it."""
+    test_idx = np.setdiff1d(np.arange(P.shape[0]), train_idx)
+
+    def f(V):
+        delta = (mdp.rewards + gamma * (P @ V) - V)[train_idx]
+        out = np.empty_like(V)
+        out[train_idx], out[test_idx] = split.K_train @ delta, split.K_cross @ delta
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_kernel_flow_matches_step_loop(method):
+    mdp, P, train_idx = circle_problem()
+    split = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
+    cfg = FlowConfig(gamma=0.5, t_end=5.0, dt=1e-3, method=method)
+    v0 = np.random.default_rng(5).standard_normal(50)
+    traj = kernel_td_flow(v0, split, P, mdp.rewards, 0.5, train_idx, cfg)
+    states, crossed = step_loop(kernel_td_f(mdp, P, split, train_idx, 0.5), v0, cfg)
+    assert crossed is None
+    assert_matches_step_loop(traj, states, cfg.dt)
+
+
+def test_kernel_flow_divergence_matches_step_loop():
+    """Thinned grid (3,000 Euler steps, stride 3): the crossing step 76 is not a
+    recorded step, and is still the one reported, with the same partial trajectory."""
+    mdp, P, train_idx = circle_problem()
+    split = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
+    cfg = FlowConfig(gamma=0.99, t_end=3000.0, dt=1.0, method="euler")
+    with pytest.raises(DivergenceDetected) as info:
+        kernel_td_flow(np.zeros(50), split, P, mdp.rewards, 0.99, train_idx, cfg)
+    states, crossed = step_loop(kernel_td_f(mdp, P, split, train_idx, 0.99), np.zeros(50), cfg)
+    exc, partial = info.value, info.value.trajectory
+    assert crossed is not None and crossed % 3 != 0
+    assert exc.time == crossed * cfg.dt
+    recorded = list(range(0, crossed, 3)) + [crossed]
+    assert len(partial.times) == len(recorded)
+    assert np.max(np.abs(partial.states - states[recorded])) <= 1e-12 * np.max(np.abs(states))
+    assert partial.meta["steps"] == crossed
+    assert partial.meta["stepwise_strides"] > 0
 
 
 def test_kernel_flow_short_lengthscale_low_gamma_converges():

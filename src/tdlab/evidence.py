@@ -5,10 +5,12 @@ likelihood are exact, and the three Monte-Carlo estimators (posterior-sample
 log likelihood, k-sample average likelihood, and Gaussian moment-matched) are
 lower bounds validated against them.  The sample-then-optimize sampler mirrors
 the gradient-descent procedure of the marginal-likelihood-from-training-loss
-connection; its converged iterates are exact posterior samples, which the
-closed-form mode exploits.  Every estimator reads one prequential chain (the
-posteriors after 0..n points and their sample factors), built once per
-(model, data); ``evidence_report`` shares a single chain among all of them.
+connection; its converged iterates are exact posterior samples, so the exact
+modes of it and of Algorithm 1 read each minimizer off a posterior covariance
+(:func:`blr_posterior` is the only solve of the normal equations).  Every
+estimator reads one prequential chain (the posteriors after 0..n points and
+their sample factors), built once per (model, data); ``evidence_report``
+shares a single chain among all of them.
 """
 
 from __future__ import annotations
@@ -314,14 +316,16 @@ def _gd_minimize(phi, y_tilde, lam, theta_init, theta0, lr, steps):
     return theta
 
 
+def _prior_draw(model: BlrModel, y: np.ndarray, d: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """One seed's prior draw ``theta0``, then noised targets ``y~`` (a prefix of m reads y~[:m])."""
+    rng = np.random.default_rng(seed)
+    theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
+    return theta0, y + np.sqrt(model.noise_variance) * rng.standard_normal(y.size)
+
+
 def sample_then_optimize(
-    model: BlrModel,
-    data: OrderedDataset,
-    seed: int,
-    lr: float = 1e-3,
-    steps: int = 5000,
-    upto: int | None = None,
-    method: str = "gd",
+    model: BlrModel, data: OrderedDataset, seed: int, lr: float = 1e-3, steps: int = 5000,
+    upto: int | None = None, method: str = "gd",
 ) -> np.ndarray:
     """Posterior sampling by regularized least squares from a prior draw.
 
@@ -334,56 +338,51 @@ def sample_then_optimize(
         raise ValueError("lr must be positive and steps nonnegative")
     if method not in ("gd", "exact"):
         raise ValueError(f"unknown method {method!r}")
-    phi, y = data.reordered(model)
     m = data.n if upto is None else int(upto)
-    phi, y = phi[:m], y[:m]
-    d = phi.shape[1]
-    rng = np.random.default_rng(seed)
-    theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
-    y_tilde = y + np.sqrt(model.noise_variance) * rng.standard_normal(m)
-    lam = model.noise_variance / model.prior_variance
+    if not 0 <= m <= data.n:
+        raise ValueError(f"upto must lie in [0, {data.n}], got {m}")
+    phi, y = data.reordered(model)
+    theta0, y_tilde = _prior_draw(model, y, phi.shape[1], seed)
+    phi, y_tilde = phi[:m], y_tilde[:m]
     if method == "exact":
-        return np.linalg.solve(phi.T @ phi + lam * np.eye(d), phi.T @ y_tilde + lam * theta0)
-    return _gd_minimize(phi, y_tilde, lam, theta0, theta0, lr, steps)
+        cov = blr_posterior(model, data, upto=m).covariance
+        return cov @ (phi.T @ y_tilde / model.noise_variance + theta0 / model.prior_variance)
+    return _gd_minimize(phi, y_tilde, model.noise_variance / model.prior_variance, theta0, theta0, lr, steps)
 
 
 def algorithm1_sumloss(
-    model: BlrModel,
-    data: OrderedDataset,
-    seed: int,
-    lr: float = 1e-3,
-    steps_per_point: int = 5000,
+    model: BlrModel, data: OrderedDataset, seed, lr: float = 1e-3, steps_per_point: int = 5000,
     method: str = "gd",
-) -> float:
+) -> float | np.ndarray:
     """Prequential sum-of-losses estimate of the log ML from iterated optimization.
 
     Walks the data in presentation order, scoring the current parameters on
     each point (true targets) before re-optimizing on the noised prefix, warm
     started.  Returns ``-sumLoss - (n/2) log(2 pi sN^2)``, directly comparable
-    to :func:`estimate_L`.
+    to :func:`estimate_L`.  ``seed`` may be an int or a sequence of ints; a
+    sequence returns an array of one score per seed, in order, all read off
+    one prequential chain in exact mode.
     """
     if method not in ("gd", "exact"):
         raise ValueError(f"unknown method {method!r}")
     phi, y = data.reordered(model)
-    d = phi.shape[1]
-    rng = np.random.default_rng(seed)
-    theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
-    y_tilde = y + np.sqrt(model.noise_variance) * rng.standard_normal(data.n)
-    lam = model.noise_variance / model.prior_variance
-    theta = theta0.copy()
-    sum_loss = 0.0
-    for i in range(data.n):
-        pred = float(phi[i] @ theta)
-        sum_loss += (pred - y[i]) ** 2 / (2.0 * model.noise_variance)
-        prefix_phi, prefix_y = phi[: i + 1], y_tilde[: i + 1]
-        if method == "exact":
-            theta = np.linalg.solve(
-                prefix_phi.T @ prefix_phi + lam * np.eye(d),
-                prefix_phi.T @ prefix_y + lam * theta0,
-            )
+    n, d = phi.shape
+    nv, lam = model.noise_variance, model.noise_variance / model.prior_variance
+    if method == "exact":  # covs[i] = Sigma_{i+1}, the posterior covariance after points 0..i
+        covs = np.array([p.covariance for p in _prequential_chain(model, data).posts[1:]]).reshape(n, d, d)
+    scores = []
+    for s in np.atleast_1d(seed):
+        theta0, y_tilde = _prior_draw(model, y, d, int(s))
+        thetas = [theta0]  # thetas[i] is fitted to the i points before point i
+        if method == "exact":  # Sigma_{i+1} (sum_{j<=i} phi_j y~_j + lam theta0) / sN^2
+            rhs = (np.cumsum(phi * y_tilde[:, None], axis=0) + lam * theta0) / nv
+            thetas += list(np.einsum("ijk,ik->ij", covs, rhs))
         else:
-            theta = _gd_minimize(prefix_phi, prefix_y, lam, theta, theta0, lr, steps_per_point)
-    return float(-sum_loss - 0.5 * data.n * np.log(2.0 * np.pi * model.noise_variance))
+            for i in range(n):
+                thetas.append(_gd_minimize(phi[: i + 1], y_tilde[: i + 1], lam, thetas[-1], theta0, lr, steps_per_point))
+        preds = np.sum(phi * np.reshape(thetas[:n], (n, d)), axis=1)
+        scores.append(-np.sum((preds - y) ** 2) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv))
+    return float(scores[0]) if np.isscalar(seed) else np.array(scores)
 
 
 def sotl(loss_sequence) -> float:

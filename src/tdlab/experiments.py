@@ -281,14 +281,12 @@ def _run_smooth_kernel(cfg, rng, art):
         problems.append((P, rng.standard_normal(n)))
     rows = []
     for target in cfg["targets"]:
-        for frac in cfg["fractions"]:
-            mses = [
-                smooth_kernel_generalization(
-                    P, R, gamma, S, frac, target=target, nstep_n=cfg["nstep_n"]
-                )
-                for P, R in problems
-            ]
-            mses = np.asarray(mses)
+        # one row of MSEs per problem, one column per train fraction
+        mse_table = np.array([
+            smooth_kernel_generalization(P, R, gamma, S, cfg["fractions"], target=target, nstep_n=cfg["nstep_n"])
+            for P, R in problems
+        ])
+        for frac, mses in zip(cfg["fractions"], mse_table.T):
             rows.append(
                 (
                     target,
@@ -323,11 +321,8 @@ def _run_bms_select(cfg, rng, art):
             model, data, k_values=k_values, n_seeds=n_seeds,
             ls_samples=cfg["ls_samples"], seed=base + j,
         )
-        alg1 = np.array(
-            [
-                algorithm1_sumloss(model, data, seed=base + 7919 * (j + 1) + s, method=cfg["alg1_method"])
-                for s in range(n_seeds)
-            ]
+        alg1 = algorithm1_sumloss(
+            model, data, seed=base + 7919 * (j + 1) + np.arange(n_seeds), method=cfg["alg1_method"]
         )
         rows.append(
             (j, rep.exact_log_ml, rep.L_hat.value, rep.L_hat.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .mdp import exact_value
-from .spectral import Subspace, eigenbasis_coefficients, grassmann_distance, resolvent
+from .spectral import Subspace, _span_basis, eigenbasis_coefficients, grassmann_distance, resolvent
 
 _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
@@ -559,11 +559,11 @@ def grassmann_convergence_metric(
             M = M - np.asarray(reference, dtype=float)[:, None]
         if M.shape[1] != K:
             raise ValueError(f"snapshot has {M.shape[1]} columns, target has {K}")
-        Q, Rfac = np.linalg.qr(M)
-        scale = float(np.max(np.abs(M)))
-        if scale == 0.0 or np.min(np.abs(np.diag(Rfac))) < 1e-12 * scale:
+        try:
+            basis = _span_basis(M)
+        except ValueError:
             continue  # rank deficient: leave NaN
-        out[i] = grassmann_distance(Q, target_basis)
+        out[i] = grassmann_distance(basis, target_basis)
     return out
 
 

@@ -166,27 +166,30 @@ def smooth_kernel_generalization(
     R,
     gamma: float,
     S,
-    train_fraction: float,
+    train_fraction,
     target: str = "value",
     nstep_n: int | None = None,
     jitter: float = 1e-10,
-) -> float:
+) -> float | np.ndarray:
     """Held-out MSE of eigen-kernel regression ``K_S(x, y) = sum_{i in S} v_i(x) v_i(y)``.
 
     ``S`` indexes eigenvectors in decreasing-real-part order (0 = smoothest).
     The training subset is the first ``floor(n * train_fraction)`` states;
     with ``train_fraction = 1`` the MSE is evaluated on all states instead of
-    the (empty) held-out set.  Targets: the exact value function ("value"),
-    its orthogonal projection onto span(S) ("projected-top") or onto the
-    complementary eigenvectors ("projected-bottom"), or the n-step return
-    target ``sum_{j<n} (gamma P)^j R`` ("nstep", with ``nstep_n``).
+    the (empty) held-out set.  ``train_fraction`` may also be a sequence,
+    which returns an array of one MSE per fraction from one spectrum.
+    Targets: the exact value function ("value"), its orthogonal projection
+    onto span(S) ("projected-top") or onto the complementary eigenvectors
+    ("projected-bottom"), or the n-step return target
+    ``sum_{j<n} (gamma P)^j R`` ("nstep", with ``nstep_n``).
 
     Requires a real spectrum; raises :class:`NonRealSpectrum` otherwise.
     """
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
     n = P.shape[0]
-    if not 0.0 < train_fraction <= 1.0:
+    fractions = np.atleast_1d(np.asarray(train_fraction, dtype=float))
+    if not np.all((fractions > 0.0) & (fractions <= 1.0)):
         raise ValueError("train_fraction must lie in (0, 1]")
     spectrum = eigendecompose(P)
     if not spectrum.is_real:
@@ -214,15 +217,17 @@ def smooth_kernel_generalization(
     else:
         raise ValueError(f"unknown target {target!r}")
 
-    n_train = int(np.floor(n * train_fraction))
-    if n_train < 1:
-        raise ValueError("train_fraction keeps no training states")
-    train = np.arange(n_train)
-    test = np.arange(n_train, n) if n_train < n else np.arange(n)
-
     K = basis @ basis.T
-    alpha = np.linalg.solve(
-        K[np.ix_(train, train)] + jitter * np.eye(n_train), y[train]
-    )
-    pred = K[np.ix_(test, train)] @ alpha
-    return float(np.mean((pred - y[test]) ** 2))
+    mses = []
+    for fraction in fractions:
+        n_train = int(np.floor(n * fraction))
+        if n_train < 1:
+            raise ValueError("train_fraction keeps no training states")
+        train = np.arange(n_train)
+        test = np.arange(n_train, n) if n_train < n else np.arange(n)
+        alpha = np.linalg.solve(
+            K[np.ix_(train, train)] + jitter * np.eye(n_train), y[train]
+        )
+        pred = K[np.ix_(test, train)] @ alpha
+        mses.append(float(np.mean((pred - y[test]) ** 2)))
+    return mses[0] if np.ndim(train_fraction) == 0 else np.array(mses)

@@ -158,8 +158,8 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def subspace_from_span(M: np.ndarray) -> Subspace:
-    """Orthonormalize the column span of ``M`` (must have full column rank)."""
+def _span_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of ``M``; ValueError if rank deficient."""
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
@@ -168,7 +168,12 @@ def subspace_from_span(M: np.ndarray) -> Subspace:
     scale = float(np.max(np.abs(M)))
     if scale == 0.0 or np.min(np.abs(np.diag(R))) < 1e-12 * scale:
         raise ValueError("columns are rank deficient; span has lower dimension")
-    return Subspace(basis=Q)
+    return Q
+
+
+def subspace_from_span(M: np.ndarray) -> Subspace:
+    """Orthonormalize the column span of ``M`` (must have full column rank)."""
+    return Subspace(basis=_span_basis(M))
 
 
 def _basis_of(S) -> np.ndarray:

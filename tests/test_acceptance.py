@@ -16,6 +16,7 @@ relaxed; the README discusses both:
   the three estimators that do recover the planted model.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -404,7 +405,9 @@ def test_09d_iterated_optimization_agrees_with_posterior_sampling():
     elapsed_under(started, 180.0, "09d")
 
 
+@functools.lru_cache(maxsize=None)
 def selection_scores(n_seeds=16):
+    """Scores of every feature_dimension model, computed once for both 09e tests."""
     models, data = model_selection_task("feature_dimension", seed=0)
     exact = np.array([exact_log_ml(m, data) for m in models])
     l1 = np.empty(len(models))

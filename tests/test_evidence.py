@@ -178,6 +178,71 @@ def test_sumloss_empty_dataset_scores_zero():
     model = BlrModel(feature_map=None)
     data = OrderedDataset(inputs=np.zeros((0, 2)), targets=np.zeros(0))
     assert algorithm1_sumloss(model, data, seed=0, method="exact") == 0.0
+    assert np.array_equal(algorithm1_sumloss(model, data, seed=[0, 1], method="exact"), [0.0, 0.0])
+
+
+def ridge_minimizer_reference(model, data, seed, upto):
+    """Sample-then-optimize by the ridge normal equations on the first ``upto`` points."""
+    phi, y = data.reordered(model)
+    phi, y = phi[:upto], y[:upto]
+    d = phi.shape[1]
+    rng = np.random.default_rng(seed)
+    theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
+    y_tilde = y + np.sqrt(model.noise_variance) * rng.standard_normal(upto)
+    lam = model.noise_variance / model.prior_variance
+    return np.linalg.solve(phi.T @ phi + lam * np.eye(d), phi.T @ y_tilde + lam * theta0)
+
+
+def algorithm1_reference(model, data, seed):
+    """Algorithm 1 in exact mode, solving the normal equations afresh after every point."""
+    phi, y = data.reordered(model)
+    d = phi.shape[1]
+    rng = np.random.default_rng(seed)
+    theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
+    y_tilde = y + np.sqrt(model.noise_variance) * rng.standard_normal(data.n)
+    lam = model.noise_variance / model.prior_variance
+    theta, sum_loss = theta0, 0.0
+    for i in range(data.n):
+        sum_loss += (float(phi[i] @ theta) - y[i]) ** 2 / (2.0 * model.noise_variance)
+        A, b = phi[: i + 1], y_tilde[: i + 1]
+        theta = np.linalg.solve(A.T @ A + lam * np.eye(d), A.T @ b + lam * theta0)
+    return -sum_loss - 0.5 * data.n * np.log(2.0 * np.pi * model.noise_variance)
+
+
+def test_exact_minimizers_read_off_the_posterior_match_the_normal_equations():
+    """Algorithm 1 and sample-then-optimize in exact mode equal per-prefix ridge solves."""
+    fd_models, fd_data = model_selection_task("feature_dimension", seed=0)
+    rff_models, rff_data = model_selection_task("rff_frequency", seed=0)
+    cases = [(m, fd_data) for m in fd_models if m.feature_map in (5, 30)] + [(rff_models[3], rff_data)]
+    seeds = [0, 7, 7919]
+    for model, data in cases:
+        expected = [algorithm1_reference(model, data, s) for s in seeds]
+        single = [algorithm1_sumloss(model, data, seed=s, method="exact") for s in seeds]
+        assert all(isinstance(v, float) for v in single)
+        assert_allclose(single, expected, rtol=1e-10, atol=0)
+        batched = algorithm1_sumloss(model, data, seed=seeds, method="exact")
+        assert isinstance(batched, np.ndarray) and batched.shape == (len(seeds),)
+        assert_allclose(batched, expected, rtol=1e-10, atol=0)
+        for upto in (0, 1, 7, 15, 30):
+            theta = sample_then_optimize(model, data, seed=seeds[1], upto=upto, method="exact")
+            ref = ridge_minimizer_reference(model, data, seeds[1], upto)
+            assert np.max(np.abs(theta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_sumloss_gd_converges_to_exact_mode():
+    rng = np.random.default_rng(0)
+    data = OrderedDataset(inputs=rng.standard_normal((6, 2)), targets=rng.standard_normal(6))
+    exact = algorithm1_sumloss(BlrModel(), data, seed=0, method="exact")
+    gd = algorithm1_sumloss(BlrModel(), data, seed=0, method="gd")
+    assert abs(gd - exact) < 1e-4
+
+
+@pytest.mark.parametrize("method", ["gd", "exact"])
+@pytest.mark.parametrize("upto", [-1, 11])
+def test_sample_then_optimize_refuses_upto_outside_the_data(method, upto):
+    model, data = random_task(9, n=10)
+    with pytest.raises(ValueError, match=r"upto must lie in \[0, 10\]"):
+        sample_then_optimize(model, data, seed=0, upto=upto, method=method)
 
 
 def test_sotl_basics():

@@ -255,5 +255,18 @@ def test_smooth_kernel_rejects_rotation_spectrum():
 
 def test_smooth_kernel_validates_fraction():
     P = real_walk(4)
-    with pytest.raises(ValueError):
-        smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), 0.0)
+    for fraction in (0.0, [0.5, 0.0], [0.5, 1.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), fraction)
+
+
+@pytest.mark.parametrize("target", ["value", "projected-top", "projected-bottom", "nstep"])
+def test_smooth_kernel_fraction_sequence_matches_scalar_calls(target):
+    P = real_walk(5)
+    R = np.random.default_rng(5).standard_normal(30)
+    fractions = (0.2, 0.5, 0.9, 1.0)
+    args = (P, R, 0.9, np.arange(12))
+    mses = smooth_kernel_generalization(*args, fractions, target=target, nstep_n=3)
+    scalar = [smooth_kernel_generalization(*args, f, target=target, nstep_n=3) for f in fractions]
+    assert isinstance(scalar[0], float)
+    assert np.array_equal(mses, scalar)

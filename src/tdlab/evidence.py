@@ -7,10 +7,10 @@ lower bounds validated against them.  The sample-then-optimize sampler mirrors
 the gradient-descent procedure of the marginal-likelihood-from-training-loss
 connection; its converged iterates are exact posterior samples, so the exact
 modes of it and of Algorithm 1 read each minimizer off a posterior covariance
-(:func:`blr_posterior` is the only solve of the normal equations).  Every
-estimator reads one prequential chain (the posteriors after 0..n points and
-their sample factors), built once per (model, data); ``evidence_report``
-shares a single chain among all of them.
+(:func:`blr_posterior` is the only solve of the normal equations).  The
+other estimators read one prequential chain (the posteriors after 0..n points
+and their sample factors), built once per (model, data) and shared by
+``evidence_report``; each sampled pass comes from its one draw routine.
 """
 
 from __future__ import annotations
@@ -224,21 +224,23 @@ class _Chain(NamedTuple):
     def kl_gap(self) -> float:
         return float(sum(gaussian_kl(p, q) for p, q in zip(self.posts, self.posts[1:])))
 
-    def draw(self, i: int, point_seed: np.random.SeedSequence, k: int) -> np.ndarray:
-        """k sampled predictions at point i from the posterior given the points before it."""
-        Z = np.random.default_rng(point_seed).standard_normal((k, self.factors[i].shape[0]))
-        return (self.posts[i].mean + Z @ self.factors[i].T) @ self.phi[i]
+    def draws(self, pass_seed: np.random.SeedSequence, k: int) -> np.ndarray:
+        """(n, k) sampled predictions: row i from the posterior given the points before i, seeded by child i."""
+        rows = []
+        for phi_i, post, L, point_seed in zip(self.phi, self.posts, self.factors, pass_seed.spawn(len(self.y))):
+            Z = np.random.default_rng(point_seed).standard_normal((k, L.shape[0]))
+            rows.append((post.mean + Z @ L.T) @ phi_i)
+        return np.reshape(rows, (len(self.y), k))
 
     def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
         """Summed L_k point scores, shape (len(ks), n_seeds), on nested draws of max(ks)."""
         if min(ks) < 1 or n_seeds < 1:
             raise ValueError("k and n_seeds must be positive")
-        n, k_max = len(self.y), max(ks)
-        logliks = np.empty((n_seeds, n, k_max))
-        for s, pass_seed in enumerate(np.random.SeedSequence(seed).spawn(n_seeds)):
-            for i, point_seed in enumerate(pass_seed.spawn(n)):
-                preds = self.draw(i, point_seed, k_max)
-                logliks[s, i] = _gaussian_logpdf(self.y[i], preds, self.noise_variance)
+        k_max = max(ks)
+        logliks = np.array([
+            _gaussian_logpdf(self.y[:, None], self.draws(pass_seed, k_max), self.noise_variance)
+            for pass_seed in np.random.SeedSequence(seed).spawn(n_seeds)
+        ])
         # Running log-sum-exp over the draws: entry k-1 is log sum_{j<k} exp(loglik_j).
         # It needs no shift; one shared max shift would underflow, since on the
         # feature_dimension task (d = 30) 64 draws at one point span up to ~3e4 nats.
@@ -250,15 +252,11 @@ class _Chain(NamedTuple):
         """One seed's moment-matched score from k draws per point."""
         if k < 2:
             raise DegenerateSample("estimate_LS needs k >= 2 samples for a variance")
-        point_seeds = np.random.SeedSequence(seed).spawn(1)[0].spawn(len(self.y))
-        total = 0.0
-        for i, point_seed in enumerate(point_seeds):
-            f = self.draw(i, point_seed, k)
-            var = float(np.var(f, ddof=1)) + self.noise_variance
-            if var <= 0:
-                raise DegenerateSample("nonpositive predictive variance estimate")
-            total += _gaussian_logpdf(self.y[i], float(np.mean(f)), var)
-        return float(total)
+        f = self.draws(np.random.SeedSequence(seed).spawn(1)[0], k)
+        var = np.var(f, axis=1, ddof=1) + self.noise_variance
+        if np.any(var <= 0):
+            raise DegenerateSample("nonpositive predictive variance estimate")
+        return float(np.sum(_gaussian_logpdf(self.y, np.mean(f, axis=1), var)))
 
 
 def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
@@ -360,8 +358,10 @@ def algorithm1_sumloss(
     each point (true targets) before re-optimizing on the noised prefix, warm
     started.  Returns ``-sumLoss - (n/2) log(2 pi sN^2)``, directly comparable
     to :func:`estimate_L`.  ``seed`` may be an int or a sequence of ints; a
-    sequence returns an array of one score per seed, in order, all read off
-    one prequential chain in exact mode.
+    sequence returns an array of one score per seed, in order, sharing the
+    posterior covariances ``Sigma_1..Sigma_{n-1}`` in exact mode.  Only the
+    prefixes that are scored are fitted (1..n-1 points), so a gd divergence
+    that would occur only when fitting the whole dataset does not raise.
     """
     if method not in ("gd", "exact"):
         raise ValueError(f"unknown method {method!r}")
@@ -369,17 +369,17 @@ def algorithm1_sumloss(
     n, d = phi.shape
     nv, lam = model.noise_variance, model.noise_variance / model.prior_variance
     if method == "exact":  # covs[i] = Sigma_{i+1}, the posterior covariance after points 0..i
-        covs = np.array([p.covariance for p in _prequential_chain(model, data).posts[1:]]).reshape(n, d, d)
+        covs = np.reshape([blr_posterior(model, data, upto=m).covariance for m in range(1, n)], (-1, d, d))
     scores = []
     for s in np.atleast_1d(seed):
         theta0, y_tilde = _prior_draw(model, y, d, int(s))
         thetas = [theta0]  # thetas[i] is fitted to the i points before point i
         if method == "exact":  # Sigma_{i+1} (sum_{j<=i} phi_j y~_j + lam theta0) / sN^2
-            rhs = (np.cumsum(phi * y_tilde[:, None], axis=0) + lam * theta0) / nv
+            rhs = (np.cumsum(phi * y_tilde[:, None], axis=0)[:-1] + lam * theta0) / nv
             thetas += list(np.einsum("ijk,ik->ij", covs, rhs))
         else:
-            for i in range(n):
-                thetas.append(_gd_minimize(phi[: i + 1], y_tilde[: i + 1], lam, thetas[-1], theta0, lr, steps_per_point))
+            for i in range(1, n):
+                thetas.append(_gd_minimize(phi[:i], y_tilde[:i], lam, thetas[-1], theta0, lr, steps_per_point))
         preds = np.sum(phi * np.reshape(thetas[:n], (n, d)), axis=1)
         scores.append(-np.sum((preds - y) ** 2) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv))
     return float(scores[0]) if np.isscalar(seed) else np.array(scores)
@@ -462,11 +462,8 @@ def ensemble_weight_ranking(models, data: OrderedDataset, seed: int = 0) -> np.n
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    preds = np.zeros((data.n, len(models)))
-    for j, model_seed in enumerate(np.random.SeedSequence(seed).spawn(len(models))):
-        chain = _prequential_chain(models[j], data)
-        for i, point_seed in enumerate(model_seed.spawn(data.n)):
-            preds[i, j] = chain.draw(i, point_seed, 1)[0]
+    model_seeds = np.random.SeedSequence(seed).spawn(len(models))
+    preds = np.column_stack([_prequential_chain(m, data).draws(s, 1)[:, 0] for m, s in zip(models, model_seeds)])
     _, y = data.reordered(models[0])
     gram = preds.T @ preds + 1e-10 * np.eye(len(models))
     return np.linalg.solve(gram, preds.T @ y)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .mdp import exact_value
-from .spectral import Subspace, _span_basis, eigenbasis_coefficients, grassmann_distance, resolvent
+from .spectral import _basis_of, _span_basis, eigenbasis_coefficients, grassmann_distance, resolvent
 
 _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
@@ -539,24 +539,19 @@ def multi_task_limit_flow(
     return limiting_ensemble_flow(phi0, P_bar, np.zeros(P_bar.shape[0]), gamma_bar, t)
 
 
-def grassmann_convergence_metric(
-    traj: FlowTrajectory, target, reference: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-snapshot Grassmann distance of the (centred) snapshot span to a target.
+def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
+    """Per-snapshot Grassmann distance of the snapshot span to a target.
 
-    Snapshots must be ``(n, K)`` matrices; with ``reference`` given, its
-    column-broadcast is subtracted first.  Rank-deficient snapshots yield a
+    Snapshots must be ``(n, K)`` matrices.  Rank-deficient snapshots yield a
     NaN entry instead of an error.
     """
-    target_basis = target.basis if isinstance(target, Subspace) else np.asarray(target, dtype=float)
+    target_basis = _basis_of(target)
     K = target_basis.shape[1]
     out = np.full(len(traj.times), np.nan)
     for i, snap in enumerate(traj.states):
         M = np.asarray(snap, dtype=float)
         if M.ndim == 1:
             M = M[:, None]
-        if reference is not None:
-            M = M - np.asarray(reference, dtype=float)[:, None]
         if M.shape[1] != K:
             raise ValueError(f"snapshot has {M.shape[1]} columns, target has {K}")
         try:

@@ -17,6 +17,8 @@ from .flows import FlowConfig, FlowTrajectory, _propagate
 from .mdp import exact_value
 from .spectral import NonRealSpectrum, eigendecompose
 
+_JITTER = 1e-10  # ridge added to the training Gram of smooth_kernel_generalization
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -24,11 +26,8 @@ class KernelSpec:
 
     lengthscale: float
     embedding: np.ndarray
-    kind: str = "rbf"
 
     def __post_init__(self):
-        if self.kind != "rbf":
-            raise ValueError(f"unsupported kernel kind {self.kind!r}")
         if self.lengthscale <= 0:
             raise ValueError("lengthscale must be positive")
         emb = np.asarray(self.embedding, dtype=float)
@@ -169,7 +168,6 @@ def smooth_kernel_generalization(
     train_fraction,
     target: str = "value",
     nstep_n: int | None = None,
-    jitter: float = 1e-10,
 ) -> float | np.ndarray:
     """Held-out MSE of eigen-kernel regression ``K_S(x, y) = sum_{i in S} v_i(x) v_i(y)``.
 
@@ -226,7 +224,7 @@ def smooth_kernel_generalization(
         train = np.arange(n_train)
         test = np.arange(n_train, n) if n_train < n else np.arange(n)
         alpha = np.linalg.solve(
-            K[np.ix_(train, train)] + jitter * np.eye(n_train), y[train]
+            K[np.ix_(train, train)] + _JITTER * np.eye(n_train), y[train]
         )
         pred = K[np.ix_(test, train)] @ alpha
         mses.append(float(np.mean((pred - y[test]) ** 2)))

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import logsumexp
 
+from tdlab import evidence
 from tdlab.evidence import (
     BlrModel,
     DegenerateSample,
@@ -237,6 +238,26 @@ def test_sumloss_gd_converges_to_exact_mode():
     assert abs(gd - exact) < 1e-4
 
 
+def test_sumloss_gd_fits_only_the_scored_prefixes(monkeypatch):
+    """Per seed, gd Algorithm 1 fits the prefixes of 1..n-1 points; a fit to all n would score nothing."""
+    fitted, gd_minimize = [], evidence._gd_minimize
+
+    def counting_gd_minimize(phi, *args):
+        fitted.append(len(phi))
+        return gd_minimize(phi, *args)
+
+    monkeypatch.setattr(evidence, "_gd_minimize", counting_gd_minimize)
+    rng = np.random.default_rng(0)
+    data = OrderedDataset(inputs=rng.standard_normal((6, 2)), targets=rng.standard_normal(6))
+    assert np.all(np.isfinite(algorithm1_sumloss(BlrModel(), data, seed=[0, 1], method="gd", steps_per_point=10)))
+    assert fitted == [1, 2, 3, 4, 5] * 2
+    fitted.clear()
+    one = OrderedDataset(inputs=data.inputs[:1], targets=data.targets[:1])
+    assert np.isfinite(algorithm1_sumloss(BlrModel(), one, seed=0, method="gd")) and fitted == []
+    empty = OrderedDataset(inputs=np.zeros((0, 2)), targets=np.zeros(0))
+    assert algorithm1_sumloss(BlrModel(), empty, seed=0, method="gd") == 0.0 and fitted == []
+
+
 @pytest.mark.parametrize("method", ["gd", "exact"])
 @pytest.mark.parametrize("upto", [-1, 11])
 def test_sample_then_optimize_refuses_upto_outside_the_data(method, upto):
@@ -393,13 +414,15 @@ def test_shared_chain_reproduces_per_point_loops():
     """Reading every estimator off one posterior chain changes no draw and no value.
 
     d = 30 has 30 points, so each prefix posterior repeats eigenvalue 1; its
-    sample factor depends on the exact covariance, which the chain keeps.
+    sample factor depends on the exact covariance, which the chain keeps.  The
+    rff_frequency model covers a callable feature map.
     """
-    models, data = model_selection_task("feature_dimension", seed=0)
-    chosen = [m for m in models if m.feature_map in (5, 30)]
+    fd_models, fd_data = model_selection_task("feature_dimension", seed=0)
+    rff_models, rff_data = model_selection_task("rff_frequency", seed=0)
+    chosen = [([m for m in fd_models if m.feature_map in (5, 30)], fd_data), ([rff_models[3]], rff_data)]
     ks, n_seeds, seed, ls_samples = (1, 4, 16, 64), 2, 3, 16
     close = dict(rtol=1e-12, atol=0)
-    for model in chosen:
+    for model, data in [(m, data) for models, data in chosen for m in models]:
         log_ml, gap, lk, ls = per_point_reference(model, data, ks, n_seeds, seed, ls_samples)
         assert_allclose(exact_log_ml(model, data), log_ml, **close)
         assert_allclose(kl_gap(model, data), gap, **close)
@@ -420,11 +443,12 @@ def test_shared_chain_reproduces_per_point_loops():
         assert_allclose(rep.LS_hat.per_seed, ls, **close)
         assert_allclose(rep.LS_hat.value, np.mean(ls), **close)
         assert_allclose(rep.LS_hat.stderr, np.std(ls, ddof=1) / np.sqrt(n_seeds), **close)
-    assert_allclose(
-        ensemble_weight_ranking(chosen, data, seed=seed),
-        reference_stacking_weights(chosen, data, seed),
-        **close,
-    )
+    for models, data in chosen:
+        assert_allclose(
+            ensemble_weight_ranking(models, data, seed=seed),
+            reference_stacking_weights(models, data, seed),
+            **close,
+        )
 
 
 def test_posterior_container_validation():

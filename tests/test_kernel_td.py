@@ -54,8 +54,6 @@ def test_build_kernel_subset_of_states():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(lengthscale=0.0, embedding=line_embedding(4))
-    with pytest.raises(ValueError):
-        KernelSpec(lengthscale=1.0, embedding=line_embedding(4), kind="matern")
 
 
 def test_circle_embedding_geometry():

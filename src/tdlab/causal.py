@@ -5,20 +5,20 @@ rewards.  A regression's residuals are judged invariant when neither their
 means nor their variances differ detectably across environments; subsets that
 pass are causal candidates, and the closure loop walks from the reward through
 its ancestors.  Mean-centred Levene is by definition the one-way F-test of the
-absolute deviations from each environment's mean.  The synthetic
+absolute deviations from each environment's mean, so one numpy ANOVA serves
+both tests, with p-values from ``scipy.special.fdtrc``.  The synthetic
 three-variable family reproduces the classic trap where a non-causal variable
 mirrors a causal one.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 _MAX_VARIABLES = 12
 _SCAN_BLOCK = 64
@@ -79,11 +79,33 @@ class CausalReport:
     combine: str
 
 
+def _anova_pvalues(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """One-way ANOVA p-value of every row, grouping its entries at ``edges``.
+
+    The arithmetic of ``scipy.stats.f_oneway``: sums of squares about the
+    grand mean; F is inf where every group is constant and NaN where the
+    whole row is.  Rows keep each sample contiguous, which makes the
+    reductions several times faster than over columns.
+    """
+    n, k = values.shape[1], len(edges) + 1
+    centred = values - values.mean(axis=1, keepdims=True)
+    normalized_ss = centred.sum(axis=1) ** 2 / n
+    ss_total = np.einsum("ij,ij->i", centred, centred) - normalized_ss
+    ss_between = sum(g.sum(axis=1) ** 2 / g.shape[1] for g in np.split(centred, edges, axis=1))
+    ss_between -= normalized_ss
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (ss_between / (k - 1)) / ((ss_total - ss_between) / (n - k))
+    constant = [np.all(np.diff(g, axis=1) == 0, axis=1) for g in np.split(values, edges, axis=1)]
+    f[np.all(constant, axis=0)] = np.inf
+    f[np.all(np.diff(values, axis=1) == 0, axis=1)] = np.nan
+    return fdtrc(k - 1, n - k, f)
+
+
 def _scan_subsets(target_by_env, candidates, data: EnvDataset) -> dict:
     """P-value for every candidate subset; rank-deficient fits map to None.
 
-    Each subset's pooled residuals are one matrix column, and two F-tests
-    judge up to ``_SCAN_BLOCK`` columns at once (bounding memory at 12
+    Each subset's pooled residuals are one matrix row, and two F-tests
+    judge up to ``_SCAN_BLOCK`` rows at once (bounding memory at 12
     variables): on the residuals by environment (equal means) and on their
     absolute deviations from the environment means (Levene: equal variances).
     They are Bonferroni-combined; constant residuals, which neither test can
@@ -96,19 +118,17 @@ def _scan_subsets(target_by_env, candidates, data: EnvDataset) -> dict:
     table = {}
     for start in range(0, len(subsets), _SCAN_BLOCK):
         block = subsets[start : start + _SCAN_BLOCK]
-        residuals = np.empty((len(y), len(block)))
+        residuals = np.empty((len(block), len(y)))
         full_rank = []
         for j, subset in enumerate(block):
             design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
             coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-            residuals[:, j] = y - design @ coef
+            residuals[j] = y - design @ coef
             full_rank.append(rank == design.shape[1])
-        by_env = np.split(residuals, edges)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p_mean = stats.f_oneway(*by_env).pvalue
-            p_var = stats.f_oneway(*(np.abs(r - r.mean(axis=0)) for r in by_env)).pvalue
-        p_min = np.fmin(p_mean, p_var)
+        deviations = np.hstack(
+            [np.abs(r - r.mean(axis=1, keepdims=True)) for r in np.split(residuals, edges, axis=1)]
+        )
+        p_min = np.fmin(_anova_pvalues(residuals, edges), _anova_pvalues(deviations, edges))
         pvalues = np.where(np.isnan(p_min), 1.0, np.minimum(1.0, 2.0 * p_min))
         table.update((s, float(pv) if ok else None) for s, pv, ok in zip(block, pvalues, full_rank))
     return table

@@ -14,8 +14,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -473,6 +474,24 @@ def _run_second_order(cfg, rng, art):
 # registry and runner
 
 
+class Range(NamedTuple):
+    """Allowed values of a numeric config key: ``lo <= x <= hi``, or
+    ``lo < x < hi`` when ``open``."""
+
+    lo: float
+    hi: float = math.inf
+    open: bool = False
+
+    def admits(self, value) -> bool:
+        return self.lo < value < self.hi if self.open else self.lo <= value <= self.hi
+
+    def __str__(self) -> str:
+        if self.hi == math.inf and not self.open:
+            return f">= {self.lo:g}"
+        left, right = "()" if self.open else "[]"
+        return f"in {left}{self.lo:g}, {self.hi:g}{right}"
+
+
 @dataclass(frozen=True)
 class ExperimentDef:
     name: str
@@ -480,6 +499,7 @@ class ExperimentDef:
     description: str
     defaults: dict
     runner: object
+    ranges: dict = field(default_factory=dict)  # key -> Range, checked item by item for lists
 
 
 _DEFS = [
@@ -553,6 +573,11 @@ _DEFS = [
             "do_values": tuple(float(v) for v in range(11)), "intervention_scale": 3.0,
         },
         _run_misa,
+        # ICP compares >= 2 environments; each needs p + 2 = 5 rows for 3 variables
+        ranges={
+            "n_envs": Range(2), "n_steps": Range(5), "alpha": Range(0.0, 1.0, open=True),
+            "n_seeds": Range(1),
+        },
     ),
     ExperimentDef(
         "capacity-ranks", 8,
@@ -596,30 +621,33 @@ def _parse(name: str, key: str, default, raw):
         raise ConfigError(f"{name}.{key}: cannot parse {raw!r} as {type(default).__name__}") from exc
 
 
-def _coerce(name: str, key: str, default, raw):
+def _coerce(name: str, key: str, default, raw, bounds: Range | None = None):
     if isinstance(default, tuple):
         # comma-separated text or a sequence; every item is typed like the default's
         items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
         items = [x for x in items if not (isinstance(x, str) and not x.strip())]
         if not items:
             raise ConfigError(f"{name}.{key}: {raw!r} is an empty list")
-        return tuple(_coerce(name, key, default[0], x) for x in items)
+        return tuple(_coerce(name, key, default[0], x, bounds) for x in items)
     value = _parse(name, key, default, raw)
     if isinstance(default, float) and not math.isfinite(value):
         raise ConfigError(f"{name}.{key}: {raw!r} is not a finite number")
+    if bounds is not None and not bounds.admits(value):
+        raise ConfigError(f"{name}.{key}: {raw!r} is not {bounds}")
     return value
 
 
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
-    """Merge overrides into an experiment's defaults, rejecting unknown keys."""
+    """Merge overrides into an experiment's defaults, rejecting unknown keys
+    and values outside a key's declared range."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choices: {', '.join(EXPERIMENT_ORDER)}")
-    defaults = EXPERIMENTS[name].defaults
+    defaults, ranges = EXPERIMENTS[name].defaults, EXPERIMENTS[name].ranges
     config = dict(defaults)
     for key, raw in (overrides or {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
-        config[key] = _coerce(name, key, defaults[key], raw)
+        config[key] = _coerce(name, key, defaults[key], raw, ranges.get(key))
     return config
 
 

@@ -9,6 +9,7 @@ from tdlab.causal import (
     EnvDataset,
     Environment,
     InsufficientEnvironments,
+    _scan_subsets,
     _simulate_three_var,
     build_synthetic_family,
     fit_reward_weights,
@@ -262,6 +263,40 @@ def test_scan_maps_rank_deficient_subsets_to_none():
     assert_same_table(report.per_subset_pvalues, expected)
     assert expected[("reward", (0, 3))] is None
     assert expected[("reward", (0, 1))] is not None
+
+
+def random_dataset(sizes, seed, p=2):
+    rng = np.random.default_rng(seed)
+    return EnvDataset(environments=tuple(
+        Environment(rng.standard_normal((n, p)), rng.standard_normal((n, p)), rng.standard_normal(n))
+        for n in sizes
+    ))
+
+
+@pytest.mark.parametrize("sizes", [(40, 75), (30, 55, 41, 90, 62)])
+def test_scan_matches_scipy_for_unequal_environments(sizes):
+    """Two and five environments of unequal sizes; the target's mean and
+    scale drift by environment, so the scan rejects invariance."""
+    data = random_dataset(sizes, seed=len(sizes))
+    target = [(1.0 + e) * env.rewards + e + env.inputs[:, 0] for e, env in enumerate(data.environments)]
+    table = _scan_subsets(target, (0, 1), data)
+    assert_same_table(table, reference_scan(target, data))
+    assert max(table.values()) < 0.05
+
+
+@pytest.mark.parametrize("sizes", [(7, 12), (5, 9, 6, 11, 8)])
+def test_scan_of_constant_residuals_matches_scipy(sizes):
+    """Intercept-only residuals of a target that is constant in each
+    environment: F = inf (p = 0) when the constants differ across
+    environments, NaN (mapped to 1.0) when every value is the same."""
+    data = random_dataset(sizes, seed=7)
+    steps = [np.full(n, float(e)) for e, n in enumerate(sizes)]
+    flat = [np.full(n, 2.5) for n in sizes]
+    for target, want in ((steps, 0.0), (flat, 1.0)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # scipy's levene divides by zero
+            assert reference_scan(target, data)[()] == want
+        assert _scan_subsets(target, (), data) == {(): want}
+    assert icp_parents(steps, range(2), data, alpha=0.05) == frozenset()
 
 
 def reference_simulation(rng, n_steps, noise_scales, clamp=None):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from tdlab.cli import main
-from tdlab.experiments import EXPERIMENT_ORDER, ConfigError, resolve_config
+from tdlab.experiments import EXPERIMENT_ORDER, EXPERIMENTS, ConfigError, resolve_config
 
 
 def run_cli(args):
@@ -79,6 +79,26 @@ def test_non_finite_float_is_config_error(tmp_path, key, value):
     assert run_cli(["run", "two-state", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     with pytest.raises(ConfigError, match="finite"):
         resolve_config("two-state", {key: float(value)})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", "5"), ("alpha", "0"), ("n_seeds", "0"), ("n_envs", "1"), ("n_steps", "3")],
+)
+def test_out_of_range_value_is_config_error(tmp_path, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[misa-robustness]\n{key} = {value}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    assert run_cli(["run", "misa-robustness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError, match=f"misa-robustness.{key}"):
+        resolve_config("misa-robustness", {key: value})
+
+
+def test_declared_ranges_admit_the_defaults():
+    for exp in EXPERIMENTS.values():
+        for key, bounds in exp.ranges.items():
+            default = exp.defaults[key]
+            assert all(bounds.admits(v) for v in (default if isinstance(default, tuple) else (default,))), key
 
 
 @pytest.mark.parametrize(
@@ -199,3 +219,12 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "two-state" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes about a second to import and tdlab uses none of it;
+    a fresh interpreter is needed because this one has imported it."""
+    code = "import sys, tdlab.experiments, tdlab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

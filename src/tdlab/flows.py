@@ -2,13 +2,15 @@
 
 Value flows (TD, Monte Carlo, n-step, TD(lambda)) are linear ODEs with the
 true value function as the global fixed point; they are available in closed
-form (exact semigroup steps) and as fixed-step RK4 integrations.  Feature
-flows (coupled semi-gradient systems over a feature matrix and ensemble head
-weights, including the random-cumulant variant) integrate with RK4.  Every
-integration reports divergence instead of overflowing.  Linear flows (every
-flow but the coupled one with ``beta != 0``) step by composed affine maps:
-one RK4 or Euler step of ``x' = A x + c`` is exactly ``x <- M x + m``, so the
-recorded snapshots come from powers of that map rather than a step loop.
+form and as fixed-step RK4 integrations.  Feature flows (coupled
+semi-gradient systems over a feature matrix and ensemble head weights,
+including the random-cumulant variant) integrate with RK4.  Every exact
+evaluation ``exp(t G)(x0 - x*) + x*`` goes through :func:`_closed_form_grid`,
+and every fixed-step run through :func:`_propagate`, which reports
+divergence instead of overflowing.  Linear flows (every flow but the coupled
+one with ``beta != 0``) step there by composed affine maps: one RK4 or Euler
+step of ``x' = A x + c`` is exactly ``x <- M x + m``, so the recorded
+snapshots come from powers of that map rather than a step loop.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -128,52 +130,6 @@ def _closed_form_grid(
     return snaps
 
 
-def _diverged(t, sup, times, snaps, j, x, steps, stepwise) -> DivergenceDetected:
-    """The divergence error, with the snapshots before step ``steps`` and its state ``x``."""
-    exc = DivergenceDetected(t, sup)
-    snaps[j] = x
-    exc.trajectory = FlowTrajectory(
-        times=np.append(times[:j], t),
-        states=snaps[: j + 1],
-        meta={"diverged": True, "steps": steps, "stepwise_strides": stepwise},
-    )
-    return exc
-
-
-def _integrate(f, x0: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Fixed-step RK4 of the nonlinear flow ``dx/dt = f(x)`` from ``x0``, one step at a time.
-
-    Returns the recorded times, the snapshots and the work done (``steps``
-    taken; ``stepwise_strides``, here every stride).  Raises
-    :class:`DivergenceDetected`, with the trajectory recorded up to and
-    including the crossing step attached, once the sup norm crosses 1e8.
-    """
-    steps = _recorded_steps(cfg)
-    times = cfg.dt * steps
-    steps = steps.tolist()
-    snaps = np.empty((len(steps),) + x0.shape)
-    snaps[0] = x = x0
-    j, t_prev = 1, 0.0
-    # overflow inside a stage just means the divergence check below fires
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps[-1] + 1):
-            t = k * cfg.dt
-            h = t - t_prev
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t_prev = t
-            sup = float(np.max(np.abs(x)))
-            if not sup <= _DIVERGENCE_SUP:
-                raise _diverged(t, sup, times, snaps, j, x, k, j)
-            if k == steps[j]:
-                snaps[j] = x
-                j += 1
-    return times, snaps, {"steps": steps[-1], "stepwise_strides": len(steps) - 1}
-
-
 def _step_map(A: np.ndarray, c: np.ndarray, h: float, method: str):
     """One RK4 or Euler step of ``x' = A x + c`` as the affine map ``x <- M x + m``.
 
@@ -193,35 +149,31 @@ def _step_map(A: np.ndarray, c: np.ndarray, h: float, method: str):
     return M, h * (S @ c)
 
 
-def _propagate(A, c, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0):
-    """Fixed-step RK4 or Euler (``cfg.method``) of the linear flow ``dx/dt = A x + c``.
+def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0):
+    """Fixed-step integration of ``flow`` from ``x0``: the one stepping engine.
 
-    The same steps as a step loop, with the arithmetic reordered: ``i``
-    steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so the power of one
-    stride is composed once and each recorded snapshot costs one product;
-    when snapshots are close, a block of them spanning up to
-    ``_BLOCK_STEPS`` steps costs one product with stacked powers.  ``A`` is
-    ``(n, n)`` acting on ``x0`` of shape ``(n,)`` or ``(n, K)``, or a stack
-    ``(J, n, n)`` of independent systems acting on ``x0`` of shape
-    ``(J, n, 1)``.  ``record`` maps states
-    (stacked too) to the recorded snapshots; the divergence check reads the
-    larger of their sup norm and ``floor``.
+    ``flow`` is a pair ``(A, c)`` for the linear flow ``dx/dt = A x + c``,
+    stepped by RK4 or Euler (``cfg.method``), or a callable ``f`` for the
+    nonlinear flow ``dx/dt = f(x)``, stepped by RK4 with ``h = cfg.dt``.  A
+    linear flow takes the same steps as a step loop, with the arithmetic
+    reordered: ``i`` steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so
+    the power of one stride is composed once and each recorded snapshot (or
+    block of close snapshots spanning up to ``_BLOCK_STEPS`` steps) costs
+    one product.  ``A`` is ``(n, n)`` acting on ``x0`` of shape ``(n,)`` or
+    ``(n, K)``, or a stack ``(J, n, n)`` of independent systems acting on
+    ``x0`` of shape ``(J, n, 1)``.  ``record`` maps states (stacked too) to
+    the recorded snapshots; the divergence check reads the larger of their
+    sup norm and ``floor``.
 
-    A stretch is taken whole only if ``||M^i|| ||x|| + ||m_i||`` (infinity
-    norms, summed over a stack) stays within 1e8 at every step ``i`` inside
-    it; otherwise it is stepped one step at a time and checked after each
+    A linear stretch is taken whole only if ``||M^i|| ||x|| + ||m_i||``
+    (infinity norms, summed over a stack; a bound on ``record``'s sup norm
+    when that multiplies by entries of modulus at most one) stays within 1e8
+    at every step ``i`` inside it.  Other stretches, and every stride of a
+    nonlinear flow, are stepped one step at a time and checked after each
     step, so divergence is raised at the step where it happens, with the
-    trajectory recorded up to it attached.  The sum over a stack bounds
-    ``record``'s sup norm when that multiplies by entries of modulus at most
-    one.  Returns the recorded times, the snapshots and the work done:
-    ``steps`` taken and the ``stepwise_strides`` that failed the bound.
+    trajectory recorded up to it attached.  Returns the recorded times, the
+    snapshots and the work done: ``steps`` taken and ``stepwise_strides``.
     """
-    M, m = _step_map(A, c, cfg.dt, cfg.method)
-    J, n = (M.shape[0] if M.ndim == 3 else 1), M.shape[-1]
-
-    def sup(x):  # per system
-        return np.abs(x).reshape(J, -1).max(axis=1)
-
     steps = _recorded_steps(cfg)
     times = cfg.dt * steps
     steps = steps.tolist()
@@ -231,6 +183,58 @@ def _propagate(A, c, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     snaps[0] = first
     if not gaps:
         return times, snaps, {"steps": 0, "stepwise_strides": 0}
+    # overflow inside a step just means the divergence check fires
+    with np.errstate(over="ignore", invalid="ignore"):
+        if callable(flow):
+            step, whole = (lambda x: _rk4(flow, x, cfg.dt)), (lambda x, j: (1, None))
+        else:
+            step, whole = _affine_strides(*flow, gaps, cfg, floor)
+        x, j, stepwise = x0, 1, 0
+        while j < len(steps):
+            b, X = whole(x, j)
+            if X is not None:
+                snaps[j : j + b] = record(X)
+                x, j = X[-1], j + b
+                continue
+            stepwise += b
+            for k in range(steps[j - 1] + 1, steps[j - 1 + b] + 1):
+                x = step(x)
+                rec = record(x)
+                now = max(float(np.max(np.abs(rec))), floor)
+                if not now <= _DIVERGENCE_SUP:
+                    exc = DivergenceDetected(k * cfg.dt, now)
+                    snaps[j] = rec
+                    meta = {"diverged": True, "steps": k, "stepwise_strides": stepwise}
+                    exc.trajectory = FlowTrajectory(
+                        np.append(times[:j], exc.time), snaps[: j + 1], meta=meta
+                    )
+                    raise exc
+                if k == steps[j]:
+                    snaps[j] = rec
+                    j += 1
+    return times, snaps, {"steps": steps[-1], "stepwise_strides": stepwise}
+
+
+def _rk4(f, x, h: float):
+    """One classical RK4 step of ``dx/dt = f(x)`` from ``x`` with step ``h``."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _affine_strides(A, c, gaps: list, cfg: FlowConfig, floor: float):
+    """One step of ``x' = A x + c``, and ``whole(x, j)``: the number ``b`` of
+    snapshots from ``j`` on that one product takes, and their states, or
+    ``None`` if the norm bound fails and those ``b`` strides must be stepped.
+    """
+    M, m = _step_map(A, c, cfg.dt, cfg.method)
+    J, n = (M.shape[0] if M.ndim == 3 else 1), M.shape[-1]
+
+    def sup(x):  # per system
+        return np.abs(x).reshape(J, -1).max(axis=1)
+
     stride, n_strides = gaps[0], gaps.count(gaps[0])
     block = max(1, min(_BLOCK_STEPS // stride, _BLOCK_ENTRIES // (J * n * n), n_strides))
     span = block * stride
@@ -239,44 +243,30 @@ def _propagate(A, c, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     power_norms, offset_norms = np.empty((span, J)), np.empty((span, J))
     at_stride = []
     power, offset = M, m
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, span + 1):
-            if i > 1:
-                power, offset = M @ power, M @ offset + m
-            power_norms[i - 1] = np.abs(power).sum(axis=-1).max(axis=-1)
-            offset_norms[i - 1] = sup(offset)
-            if i % stride == 0:
-                at_stride.append((power, offset))
-            if i == gaps[-1]:
-                last = power[None], offset[None]
-        stacked = [np.stack(maps) for maps in zip(*at_stride)]
+    for i in range(1, span + 1):
+        if i > 1:
+            power, offset = M @ power, M @ offset + m
+        power_norms[i - 1] = np.abs(power).sum(axis=-1).max(axis=-1)
+        offset_norms[i - 1] = sup(offset)
+        if i % stride == 0:
+            at_stride.append((power, offset))
+        if i == gaps[-1]:
+            last = power[None], offset[None]
+    stacked = [np.stack(maps) for maps in zip(*at_stride)]
 
-        x, k, j, stepwise = x0, 0, 1, 0
-        while j < len(steps):
-            gap = gaps[j - 1]
-            if gap == stride:
-                b = min(block, n_strides - (j - 1))
-                powers, offsets = stacked[0][:b], stacked[1][:b]
-            else:
-                b, (powers, offsets) = 1, last
-            bound = power_norms[: b * gap] @ sup(x) + offset_norms[: b * gap].sum(axis=1)
-            if np.max(bound) <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP:
-                X = powers @ x + offsets
-                snaps[j : j + b] = record(X)
-                x, k, j = X[-1], k + b * gap, j + b
-                continue
-            stepwise += b
-            for _ in range(b * gap):
-                x = M @ x + m
-                k += 1
-                rec = record(x)
-                now = max(float(np.max(np.abs(rec))), floor)
-                if not now <= _DIVERGENCE_SUP:
-                    raise _diverged(k * cfg.dt, now, times, snaps, j, rec, k, stepwise)
-                if k == steps[j]:
-                    snaps[j] = rec
-                    j += 1
-    return times, snaps, {"steps": k, "stepwise_strides": stepwise}
+    def whole(x, j):
+        gap = gaps[j - 1]
+        if gap == stride:
+            b = min(block, n_strides - (j - 1))
+            powers, offsets = stacked[0][:b], stacked[1][:b]
+        else:
+            b, (powers, offsets) = 1, last
+        bound = power_norms[: b * gap] @ sup(x) + offset_norms[: b * gap].sum(axis=1)
+        if np.max(bound) <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP:
+            return b, powers @ x + offsets
+        return b, None
+
+    return (lambda x: M @ x + m), whole
 
 
 def _linear_value_flow(
@@ -303,7 +293,7 @@ def _linear_value_flow(
         times = cfg.dt * _recorded_steps(cfg)
         states = _closed_form_grid(generator, offset, V0, times)
     else:
-        times, states, work = _propagate(generator, -generator @ offset, V0, cfg)
+        times, states, work = _propagate((generator, -generator @ offset), V0, cfg)
         meta.update(work)
     meta["fixed_point"] = Vpi
     meta["t_end_effective"] = float(times[-1])
@@ -339,28 +329,17 @@ def nstep_value_flow(V0, P, R, n: int, cfg: FlowConfig) -> FlowTrajectory:
 def td_lambda_value_flow(V0, P, R, lam: float, cfg: FlowConfig) -> FlowTrajectory:
     """TD(lambda) dynamics with generator ``(1-lambda) sum_k lambda^{k-1} (gamma P)^k - I``.
 
-    The operator series is truncated when a term's sup norm drops below
-    1e-14; the truncation order is recorded in the trajectory meta.
+    The operator series is summed in closed form,
+    ``(1-lambda)(I - lambda gamma P)^{-1} gamma P - I``, so it is exact for
+    every ``lambda`` in [0, 1), however slowly the series converges.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
     P = np.asarray(P, dtype=float)
-    n_dim = P.shape[0]
+    eye = np.eye(P.shape[0])
     gp = cfg.gamma * P
-    term = gp.copy()  # k = 1 term before the (1-lambda) factor
-    series = np.zeros_like(P)
-    order = 0
-    while True:
-        contribution = (1.0 - lam) * (lam**order) * term
-        series += contribution
-        order += 1
-        if np.max(np.abs(contribution)) < 1e-14 or order > 10_000:
-            break
-        term = term @ gp
-    generator = series - np.eye(n_dim)
-    return _linear_value_flow(
-        V0, P, R, cfg, generator, {"flow": "td_lambda", "lambda": lam, "series_order": order}
-    )
+    generator = (1.0 - lam) * np.linalg.solve(eye - lam * gp, gp) - eye
+    return _linear_value_flow(V0, P, R, cfg, generator, {"flow": "td_lambda", "lambda": lam})
 
 
 def _coupled_flow(
@@ -393,16 +372,11 @@ def _coupled_flow(
         # follows the linear flow psi' = alpha lam_j B psi + c_j, C = alpha T W^T Q.
         lam, Q = np.linalg.eigh(w0 @ w0.T)
         C = cfg.alpha * (targets @ w0.T) @ Q
+        flow = ((cfg.alpha * lam)[:, None, None] * B, C.T[:, :, None])
+        x0, floor = (phi0 @ Q).T[:, :, None], float(np.max(np.abs(w0), initial=0.0))
 
-        def run():
-            return _propagate(
-                (cfg.alpha * lam)[:, None, None] * B,
-                C.T[:, :, None],
-                (phi0 @ Q).T[:, :, None],
-                cfg,
-                record=lambda psi: np.swapaxes(psi[..., 0], -1, -2) @ Q.T,
-                floor=float(np.max(np.abs(w0), initial=0.0)),
-            )
+        def record(psi):
+            return np.swapaxes(psi[..., 0], -1, -2) @ Q.T
 
         def unpack(states):
             return states, np.broadcast_to(w0, (len(states), K, M))
@@ -410,15 +384,14 @@ def _coupled_flow(
     else:
         split = n * K
 
-        def f(x):
+        def flow(x):
             phi, W = x[:split].reshape(n, K), x[split:].reshape(K, M)
             delta = targets + B @ (phi @ W)
             return np.concatenate(
                 [(cfg.alpha * (delta @ W.T)).ravel(), (cfg.beta * (phi.T @ delta)).ravel()]
             )
 
-        def run():
-            return _integrate(f, np.concatenate([phi0.ravel(), w0.ravel()]), cfg)
+        x0, floor, record = np.concatenate([phi0.ravel(), w0.ravel()]), 0.0, (lambda x: x)
 
         def unpack(states):
             return states[:, :split].reshape(-1, n, K), states[:, split:].reshape(-1, K, M)
@@ -429,7 +402,7 @@ def _coupled_flow(
         return FlowTrajectory(times=times, states=phi, meta=meta)
 
     try:
-        times, states, work = run()
+        times, states, work = _propagate(flow, x0, cfg, record, floor)
     except DivergenceDetected as exc:
         partial = exc.trajectory
         exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
@@ -444,8 +417,10 @@ def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     ``R + (gamma P - I) Phi w_m``.  RK4 only.  With ``beta = 0`` the weights
     stay at their initialization (``meta["weights"]`` is a read-only view of
     ``w0``) and the flow is linear in ``Phi``, so it runs on composed affine
-    maps.  Raises :class:`DivergenceDetected`, with the partial trajectory
-    attached, when the sup norm of ``Phi`` and the weights crosses 1e8.
+    maps; otherwise it is nonlinear and every RK4 step (``h = dt``) is taken
+    one at a time, so ``meta["stepwise_strides"]`` counts every stride.
+    Raises :class:`DivergenceDetected`, with the partial trajectory attached,
+    when the sup norm of ``Phi`` and the weights crosses 1e8.
     """
     R = np.asarray(R, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -485,8 +460,8 @@ def limiting_ensemble_flow(
                 f"noise must have one entry per feature, shape ({phi0.shape[1]},)"
             )
         offset = np.outer(resolvent(P, gamma) @ R, noise)
-    E = expm(-t * (np.eye(P.shape[0]) - gamma * P))
-    return E @ (phi0 - offset) + offset
+    generator = gamma * P - np.eye(P.shape[0])
+    return _closed_form_grid(generator, offset, phi0, np.array([0.0, t]))[-1]
 
 
 def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
@@ -542,24 +517,20 @@ def multi_task_limit_flow(
 def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
     """Per-snapshot Grassmann distance of the snapshot span to a target.
 
-    Snapshots must be ``(n, K)`` matrices.  Rank-deficient snapshots yield a
-    NaN entry instead of an error.
+    Snapshots must be ``(n, K)`` matrices (or ``(n,)`` vectors, spans of
+    one column).  Rank-deficient snapshots yield a NaN entry instead of an
+    error.  All snapshots share one stacked QR and one stacked SVD.
     """
     target_basis = _basis_of(target)
     K = target_basis.shape[1]
-    out = np.full(len(traj.times), np.nan)
-    for i, snap in enumerate(traj.states):
-        M = np.asarray(snap, dtype=float)
-        if M.ndim == 1:
-            M = M[:, None]
-        if M.shape[1] != K:
-            raise ValueError(f"snapshot has {M.shape[1]} columns, target has {K}")
-        try:
-            basis = _span_basis(M)
-        except ValueError:
-            continue  # rank deficient: leave NaN
-        out[i] = grassmann_distance(basis, target_basis)
-    return out
+    states = np.asarray(traj.states, dtype=float)
+    if states.ndim == 2:
+        states = states[..., None]
+    if states.shape[-1] != K:
+        raise ValueError(f"snapshot has {states.shape[-1]} columns, target has {K}")
+    bases, full = _span_basis(states)
+    # a rank-deficient snapshot still has an orthonormal Q; its distance is discarded
+    return np.where(full, grassmann_distance(bases, target_basis), np.nan)
 
 
 def second_order_check(
@@ -584,9 +555,10 @@ def second_order_check(
     Vpi = exact_value(P, R, gamma)
     t = n_steps * alpha
     cfg = FlowConfig(gamma=gamma, t_end=t, dt=alpha, method="euler")
-    V = _propagate(-A, R, V0, cfg)[1][-1]
-    first = expm(-t * A) @ (V0 - Vpi) + Vpi
-    corrected = expm(-t * (A + 0.5 * alpha * (A @ A))) @ (V0 - Vpi) + Vpi
+    V = _propagate((-A, R), V0, cfg)[1][-1]
+    grid = np.array([0.0, t])
+    first = _closed_form_grid(-A, Vpi, V0, grid)[-1]
+    corrected = _closed_form_grid(-(A + 0.5 * alpha * (A @ A)), Vpi, V0, grid)[-1]
     return V, first, corrected
 
 

@@ -143,7 +143,7 @@ def kernel_td_flow(
     K_all[test_idx] = split.K_cross
     # linear in V: dV/dt = K_all (gamma P - I)[train] V + K_all R[train]
     A = K_all @ (gamma * P - np.eye(n))[train_idx]
-    times, states, work = _propagate(A, K_all @ R[train_idx], V0, cfg)
+    times, states, work = _propagate((A, K_all @ R[train_idx]), V0, cfg)
     residual = np.max(
         np.abs((R[None, :] + gamma * states @ P.T - states)[:, train_idx]), axis=1
     )

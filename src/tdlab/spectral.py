@@ -158,41 +158,50 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _span_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span of ``M``; ValueError if rank deficient."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
+def _span_basis(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the column spans of ``M``, and which have full rank.
+
+    ``M`` is ``(n, K)`` or a stack ``(..., n, K)``; the mask has the stack's
+    shape.  A span is rank deficient when some ``|R_ii|`` of its QR falls
+    below 1e-12 times the largest ``|M_ij|`` (scale-relative, so
+    exponentially small but full-rank spans pass) or ``M`` is zero.
+    """
     Q, R = np.linalg.qr(M)
-    # scale-relative test so exponentially small (but full-rank) spans pass
-    scale = float(np.max(np.abs(M)))
-    if scale == 0.0 or np.min(np.abs(np.diag(R))) < 1e-12 * scale:
-        raise ValueError("columns are rank deficient; span has lower dimension")
-    return Q
+    scale = np.abs(M).max(axis=(-2, -1))
+    pivot = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1)
+    return Q, ~((scale == 0.0) | (pivot < 1e-12 * scale))
 
 
 def subspace_from_span(M: np.ndarray) -> Subspace:
     """Orthonormalize the column span of ``M`` (must have full column rank)."""
-    return Subspace(basis=_span_basis(M))
+    M = np.asarray(M, dtype=float)
+    Q, full = _span_basis(M[:, None] if M.ndim == 1 else M)
+    if not full:
+        raise ValueError("columns are rank deficient; span has lower dimension")
+    return Subspace(basis=Q)
 
 
 def _basis_of(S) -> np.ndarray:
     return S.basis if isinstance(S, Subspace) else np.asarray(S, dtype=float)
 
 
-def grassmann_distance(A, B) -> float:
+def grassmann_distance(A, B):
     """ell-2 norm of the principal angles between two equal-dimension subspaces.
 
     Angles are ``arccos`` of the singular values of ``A^T B`` (clamped into
     [0, 1] against roundoff); the result is symmetric and invariant to
-    orthogonal re-basing of either argument.
+    orthogonal re-basing of either argument.  Either basis may be a stack
+    ``(..., n, K)``; the stacks broadcast, and the result is then an array
+    of distances instead of a float.
     """
     A, B = _basis_of(A), _basis_of(B)
-    if A.shape != B.shape:
+    if A.shape[-2:] != B.shape[-2:]:
         raise ValueError(f"subspace dimensions differ: {A.shape} vs {B.shape}")
-    sigma = np.linalg.svd(A.T @ B, compute_uv=False)
-    sigma = np.clip(sigma, 0.0, 1.0)
-    return float(np.linalg.norm(np.arccos(sigma)))
+    sigma = np.linalg.svd(np.swapaxes(A, -1, -2) @ B, compute_uv=False)
+    angles = np.arccos(np.clip(sigma, 0.0, 1.0))[..., None]
+    # the norm as one dot product per distance, so stacked and single calls round alike
+    dist = np.sqrt(np.swapaxes(angles, -1, -2) @ angles)[..., 0, 0]
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def vector_subspace_distance(v: np.ndarray, S) -> float:

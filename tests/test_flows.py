@@ -30,7 +30,13 @@ from tdlab.mdp import (
     transition_matrix,
     uniform_policy,
 )
-from tdlab.spectral import eigenbasis_coefficients, eigendecompose, resolvent, subspace_from_span
+from tdlab.spectral import (
+    eigenbasis_coefficients,
+    eigendecompose,
+    grassmann_distance,
+    resolvent,
+    subspace_from_span,
+)
 
 
 def euler_oracle(f, X0, t_end, dt):
@@ -126,7 +132,16 @@ def test_td_lambda_matches_series_oracle():
     Vpi = exact_value(P, R, gamma)
     traj = td_lambda_value_flow(V0, P, R, lam, FlowConfig(gamma=gamma, t_end=2.5, dt=0.1))
     assert_allclose(traj.final, expm(2.5 * G) @ (V0 - Vpi) + Vpi, atol=1e-9)
-    assert traj.meta["series_order"] >= 10
+
+
+def test_td_lambda_is_exact_where_the_series_converges_slowly():
+    """At gamma = lambda = 0.9999 the series needs ~10^5 terms; the closed form needs none."""
+    P, R, V0, gamma = small_problem(7, gamma=0.9999)
+    lam, n = 0.9999, len(R)
+    G = (1.0 - lam) * gamma * P @ np.linalg.inv(np.eye(n) - lam * gamma * P) - np.eye(n)
+    Vpi = exact_value(P, R, gamma)
+    traj = td_lambda_value_flow(V0, P, R, lam, FlowConfig(gamma=gamma, t_end=2.5, dt=0.1))
+    assert_allclose(traj.final, expm(2.5 * G) @ (V0 - Vpi) + Vpi, atol=1e-9)
 
 
 def test_td_lambda_zero_is_td():
@@ -393,6 +408,65 @@ def test_coupled_flow_matches_step_loop(M):
     assert not traj.meta["weights"].flags.writeable
 
 
+def coupled_vector_field(P, R, gamma, alpha, beta, K, M):
+    """``f`` of the coupled flow on the concatenated state ``(Phi.ravel(), W.ravel())``."""
+    n = len(R)
+    B, T = gamma * P - np.eye(n), np.tile(R[:, None], (1, M))
+
+    def f(x):
+        phi, W = x[: n * K].reshape(n, K), x[n * K :].reshape(K, M)
+        delta = T + B @ phi @ W
+        return np.concatenate([(alpha * delta @ W.T).ravel(), (beta * phi.T @ delta).ravel()])
+
+    return f
+
+
+def concatenated(traj):
+    """The trajectory with states ``(Phi, W)`` flattened side by side, as the loop holds them."""
+    T = len(traj.times)
+    states = np.concatenate(
+        [traj.states.reshape(T, -1), traj.meta["weights"].reshape(T, -1)], axis=1
+    )
+    return FlowTrajectory(times=traj.times, states=states, meta=traj.meta)
+
+
+def test_coupled_flow_with_learned_weights_matches_step_loop():
+    """``beta != 0`` is nonlinear: every stride is stepped, and each step is the loop's RK4 step."""
+    P, R, _, gamma = small_problem(32)
+    rng = np.random.default_rng(32)
+    phi0, w0 = rng.standard_normal((5, 2)), rng.standard_normal((2, 3))
+    # 2,500 steps: stride 3 and a last gap of one step
+    cfg = FlowConfig(gamma=gamma, alpha=0.3, beta=0.2, t_end=2.5, dt=1e-3, method="rk4")
+    traj = coupled_feature_flow(phi0, w0, P, R, cfg)
+    f = coupled_vector_field(P, R, gamma, cfg.alpha, cfg.beta, 2, 3)
+    states, crossed = step_loop(f, np.concatenate([phi0.ravel(), w0.ravel()]), cfg)
+    assert crossed is None
+    assert_matches_step_loop(concatenated(traj), states, cfg.dt)
+    assert traj.meta["steps"] == 2500
+    assert traj.meta["stepwise_strides"] == len(traj.times) - 1
+
+
+def test_coupled_flow_divergence_matches_step_loop():
+    """A diverging ``beta != 0`` flow stops where the loop crosses 1e8, with the loop's states.
+
+    The config is :func:`test_coupled_flow_divergence_detected`'s; it crosses at the first step.
+    """
+    P, R, _, _ = small_problem(13, n=8, gamma=0.99)
+    rng = np.random.default_rng(13)
+    phi0 = 3.0 * rng.standard_normal((8, 3))
+    w0 = 3.0 * rng.standard_normal((3, 4))
+    cfg = FlowConfig(gamma=0.99, alpha=10.0, beta=10.0, t_end=20.0, dt=0.01, method="rk4")
+    with pytest.raises(DivergenceDetected) as info:
+        coupled_feature_flow(phi0, w0, P, R, cfg)
+    f = coupled_vector_field(P, R, cfg.gamma, cfg.alpha, cfg.beta, 3, 4)
+    states, crossed = step_loop(f, np.concatenate([phi0.ravel(), w0.ravel()]), cfg)
+    partial = info.value.trajectory
+    assert crossed is not None and partial.meta["steps"] == crossed
+    assert partial.times[-1] == info.value.time == crossed * cfg.dt
+    assert info.value.sup_norm == pytest.approx(np.max(np.abs(states[crossed])), rel=1e-12)
+    assert_matches_step_loop(concatenated(partial), states, cfg.dt)
+
+
 def test_random_cumulant_flow_matches_step_loop():
     P, _, _, gamma = small_problem(30, n=8)
     rng = np.random.default_rng(30)
@@ -537,6 +611,23 @@ def test_grassmann_metric_nan_for_collapsed_snapshot():
     metric = grassmann_convergence_metric(traj, subspace_from_span(np.eye(4)[:, :2]))
     assert np.isnan(metric[0])
     assert metric[1] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_grassmann_metric_equals_per_snapshot_distances():
+    """One stacked QR and SVD give each snapshot's own distance, NaN where the span collapses."""
+    rng = np.random.default_rng(33)
+    states = rng.standard_normal((6, 7, 3))
+    states[2] = 0.0
+    states[4, :, 2] = states[4, :, 0]  # rank 2
+    traj = FlowTrajectory(times=np.arange(6.0), states=states)
+    target = subspace_from_span(rng.standard_normal((7, 3)))
+    metric = grassmann_convergence_metric(traj, target)
+    full = [0, 1, 3, 5]
+    assert np.isnan(metric[[2, 4]]).all()
+    expected = [grassmann_distance(subspace_from_span(states[i]), target) for i in full]
+    assert np.array_equal(metric[full], expected)
+    with pytest.raises(ValueError, match="columns"):
+        grassmann_convergence_metric(traj, subspace_from_span(np.eye(7)[:, :2]))
 
 
 def test_second_order_ratio_improves():

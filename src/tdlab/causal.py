@@ -76,7 +76,6 @@ class CausalReport:
     alpha_used: float
     per_call_alpha: float
     non_identified: bool
-    combine: str
 
 
 def _anova_pvalues(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -134,40 +133,30 @@ def _scan_subsets(target_by_env, candidates, data: EnvDataset) -> dict:
     return table
 
 
-def _combine_accepted(table: dict, alpha: float, combine: str) -> frozenset:
-    accepted = [set(s) for s, p in table.items() if p is not None and p > alpha]
-    if not accepted:
-        return frozenset()
-    if combine == "largest":
-        return frozenset(max(accepted, key=len))
-    result = accepted[0]
-    for s in accepted[1:]:
-        result &= s
-    return frozenset(result)
+def _accepted_parents(table: dict, alpha: float) -> tuple[frozenset, bool]:
+    """Intersection of the accepted subsets, and whether it is itself accepted (False if none is)."""
+    accepted = [frozenset(s) for s, p in table.items() if p is not None and p > alpha]
+    parents = frozenset.intersection(*accepted) if accepted else frozenset()
+    return parents, parents in accepted
 
 
-def _check_scan(n_candidates: int, data: EnvDataset, alpha: float, combine: str) -> None:
+def _check_scan(n_candidates: int, data: EnvDataset, alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if n_candidates > _MAX_VARIABLES:
         raise ValueError(f"subset enumeration capped at {_MAX_VARIABLES} variables")
-    if combine not in ("intersection", "largest"):
-        raise ValueError(f"unknown combine mode {combine!r}")
     if data.n_envs < 2:
         raise InsufficientEnvironments("need at least two environments")
 
 
-def icp_parents(
-    target_by_env, candidates, data: EnvDataset, alpha: float, combine: str = "intersection"
-) -> frozenset:
+def icp_parents(target_by_env, candidates, data: EnvDataset, alpha: float) -> frozenset:
     """Invariant-causal-prediction parent set for a target across environments.
 
     Regresses the target on every subset of the candidates (pooled across
     environments, with intercept) and tests residual invariance: equal means
     (one-way F) and equal variances (Levene), Bonferroni-combined at level
     ``alpha``.  Returns the intersection of all accepted subsets — the set of
-    variables no invariant explanation can do without — or, with
-    ``combine="largest"``, the largest accepted subset.  ``candidates`` are
+    variables no invariant explanation can do without.  ``candidates`` are
     distinct variable indices in ``[0, data.n_vars)``.
     """
     candidates = tuple(int(v) for v in candidates)
@@ -175,14 +164,13 @@ def icp_parents(
         raise ValueError("candidates must be nonempty")
     if len(set(candidates)) < len(candidates) or not all(0 <= v < data.n_vars for v in candidates):
         raise ValueError(f"candidates must be distinct variable indices in [0, {data.n_vars})")
-    _check_scan(len(candidates), data, alpha, combine)
+    _check_scan(len(candidates), data, alpha)
     if len(target_by_env) != data.n_envs:
         raise ValueError("target must provide one vector per environment")
-    table = _scan_subsets(target_by_env, candidates, data)
-    return _combine_accepted(table, alpha, combine)
+    return _accepted_parents(_scan_subsets(target_by_env, candidates, data), alpha)[0]
 
 
-def linear_misa(data: EnvDataset, alpha: float = 0.05, combine: str = "intersection") -> CausalReport:
+def linear_misa(data: EnvDataset, alpha: float = 0.05) -> CausalReport:
     """Ancestor closure of the reward under invariant causal prediction.
 
     Starts from the reward, finds its invariant parents at the conservative
@@ -194,7 +182,7 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05, combine: str = "intersect
     shadow variable standing in for a true parent) or nothing is accepted.
     """
     p = data.n_vars
-    _check_scan(p, data, alpha, combine)
+    _check_scan(p, data, alpha)
     per_call_alpha = alpha / p
     candidates = tuple(range(p))
     table_all = {}
@@ -214,10 +202,9 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05, combine: str = "intersect
         table = _scan_subsets(target, candidates, data)
         for subset, pv in table.items():
             table_all[(node, subset)] = pv
+        parents, identified = _accepted_parents(table, per_call_alpha)
         if node == _REWARD:
-            accepted = [set(s) for s, pv in table.items() if pv is not None and pv > per_call_alpha]
-            non_identified = not accepted or set.intersection(*accepted) not in accepted
-        parents = _combine_accepted(table, per_call_alpha, combine)
+            non_identified = not identified
         for v in parents:
             selected.add(v)
             if v not in expanded:
@@ -228,7 +215,6 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05, combine: str = "intersect
         alpha_used=alpha,
         per_call_alpha=per_call_alpha,
         non_identified=non_identified,
-        combine=combine,
     )
 
 

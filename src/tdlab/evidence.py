@@ -3,14 +3,12 @@
 Everything is conjugate-Gaussian: posteriors and the prequential log marginal
 likelihood are exact, and the three Monte-Carlo estimators (posterior-sample
 log likelihood, k-sample average likelihood, and Gaussian moment-matched) are
-lower bounds validated against them.  The sample-then-optimize sampler mirrors
-the gradient-descent procedure of the marginal-likelihood-from-training-loss
-connection; its converged iterates are exact posterior samples, so the exact
-modes of it and of Algorithm 1 read each minimizer off a posterior covariance
-(:func:`blr_posterior` is the only solve of the normal equations).  The
-other estimators read one prequential chain (the posteriors after 0..n points
-and their sample factors), built once per (model, data) and shared by
-``evidence_report``; each sampled pass comes from its one draw routine.
+lower bounds validated against them.  The exact numbers, Algorithm 1's
+exact mode included, read one Cholesky factor ``C C^T = s0^2 Phi Phi^T + sN^2
+I`` (Rasmussen & Williams 2006, Alg. 2.1): in presentation order, point i's
+predictive variance is ``s_i = C_ii^2`` and its innovation (target less
+predictive mean) ``e_i = C_ii (C^-1 y)_i``.  The sampled estimators read one
+prequential chain from one stacked normal-equations solve and one stacked ``eigh``.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .flows import DivergenceDetected
 
@@ -95,8 +94,7 @@ class GaussianPosterior:
             raise ValueError("covariance shape does not match mean")
         if np.max(np.abs(cov - cov.T)) > _COV_TOL:
             raise ValueError("covariance must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(cov))) < -_COV_TOL:
-            raise ValueError("covariance must be positive semidefinite")
+        _sample_factors(cov)  # refuses a covariance that is not positive semidefinite
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -106,8 +104,15 @@ class GaussianPosterior:
 
     def sample_factor(self) -> np.ndarray:
         """Matrix L with L L^T = covariance (eigenvalue clamped at zero)."""
-        w, U = np.linalg.eigh(self.covariance)
-        return U * np.sqrt(np.clip(w, 0.0, None))
+        return _sample_factors(self.covariance)
+
+
+def _sample_factors(cov: np.ndarray) -> np.ndarray:
+    """Sample factor of one covariance or of each in a stack; refuses a non-PSD one."""
+    w, U = np.linalg.eigh(cov)
+    if w.size and float(np.min(w)) < -_COV_TOL:
+        raise ValueError("covariance must be positive semidefinite")
+    return U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -143,23 +148,39 @@ class OrderedDataset:
         return phi[self.order], self.targets[self.order]
 
 
+def _posteriors(model: BlrModel, phi, y, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Means (k, d) and covariances (k, d, d) after k prefix sizes: the only normal-equations solve."""
+    d, k, nv = phi.shape[1], len(sizes), model.noise_variance
+    precisions = np.reshape([np.eye(d) / model.prior_variance + (phi[:m].T @ phi[:m]) / nv for m in sizes], (k, d, d))
+    covs = np.linalg.solve(precisions, np.eye(d))
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    return (covs @ np.reshape([phi[:m].T @ y[:m] for m in sizes], (k, d, 1)))[:, :, 0] / nv, covs
+
+
 def blr_posterior(model: BlrModel, data: OrderedDataset, upto: int | None = None) -> GaussianPosterior:
-    """Conjugate posterior after the first ``upto`` points in presentation order."""
-    phi, y = data.reordered(model)
+    """Conjugate posterior after the first ``upto`` points in presentation order (the estimators' oracle)."""
     m = data.n if upto is None else int(upto)
     if not 0 <= m <= data.n:
         raise ValueError("upto must lie in [0, n]")
-    phi, y = phi[:m], y[:m]
-    d = phi.shape[1]
-    precision = np.eye(d) / model.prior_variance + (phi.T @ phi) / model.noise_variance
-    cov = np.linalg.solve(precision, np.eye(d))
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (phi.T @ y) / model.noise_variance
-    return GaussianPosterior(mean=mean, covariance=cov)
+    means, covs = _posteriors(model, *data.reordered(model), [m])
+    return GaussianPosterior(mean=means[0], covariance=covs[0])
 
 
 def _gaussian_logpdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
+
+
+def _innovations(model: BlrModel, phi, r) -> tuple[np.ndarray, np.ndarray]:
+    """Innovations ``e = diag(C) C^-1 r`` of targets r (n,) or rows r (seeds, n), and ``s = diag(C)^2``."""
+    C = np.linalg.cholesky(model.prior_variance * (phi @ phi.T) + model.noise_variance * np.eye(phi.shape[0]))
+    return np.diag(C) * solve_triangular(C, r.T, lower=True).T, np.diag(C) ** 2
+
+
+def _exact_evidence(model: BlrModel, data: OrderedDataset) -> tuple[float, float]:
+    """Exact log ML and KL gap, both read off one factor's innovations."""
+    e, s = _innovations(model, *data.reordered(model))
+    x = s / model.noise_variance - 1.0
+    return float(np.sum(_gaussian_logpdf(e, 0.0, s))), float(0.5 * np.sum(x - np.log1p(x) + e**2 * x / s))
 
 
 def exact_log_ml(model: BlrModel, data: OrderedDataset) -> float:
@@ -168,7 +189,7 @@ def exact_log_ml(model: BlrModel, data: OrderedDataset) -> float:
     Equals the joint Gaussian evidence ``log N(y; 0, s0^2 Phi Phi^T + sN^2 I)``
     for any presentation order.
     """
-    return _prequential_chain(model, data).log_ml()
+    return _exact_evidence(model, data)[0]
 
 
 def gaussian_kl(p: GaussianPosterior, q: GaussianPosterior) -> float:
@@ -187,8 +208,9 @@ def kl_gap(model: BlrModel, data: OrderedDataset) -> float:
     """Sum of KL divergences between successive prequential posteriors.
 
     This is exactly the bias ``exact_log_ml - E[posterior-sample estimate]``.
+    Point i is a rank-one precision update: ``(x_i - log1p(x_i) + e_i^2 x_i / s_i) / 2``, ``x_i = s_i / sN^2 - 1``.
     """
-    return _prequential_chain(model, data).kl_gap()
+    return _exact_evidence(model, data)[1]
 
 
 class EstimateResult(NamedTuple):
@@ -209,27 +231,16 @@ class _Chain(NamedTuple):
 
     phi: np.ndarray  # (n, d) features
     y: np.ndarray  # (n,) targets
-    posts: list  # n + 1 posteriors, after 0..n points
-    factors: list  # sample factors of posts[0..n-1]
+    means: np.ndarray  # (n, d) posterior means after 0..n-1 points
+    factors: np.ndarray  # (n, d, d) their sample factors
     noise_variance: float
-
-    def log_ml(self) -> float:
-        total = 0.0
-        for phi_i, y_i, post in zip(self.phi, self.y, self.posts):
-            mean = float(phi_i @ post.mean)
-            var = float(phi_i @ post.covariance @ phi_i) + self.noise_variance
-            total += _gaussian_logpdf(y_i, mean, var)
-        return float(total)
-
-    def kl_gap(self) -> float:
-        return float(sum(gaussian_kl(p, q) for p, q in zip(self.posts, self.posts[1:])))
 
     def draws(self, pass_seed: np.random.SeedSequence, k: int) -> np.ndarray:
         """(n, k) sampled predictions: row i from the posterior given the points before i, seeded by child i."""
         rows = []
-        for phi_i, post, L, point_seed in zip(self.phi, self.posts, self.factors, pass_seed.spawn(len(self.y))):
+        for phi_i, mean, L, point_seed in zip(self.phi, self.means, self.factors, pass_seed.spawn(len(self.y))):
             Z = np.random.default_rng(point_seed).standard_normal((k, L.shape[0]))
-            rows.append((post.mean + Z @ L.T) @ phi_i)
+            rows.append((mean + Z @ L.T) @ phi_i)
         return np.reshape(rows, (len(self.y), k))
 
     def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
@@ -261,8 +272,8 @@ class _Chain(NamedTuple):
 
 def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
     phi, y = data.reordered(model)
-    posts = [blr_posterior(model, data, upto=i) for i in range(data.n + 1)]
-    return _Chain(phi, y, posts, [p.sample_factor() for p in posts[:-1]], model.noise_variance)
+    means, covs = _posteriors(model, phi, y, range(data.n))
+    return _Chain(phi, y, means, _sample_factors(covs), model.noise_variance)
 
 
 def estimate_Lk(model: BlrModel, data: OrderedDataset, k, n_seeds: int = 1, seed: int = 0):
@@ -342,9 +353,8 @@ def sample_then_optimize(
     phi, y = data.reordered(model)
     theta0, y_tilde = _prior_draw(model, y, phi.shape[1], seed)
     phi, y_tilde = phi[:m], y_tilde[:m]
-    if method == "exact":
-        cov = blr_posterior(model, data, upto=m).covariance
-        return cov @ (phi.T @ y_tilde / model.noise_variance + theta0 / model.prior_variance)
+    if method == "exact":  # the posterior mean under prior mean theta0 and targets y~
+        return theta0 + _posteriors(model, phi, y_tilde - phi @ theta0, [m])[0][0]
     return _gd_minimize(phi, y_tilde, model.noise_variance / model.prior_variance, theta0, theta0, lr, steps)
 
 
@@ -358,31 +368,30 @@ def algorithm1_sumloss(
     each point (true targets) before re-optimizing on the noised prefix, warm
     started.  Returns ``-sumLoss - (n/2) log(2 pi sN^2)``, directly comparable
     to :func:`estimate_L`.  ``seed`` may be an int or a sequence of ints; a
-    sequence returns an array of one score per seed, in order, sharing the
-    posterior covariances ``Sigma_1..Sigma_{n-1}`` in exact mode.  Only the
-    prefixes that are scored are fitted (1..n-1 points), so a gd divergence
-    that would occur only when fitting the whole dataset does not raise.
+    sequence returns an array of one score per seed, in order.  Exact mode
+    predicts ``y~ - e(y~ - Phi theta0)`` with innovations e; gd mode fits only
+    the prefixes that are scored (1..n-1 points), so a divergence that would
+    occur only when fitting the whole dataset does not raise.
     """
     if method not in ("gd", "exact"):
         raise ValueError(f"unknown method {method!r}")
     phi, y = data.reordered(model)
     n, d = phi.shape
     nv, lam = model.noise_variance, model.noise_variance / model.prior_variance
-    if method == "exact":  # covs[i] = Sigma_{i+1}, the posterior covariance after points 0..i
-        covs = np.reshape([blr_posterior(model, data, upto=m).covariance for m in range(1, n)], (-1, d, d))
-    scores = []
-    for s in np.atleast_1d(seed):
-        theta0, y_tilde = _prior_draw(model, y, d, int(s))
-        thetas = [theta0]  # thetas[i] is fitted to the i points before point i
-        if method == "exact":  # Sigma_{i+1} (sum_{j<=i} phi_j y~_j + lam theta0) / sN^2
-            rhs = (np.cumsum(phi * y_tilde[:, None], axis=0)[:-1] + lam * theta0) / nv
-            thetas += list(np.einsum("ijk,ik->ij", covs, rhs))
-        else:
+    draws = [_prior_draw(model, y, d, int(s)) for s in np.atleast_1d(seed)]
+    theta0s = np.reshape([theta0 for theta0, _ in draws], (len(draws), d))  # one row per seed
+    y_tildes = np.reshape([y_tilde for _, y_tilde in draws], (len(draws), n))
+    if method == "exact":
+        preds = y_tildes - _innovations(model, phi, y_tildes - theta0s @ phi.T)[0]
+    else:
+        preds = np.empty_like(y_tildes)
+        for pred, theta0, y_tilde in zip(preds, theta0s, y_tildes):
+            thetas = [theta0]  # thetas[i] is fitted to the i points before point i
             for i in range(1, n):
                 thetas.append(_gd_minimize(phi[:i], y_tilde[:i], lam, thetas[-1], theta0, lr, steps_per_point))
-        preds = np.sum(phi * np.reshape(thetas[:n], (n, d)), axis=1)
-        scores.append(-np.sum((preds - y) ** 2) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv))
-    return float(scores[0]) if np.isscalar(seed) else np.array(scores)
+            pred[:] = np.sum(phi * np.reshape(thetas[:n], (n, d)), axis=1)
+    scores = -np.sum((preds - y) ** 2, axis=1) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv)
+    return float(scores[0]) if np.isscalar(seed) else scores
 
 
 def sotl(loss_sequence) -> float:
@@ -500,12 +509,13 @@ def evidence_report(
     chain = _prequential_chain(model, data)
     lk = [_estimate(row) for row in chain.lk_per_seed((1,) + k_values, n_seeds, seed)]
     ls_vals = np.array([chain.ls_total(ls_samples, seed + 1 + s) for s in range(n_seeds)])
+    log_ml, gap = _exact_evidence(model, data)
     return EvidenceReport(
-        exact_log_ml=chain.log_ml(),
+        exact_log_ml=log_ml,
         L_hat=lk[0],
         Lk_hat=dict(zip(k_values, lk[1:])),
         LS_hat=_estimate(ls_vals),
-        kl_gap=chain.kl_gap(),
+        kl_gap=gap,
         n_seeds=n_seeds,
         k_values=k_values,
     )

@@ -564,6 +564,7 @@ _DEFS = [
             "k_values": (1, 4, 16, 64), "ls_samples": 16, "alg1_method": "exact",
         },
         _run_bms_select,
+        ranges={"n_estimator_seeds": Range(1), "k_values": Range(1), "ls_samples": Range(2)},  # LS needs 2 draws for a variance
     ),
     ExperimentDef(
         "misa-robustness", 7,

@@ -442,13 +442,15 @@ def limiting_ensemble_flow(
     Without ``noise`` this is the scaled-learning-rate limit
     ``exp(-t(I - gamma P)) Phi0``; with a noise vector ``eps`` (one entry per
     feature) it is the scaled-initialization limit
-    ``exp(-t(I - gamma P))(Phi0 - Psi R eps^T) + Psi R eps^T``.
+    ``exp(-t(I - gamma P))(Phi0 - Psi R eps^T) + Psi R eps^T``.  ``t`` must be finite.
     """
     phi0 = np.asarray(phi0, dtype=float)
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if P.shape != (phi0.shape[0], phi0.shape[0]):
         raise ValueError("P dimension does not match phi0")
     if noise is None:

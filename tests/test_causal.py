@@ -62,7 +62,6 @@ def test_report_carries_scan_details():
     assert report.alpha_used == 0.05
     assert report.per_call_alpha == pytest.approx(0.05 / 3)
     assert ("reward", ()) in report.per_subset_pvalues
-    assert report.combine == "intersection"
 
 
 def test_icp_validates_arguments():
@@ -80,14 +79,12 @@ def test_icp_validates_arguments():
     with pytest.raises(ValueError, match="capped"):
         icp_parents([env.rewards for env in wide.environments], range(13), wide, alpha=0.05)
     with pytest.raises(ValueError):
-        icp_parents(targets, range(3), data, alpha=0.05, combine="union")
-    with pytest.raises(ValueError):
         icp_parents(targets[:1], range(3), data, alpha=0.05)
     # negative (read from the end), out-of-range and repeated indices
     for bad in ([-2, 0, 1], [0, 1, 5], [0, 1, 1]):
         with pytest.raises(ValueError, match="distinct variable indices"):
             icp_parents(targets, bad, data, alpha=0.05)
-    for bad in ({"alpha": 0.0}, {"alpha": 5.0}, {"combine": "union"}):
+    for bad in ({"alpha": 0.0}, {"alpha": 5.0}):
         with pytest.raises(ValueError):
             linear_misa(data, **bad)
 

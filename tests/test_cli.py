@@ -81,17 +81,25 @@ def test_non_finite_float_is_config_error(tmp_path, key, value):
         resolve_config("two-state", {key: float(value)})
 
 
+_OUT_OF_RANGE = [
+    ("misa-robustness", "alpha", "5"), ("misa-robustness", "alpha", "0"),
+    ("misa-robustness", "n_seeds", "0"), ("misa-robustness", "n_envs", "1"),
+    ("misa-robustness", "n_steps", "3"), ("bms-select", "n_estimator_seeds", "0"),
+    ("bms-select", "k_values", "0"), ("bms-select", "k_values", "4,0"),
+    ("bms-select", "ls_samples", "1"),
+]
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("alpha", "5"), ("alpha", "0"), ("n_seeds", "0"), ("n_envs", "1"), ("n_steps", "3")],
+    "section, key, value", _OUT_OF_RANGE, ids=[f"{key}-{value}" for _, key, value in _OUT_OF_RANGE]
 )
-def test_out_of_range_value_is_config_error(tmp_path, key, value):
+def test_out_of_range_value_is_config_error(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[misa-robustness]\n{key} = {value}\n")
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
     assert run_cli(["validate", "--config", str(cfg)]) == 2
-    assert run_cli(["run", "misa-robustness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    with pytest.raises(ConfigError, match=f"misa-robustness.{key}"):
-        resolve_config("misa-robustness", {key: value})
+    assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        resolve_config(section, {key: value})
 
 
 def test_declared_ranges_admit_the_defaults():

@@ -182,6 +182,45 @@ def test_sumloss_empty_dataset_scores_zero():
     assert np.array_equal(algorithm1_sumloss(model, data, seed=[0, 1], method="exact"), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_every_entry_point_on_zero_and_one_points(n):
+    """No points score 0 everywhere; one point matches the per-point loops and the joint Gaussian."""
+    rng = np.random.default_rng(4)
+    model = BlrModel(feature_map=None, prior_variance=1.3, noise_variance=0.5)
+    data = OrderedDataset(inputs=rng.standard_normal((n, 3)), targets=rng.standard_normal(n))
+    ks, n_seeds, seed, ls_samples = (1, 4), 3, 1, 4
+    rep = evidence_report(model, data, k_values=ks, n_seeds=n_seeds, ls_samples=ls_samples, seed=seed)
+    lk = estimate_Lk(model, data, ks, n_seeds=n_seeds, seed=seed)
+    scores = {
+        "exact_log_ml": exact_log_ml(model, data),
+        "kl_gap": kl_gap(model, data),
+        "L": estimate_L(model, data, n_seeds=n_seeds, seed=seed).per_seed,
+        "Lk": [est.per_seed for est in lk],
+        "LS": [estimate_LS(model, data, ls_samples, seed=seed + 1 + s) for s in range(n_seeds)],
+        "report_exact": [rep.exact_log_ml, rep.kl_gap],
+        "report_sampled": [rep.L_hat.per_seed] + [rep.Lk_hat[k].per_seed for k in ks] + [rep.LS_hat.per_seed],
+        "alg1": algorithm1_sumloss(model, data, seed=[0, 7], method="exact"),
+    }
+    weights = ensemble_weight_ranking([model], data, seed=seed)
+    if n == 0:
+        for name, value in scores.items():
+            assert np.array_equal(value, np.zeros_like(value)), name
+        assert np.array_equal(weights, [0.0])
+        return
+    log_ml, gap, lk_ref, ls_ref = per_point_reference(model, data, ks, n_seeds, seed, ls_samples)
+    close = dict(rtol=1e-12, atol=0)
+    assert_allclose(scores["exact_log_ml"], joint_evidence_oracle(model, data), **close)
+    assert_allclose(scores["exact_log_ml"], log_ml, **close)
+    assert_allclose(scores["kl_gap"], gap, **close)
+    assert_allclose(scores["L"], lk_ref[0], **close)
+    assert_allclose(scores["Lk"], lk_ref, **close)
+    assert_allclose(scores["LS"], ls_ref, **close)
+    assert_allclose(scores["report_exact"], [log_ml, gap], **close)
+    assert_allclose(scores["report_sampled"], [lk_ref[0], *lk_ref, ls_ref], **close)
+    assert_allclose(scores["alg1"], [algorithm1_reference(model, data, s) for s in (0, 7)], **close)
+    assert_allclose(weights, reference_stacking_weights([model], data, seed), **close)
+
+
 def ridge_minimizer_reference(model, data, seed, upto):
     """Sample-then-optimize by the ridge normal equations on the first ``upto`` points."""
     phi, y = data.reordered(model)
@@ -449,6 +488,25 @@ def test_shared_chain_reproduces_per_point_loops():
             reference_stacking_weights(models, data, seed),
             **close,
         )
+
+
+@pytest.mark.parametrize("eigenvalue, refused", [(-1e-9, True), (-1e-11, False)])
+def test_chain_refuses_a_posterior_that_is_not_psd(monkeypatch, eigenvalue, refused):
+    """The chain's stacked eigendecomposition keeps the container's PSD rule and tolerance."""
+    model, data = random_task(3, n=5, d=3)
+    posteriors = evidence._posteriors
+
+    def with_bad_last_covariance(*args):
+        means, covs = posteriors(*args)
+        covs[-1] = np.diag([1.0, eigenvalue, 1.0])
+        return means, covs
+
+    monkeypatch.setattr(evidence, "_posteriors", with_bad_last_covariance)
+    if refused:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            estimate_L(model, data)
+    else:
+        assert np.isfinite(estimate_L(model, data).value)
 
 
 def test_posterior_container_validation():

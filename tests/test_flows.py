@@ -550,6 +550,18 @@ def test_wide_ensembles_approach_the_limit():
     assert errs[1] < errs[0] / 3
 
 
+def test_limiting_flows_refuse_a_non_finite_time():
+    P, R, _, gamma = small_problem(15)
+    phi0 = np.random.default_rng(15).standard_normal((5, 4))
+    for t in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="t must be finite"):
+            limiting_ensemble_flow(phi0, P, R, gamma, t=t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            multi_task_limit_flow(phi0, t, gamma=gamma, transition_matrices=[P])
+        with pytest.raises(ValueError, match="t must be finite"):
+            multi_task_limit_flow(phi0, t, P=P, discounts=[gamma])
+
+
 def test_limiting_cumulant_covariance_formula():
     P, _, _, gamma = small_problem(18)
     rng = np.random.default_rng(18)

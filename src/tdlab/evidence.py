@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .flows import DivergenceDetected
 
@@ -42,8 +41,8 @@ class BlrModel:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        if self.prior_variance <= 0 or self.noise_variance <= 0:
-            raise ValueError("variances must be positive")
+        if not (0 < self.prior_variance < np.inf and 0 < self.noise_variance < np.inf):
+            raise ValueError("variances must be finite and positive")
 
     def features(self, inputs) -> np.ndarray:
         X = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -173,7 +172,7 @@ def _gaussian_logpdf(x, mean, var):
 def _innovations(model: BlrModel, phi, r) -> tuple[np.ndarray, np.ndarray]:
     """Innovations ``e = diag(C) C^-1 r`` of targets r (n,) or rows r (seeds, n), and ``s = diag(C)^2``."""
     C = np.linalg.cholesky(model.prior_variance * (phi @ phi.T) + model.noise_variance * np.eye(phi.shape[0]))
-    return np.diag(C) * solve_triangular(C, r.T, lower=True).T, np.diag(C) ** 2
+    return np.diag(C) * np.linalg.solve(C, r.T).T, np.diag(C) ** 2
 
 
 def _exact_evidence(model: BlrModel, data: OrderedDataset) -> tuple[float, float]:
@@ -237,11 +236,11 @@ class _Chain(NamedTuple):
 
     def draws(self, pass_seed: np.random.SeedSequence, k: int) -> np.ndarray:
         """(n, k) sampled predictions: row i from the posterior given the points before i, seeded by child i."""
-        rows = []
-        for phi_i, mean, L, point_seed in zip(self.phi, self.means, self.factors, pass_seed.spawn(len(self.y))):
-            Z = np.random.default_rng(point_seed).standard_normal((k, L.shape[0]))
-            rows.append((mean + Z @ L.T) @ phi_i)
-        return np.reshape(rows, (len(self.y), k))
+        n, d = self.means.shape
+        Z = np.empty((n, k, d))
+        for z, point_seed in zip(Z, pass_seed.spawn(n)):
+            np.random.default_rng(point_seed).standard_normal(out=z)
+        return ((self.means[:, None, :] + Z @ np.swapaxes(self.factors, 1, 2)) @ self.phi[:, :, None])[:, :, 0]
 
     def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
         """Summed L_k point scores, shape (len(ks), n_seeds), on nested draws of max(ks)."""

@@ -526,6 +526,7 @@ _DEFS = [
             "dt": 0.01, "alpha": 1.0, "beta": 0.0, "weight_scale": 1.0,
         },
         _run_four_rooms,
+        ranges={"k_features": Range(1, 105)},  # the four-rooms walk has 105 states
     ),
     ExperimentDef(
         "random-cumulants", 3,
@@ -589,12 +590,14 @@ _DEFS = [
             "d_features": 12, "eps": 0.01,
         },
         _run_capacity,
+        ranges={"eps": Range(0.0, math.inf, open=True)},
     ),
     ExperimentDef(
         "second-order", 9,
         "Richardson ratios for the step-size-corrected TD flow",
         {"n_states": 5, "gamma": 0.9, "alphas": (0.1, 0.05, 0.025), "t_total": 2.0, "v_scale": 1.0},
         _run_second_order,
+        ranges={"alphas": Range(0.0, math.inf, open=True)},  # each alpha is a step size
     ),
 ]
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .mdp import exact_value
 from .spectral import _basis_of, _span_basis, eigenbasis_coefficients, grassmann_distance, resolvent
@@ -117,6 +116,8 @@ def _closed_form_grid(
     recorded times, computing one ``expm`` per distinct step length.  No
     eigenbasis is involved, so ill-conditioned eigenvectors cannot spoil it.
     """
+    from scipy.linalg import expm  # ~0.3 s to import; only closed-form flows need it
+
     snaps = np.empty((len(times),) + X0.shape)
     current = X0 - offset
     snaps[0] = current + offset

@@ -86,7 +86,10 @@ _OUT_OF_RANGE = [
     ("misa-robustness", "n_seeds", "0"), ("misa-robustness", "n_envs", "1"),
     ("misa-robustness", "n_steps", "3"), ("bms-select", "n_estimator_seeds", "0"),
     ("bms-select", "k_values", "0"), ("bms-select", "k_values", "4,0"),
-    ("bms-select", "ls_samples", "1"),
+    ("bms-select", "ls_samples", "1"), ("four-rooms-features", "k_features", "0"),
+    ("four-rooms-features", "k_features", "500"), ("capacity-ranks", "eps", "0"),
+    ("capacity-ranks", "eps", "-1"), ("second-order", "alphas", "0"),
+    ("second-order", "alphas", "0.1,-0.1"),
 ]
 
 
@@ -229,10 +232,25 @@ def test_console_entry_point_runs():
     assert "two-state" in proc.stdout
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats takes about a second to import and tdlab uses none of it;
-    a fresh interpreter is needed because this one has imported it."""
-    code = "import sys, tdlab.experiments, tdlab.cli; print('scipy.stats' in sys.modules)"
+def _scipy_modules_after(code):
+    """Names of the scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    code += "; import sys; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Importing any scipy module takes ~0.3 s and only closed-form flows and the
+    ICP scan need one, so startup loads none; this interpreter has loaded scipy."""
+    assert _scipy_modules_after("import tdlab.experiments, tdlab.cli") == []
+
+
+def test_exact_and_sampled_evidence_load_no_scipy():
+    code = (
+        "from tdlab.evidence import algorithm1_sumloss, evidence_report, model_selection_task; "
+        "models, data = model_selection_task('prior_variance'); "
+        "evidence_report(models[0], data, n_seeds=2); "
+        "algorithm1_sumloss(models[0], data, seed=0, method='exact')"
+    )
+    assert _scipy_modules_after(code) == []

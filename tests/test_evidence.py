@@ -516,6 +516,14 @@ def test_posterior_container_validation():
         GaussianPosterior(mean=np.zeros(3), covariance=np.eye(2))
 
 
+@pytest.mark.parametrize("field", ["prior_variance", "noise_variance"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_model_refuses_variances_that_are_not_finite_and_positive(field, value):
+    """A NaN variance would otherwise pass ``<= 0`` and turn the exact evidence into NaN."""
+    with pytest.raises(ValueError, match="positive"):
+        BlrModel(**{field: value})
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         OrderedDataset(inputs=np.ones((3, 2)), targets=np.ones(4))

@@ -240,7 +240,10 @@ class _Chain(NamedTuple):
         Z = np.empty((n, k, d))
         for z, point_seed in zip(Z, pass_seed.spawn(n)):
             np.random.default_rng(point_seed).standard_normal(out=z)
-        return ((self.means[:, None, :] + Z @ np.swapaxes(self.factors, 1, 2)) @ self.phi[:, :, None])[:, :, 0]
+        # phi_i^T (mu_i + F_i z) = m_i + z^T (F_i^T phi_i): one mean and one d-vector per point
+        m = np.einsum("id,id->i", self.means, self.phi)
+        w = np.swapaxes(self.factors, 1, 2) @ self.phi[:, :, None]
+        return m[:, None] + (Z @ w)[:, :, 0]
 
     def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
         """Summed L_k point scores, shape (len(ks), n_seeds), on nested draws of max(ks)."""

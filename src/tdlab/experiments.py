@@ -276,17 +276,16 @@ def _run_smooth_kernel(cfg, rng, art):
     """Eigen-kernel generalization across train fractions, targets, and MDP draws."""
     n, gamma = cfg["n_states"], cfg["gamma"]
     S = np.arange(cfg["smooth_k"])
-    problems = []
+    # one (target, fraction) table of MSEs per problem, from one spectrum each
+    mse_tables = []
     for _ in range(cfg["n_mdps"]):
         P = random_walk_matrix(rng, n, cfg["edge_prob"])
-        problems.append((P, rng.standard_normal(n)))
+        R = rng.standard_normal(n)
+        mse_tables.append(smooth_kernel_generalization(
+            P, R, gamma, S, cfg["fractions"], target=cfg["targets"], nstep_n=cfg["nstep_n"]
+        ))
     rows = []
-    for target in cfg["targets"]:
-        # one row of MSEs per problem, one column per train fraction
-        mse_table = np.array([
-            smooth_kernel_generalization(P, R, gamma, S, cfg["fractions"], target=target, nstep_n=cfg["nstep_n"])
-            for P, R in problems
-        ])
+    for target, mse_table in zip(cfg["targets"], np.swapaxes(mse_tables, 0, 1)):
         for frac, mses in zip(cfg["fractions"], mse_table.T):
             rows.append(
                 (
@@ -475,21 +474,23 @@ def _run_second_order(cfg, rng, art):
 
 
 class Range(NamedTuple):
-    """Allowed values of a numeric config key: ``lo <= x <= hi``, or
-    ``lo < x < hi`` when ``open``."""
+    """Allowed values of a numeric config key: from ``lo`` to ``hi``, each end
+    included unless its ``*_open`` flag is set."""
 
     lo: float
     hi: float = math.inf
-    open: bool = False
+    lo_open: bool = False
+    hi_open: bool = False
 
     def admits(self, value) -> bool:
-        return self.lo < value < self.hi if self.open else self.lo <= value <= self.hi
+        above = self.lo < value if self.lo_open else self.lo <= value
+        below = value < self.hi if self.hi_open else value <= self.hi
+        return above and below
 
     def __str__(self) -> str:
-        if self.hi == math.inf and not self.open:
-            return f">= {self.lo:g}"
-        left, right = "()" if self.open else "[]"
-        return f"in {left}{self.lo:g}, {self.hi:g}{right}"
+        if self.hi == math.inf:
+            return f"{'>' if self.lo_open else '>='} {self.lo:g}"
+        return f"in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}{')' if self.hi_open else ']'}"
 
 
 @dataclass(frozen=True)
@@ -508,6 +509,7 @@ _DEFS = [
         "TD vs MC value-flow trajectories on a 2-state MDP",
         {"gamma": 0.9, "t_end": 8.0, "dt": 0.01, "n_inits": 5},
         _run_two_state,
+        ranges={"gamma": Range(0.0, 1.0, hi_open=True), "t_end": Range(0.0), "dt": Range(0.0, lo_open=True)},
     ),
     ExperimentDef(
         "chain-transfer", 1,
@@ -556,6 +558,10 @@ _DEFS = [
             "targets": ("value", "projected-top", "projected-bottom", "nstep"), "nstep_n": 5,
         },
         _run_smooth_kernel,
+        ranges={
+            "n_states": Range(2), "gamma": Range(0.0, 1.0, hi_open=True), "n_mdps": Range(1),
+            "fractions": Range(0.0, 1.0, lo_open=True), "nstep_n": Range(1),
+        },
     ),
     ExperimentDef(
         "bms-select", 6,
@@ -577,7 +583,7 @@ _DEFS = [
         _run_misa,
         # ICP compares >= 2 environments; each needs p + 2 = 5 rows for 3 variables
         ranges={
-            "n_envs": Range(2), "n_steps": Range(5), "alpha": Range(0.0, 1.0, open=True),
+            "n_envs": Range(2), "n_steps": Range(5), "alpha": Range(0.0, 1.0, lo_open=True, hi_open=True),
             "n_seeds": Range(1),
         },
     ),
@@ -590,14 +596,14 @@ _DEFS = [
             "d_features": 12, "eps": 0.01,
         },
         _run_capacity,
-        ranges={"eps": Range(0.0, math.inf, open=True)},
+        ranges={"eps": Range(0.0, lo_open=True)},
     ),
     ExperimentDef(
         "second-order", 9,
         "Richardson ratios for the step-size-corrected TD flow",
         {"n_states": 5, "gamma": 0.9, "alphas": (0.1, 0.05, 0.025), "t_total": 2.0, "v_scale": 1.0},
         _run_second_order,
-        ranges={"alphas": Range(0.0, math.inf, open=True)},  # each alpha is a step size
+        ranges={"alphas": Range(0.0, lo_open=True)},  # each alpha is a step size
     ),
 ]
 

@@ -166,7 +166,7 @@ def smooth_kernel_generalization(
     gamma: float,
     S,
     train_fraction,
-    target: str = "value",
+    target="value",
     nstep_n: int | None = None,
 ) -> float | np.ndarray:
     """Held-out MSE of eigen-kernel regression ``K_S(x, y) = sum_{i in S} v_i(x) v_i(y)``.
@@ -174,18 +174,24 @@ def smooth_kernel_generalization(
     ``S`` indexes eigenvectors in decreasing-real-part order (0 = smoothest).
     The training subset is the first ``floor(n * train_fraction)`` states;
     with ``train_fraction = 1`` the MSE is evaluated on all states instead of
-    the (empty) held-out set.  ``train_fraction`` may also be a sequence,
-    which returns an array of one MSE per fraction from one spectrum.
+    the (empty) held-out set.
     Targets: the exact value function ("value"), its orthogonal projection
     onto span(S) ("projected-top") or onto the complementary eigenvectors
     ("projected-bottom"), or the n-step return target
     ``sum_{j<n} (gamma P)^j R`` ("nstep", with ``nstep_n``).
+
+    ``target`` and ``train_fraction`` may each be a sequence; all of them
+    share one spectrum, one exact value and one Gram matrix.  A scalar pair
+    returns a float; otherwise the array has one axis per sequence, targets
+    first: ``(n_targets, n_fractions)`` for two sequences.  Each entry equals
+    the scalar call for its (target, fraction).
 
     Requires a real spectrum; raises :class:`NonRealSpectrum` otherwise.
     """
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
     n = P.shape[0]
+    targets = (target,) if isinstance(target, str) else tuple(target)
     fractions = np.atleast_1d(np.asarray(train_fraction, dtype=float))
     if not np.all((fractions > 0.0) & (fractions <= 1.0)):
         raise ValueError("train_fraction must lie in (0, 1]")
@@ -197,35 +203,44 @@ def smooth_kernel_generalization(
     basis = V[:, S]
 
     Vpi = exact_value(P, R, gamma)
-    if target == "value":
-        y = Vpi
-    elif target == "projected-top":
-        y = _orthogonal_projection(Vpi, basis)
-    elif target == "projected-bottom":
-        complement = np.setdiff1d(np.arange(n), S)
-        y = _orthogonal_projection(Vpi, V[:, complement])
-    elif target == "nstep":
-        if nstep_n is None or nstep_n < 1:
-            raise ValueError("target 'nstep' requires a positive nstep_n")
-        y = np.zeros(n)
-        term = R.copy()
-        for _ in range(nstep_n):
-            y += term
-            term = gamma * (P @ term)
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    ys = []
+    for name in targets:
+        if name == "value":
+            y = Vpi
+        elif name == "projected-top":
+            y = _orthogonal_projection(Vpi, basis)
+        elif name == "projected-bottom":
+            complement = np.setdiff1d(np.arange(n), S)
+            y = _orthogonal_projection(Vpi, V[:, complement])
+        elif name == "nstep":
+            if nstep_n is None or nstep_n < 1:
+                raise ValueError("target 'nstep' requires a positive nstep_n")
+            y = np.zeros(n)
+            term = R.copy()
+            for _ in range(nstep_n):
+                y += term
+                term = gamma * (P @ term)
+        else:
+            raise ValueError(f"unknown target {name!r}")
+        ys.append(y)
 
     K = basis @ basis.T
-    mses = []
-    for fraction in fractions:
+    mses = np.empty((len(targets), fractions.size))
+    for j, fraction in enumerate(fractions):
         n_train = int(np.floor(n * fraction))
         if n_train < 1:
             raise ValueError("train_fraction keeps no training states")
         train = np.arange(n_train)
         test = np.arange(n_train, n) if n_train < n else np.arange(n)
-        alpha = np.linalg.solve(
-            K[np.ix_(train, train)] + _JITTER * np.eye(n_train), y[train]
-        )
-        pred = K[np.ix_(test, train)] @ alpha
-        mses.append(float(np.mean((pred - y[test]) ** 2)))
-    return mses[0] if np.ndim(train_fraction) == 0 else np.array(mses)
+        K_train = K[np.ix_(train, train)] + _JITTER * np.eye(n_train)
+        K_cross = K[np.ix_(test, train)]
+        # one single-right-hand-side solve per target: a stacked solve moves
+        # the MSEs by rounding, since K_train has rank |S| under a tiny ridge
+        for i, y in enumerate(ys):
+            pred = K_cross @ np.linalg.solve(K_train, y[train])
+            mses[i, j] = np.mean((pred - y[test]) ** 2)
+    if isinstance(target, str):
+        mses = mses[0]
+    if np.ndim(train_fraction) == 0:
+        mses = mses[..., 0]
+    return float(mses) if mses.ndim == 0 else mses

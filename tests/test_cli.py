@@ -90,6 +90,12 @@ _OUT_OF_RANGE = [
     ("four-rooms-features", "k_features", "500"), ("capacity-ranks", "eps", "0"),
     ("capacity-ranks", "eps", "-1"), ("second-order", "alphas", "0"),
     ("second-order", "alphas", "0.1,-0.1"),
+    ("smooth-kernel-generalization", "fractions", "0.0,0.5"),
+    ("smooth-kernel-generalization", "fractions", "0.5,2.0"),
+    ("smooth-kernel-generalization", "gamma", "1.0"), ("smooth-kernel-generalization", "gamma", "1.5"),
+    ("smooth-kernel-generalization", "nstep_n", "0"), ("smooth-kernel-generalization", "n_states", "1"),
+    ("smooth-kernel-generalization", "n_mdps", "0"), ("two-state", "gamma", "1"),
+    ("two-state", "gamma", "-0.5"), ("two-state", "t_end", "-1"), ("two-state", "dt", "0"),
 ]
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tdlab import kernel_td
+from tdlab.experiments import run_experiment
 from tdlab.flows import DivergenceDetected, FlowConfig
 from tdlab.kernel_td import (
     KernelSpec,
@@ -14,7 +16,7 @@ from tdlab.kernel_td import (
     split_kernel,
 )
 from tdlab.mdp import build_circle_mdp, random_walk_matrix, transition_matrix, uniform_policy
-from tdlab.spectral import NonRealSpectrum
+from tdlab.spectral import NonRealSpectrum, eigendecompose
 from test_flows import assert_matches_step_loop, step_loop
 
 
@@ -268,3 +270,38 @@ def test_smooth_kernel_fraction_sequence_matches_scalar_calls(target):
     scalar = [smooth_kernel_generalization(*args, f, target=target, nstep_n=3) for f in fractions]
     assert isinstance(scalar[0], float)
     assert np.array_equal(mses, scalar)
+
+
+_TARGETS = ("value", "projected-top", "projected-bottom", "nstep")
+
+
+@pytest.mark.parametrize("fractions", [0.5, (0.2, 0.5, 0.9, 1.0)], ids=["scalar", "sequence"])
+def test_smooth_kernel_target_sequence_matches_scalar_calls(fractions):
+    P = real_walk(6)
+    R = np.random.default_rng(6).standard_normal(30)
+    args = (P, R, 0.9, np.arange(12))
+    table = smooth_kernel_generalization(*args, fractions, target=_TARGETS, nstep_n=3)
+    scalar = [
+        [smooth_kernel_generalization(*args, f, target=t, nstep_n=3) for f in np.atleast_1d(fractions)]
+        for t in _TARGETS
+    ]
+    assert table.shape == (len(_TARGETS),) + np.shape(fractions)
+    assert np.array_equal(table, np.reshape(scalar, table.shape))
+
+
+def test_smooth_kernel_rejects_an_unknown_target_in_a_sequence():
+    P = real_walk(7)
+    with pytest.raises(ValueError, match="unknown target 'bogus'"):
+        smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), 0.5, target=("value", "bogus"))
+
+
+def test_smooth_kernel_experiment_decomposes_each_mdp_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_eigendecompose(P):
+        calls.append(P)
+        return eigendecompose(P)
+
+    monkeypatch.setattr(kernel_td, "eigendecompose", counting_eigendecompose)
+    run_experiment("smooth-kernel-generalization", {"n_mdps": 3}, tmp_path, seed=0)
+    assert len(calls) == 3

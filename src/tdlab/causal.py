@@ -4,9 +4,13 @@ Multi-environment datasets carry per-step inputs, next-step values, and
 rewards.  A regression's residuals are judged invariant when neither their
 means nor their variances differ detectably across environments; subsets that
 pass are causal candidates, and the closure loop walks from the reward through
-its ancestors.  Mean-centred Levene is by definition the one-way F-test of the
-absolute deviations from each environment's mean, so one numpy ANOVA serves
-both tests, with p-values from ``scipy.special.fdtrc``.  The synthetic
+its ancestors.  Every subset's design is a column subset of one pooled design
+``D = [1, X]``, so each dataset is factored once, ``D = QR``: a subset's fit
+is the projection onto the span of its columns of the small ``R``, and one
+QR serves all 2^p subsets of every target the closure expands.  Mean-centred
+Levene is by definition the one-way F-test of the absolute deviations from
+each environment's mean, so one numpy ANOVA serves both tests, with p-values
+from ``scipy.special.fdtrc``.  The synthetic
 three-variable family reproduces the classic trap where a non-causal variable
 mirrors a causal one.
 """
@@ -95,14 +99,61 @@ def _anova_pvalues(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     ss_between -= normalized_ss
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (ss_between / (k - 1)) / ((ss_total - ss_between) / (n - k))
-    constant = [np.all(np.diff(g, axis=1) == 0, axis=1) for g in np.split(values, edges, axis=1)]
-    f[np.all(constant, axis=0)] = np.inf
-    f[np.all(np.diff(values, axis=1) == 0, axis=1)] = np.nan
+    same = np.diff(values, axis=1) == 0
+    row_constant = same.all(axis=1)
+    same[:, edges - 1] = True  # a step from one group into the next never breaks a group
+    f[same.all(axis=1)] = np.inf
+    f[row_constant] = np.nan
     return fdtrc(k - 1, n - k, f)
 
 
-def _scan_subsets(target_by_env, candidates, data: EnvDataset) -> dict:
-    """P-value for every candidate subset; rank-deficient fits map to None.
+class _SubsetFits(NamedTuple):
+    """Least-squares fits of every candidate subset, read off one QR factor.
+
+    ``q`` is the orthonormal factor of the pooled design ``D = [1, X]``
+    (its candidate columns only); ``projectors[j]`` projects onto the span of
+    ``R``'s columns for ``subsets[j]`` (with the intercept), so the fitted
+    values of a target ``y`` are ``q @ projectors[j] @ q.T @ y``.
+    """
+
+    q: np.ndarray            # (n, c + 1)
+    subsets: list            # every subset of the candidates, by size
+    projectors: np.ndarray   # (2^c, c + 1, c + 1)
+    full_rank: np.ndarray    # (2^c,) bool, lstsq's rank rule
+    edges: np.ndarray        # environment boundaries in the pooled rows
+
+
+def _subset_fits(candidates, data: EnvDataset) -> _SubsetFits:
+    """Factor the pooled design once and derive every subset's projector.
+
+    With ``D = QR``, the design of subset S is ``Q R_S`` (``R_S``: the
+    intercept and S's columns of ``R``), so S's fit needs only the small
+    ``R_S``.  One stacked SVD per subset size gives each ``R_S``'s singular
+    values, which are the design's; those above lstsq's ``rcond=None`` cut,
+    ``eps * max(n, |S| + 1) * sigma_max``, span the fit and set the rank.
+    """
+    X = np.vstack([env.inputs for env in data.environments])
+    n, c = X.shape[0], len(candidates)
+    q, r = np.linalg.qr(np.column_stack([np.ones(n), X[:, list(candidates)]]))
+    # the intercept's column is exactly sign(r00)/sqrt(n); writing it so keeps
+    # the residuals of a target constant in an environment exactly constant there
+    q[:, 0] = np.copysign(1.0 / np.sqrt(n), r[0, 0])
+    subsets, projectors, full_rank = [], [], []
+    for size in range(c + 1):
+        positions = list(combinations(range(c), size))
+        columns = np.array([(0,) + tuple(1 + a for a in s) for s in positions])
+        u, sv, _ = np.linalg.svd(r[:, columns].swapaxes(0, 1), full_matrices=False)
+        kept = sv > np.finfo(float).eps * max(n, size + 1) * sv[:, :1]
+        u = u * kept[:, None, :]
+        subsets += [tuple(candidates[a] for a in s) for s in positions]
+        projectors.append(u @ u.transpose(0, 2, 1))
+        full_rank.append(kept.all(axis=1))
+    edges = np.cumsum([env.inputs.shape[0] for env in data.environments])[:-1]
+    return _SubsetFits(q, subsets, np.concatenate(projectors), np.concatenate(full_rank), edges)
+
+
+def _scan_subsets(target_by_env, fits: _SubsetFits) -> dict:
+    """P-value for every subset in ``fits``; rank-deficient fits map to None.
 
     Each subset's pooled residuals are one matrix row, and two F-tests
     judge up to ``_SCAN_BLOCK`` rows at once (bounding memory at 12
@@ -111,26 +162,22 @@ def _scan_subsets(target_by_env, candidates, data: EnvDataset) -> dict:
     They are Bonferroni-combined; constant residuals, which neither test can
     judge, map to 1.0.
     """
-    X = np.vstack([env.inputs for env in data.environments])
     y = np.concatenate([np.asarray(t, dtype=float) for t in target_by_env])
-    edges = np.cumsum([env.inputs.shape[0] for env in data.environments])[:-1]
-    subsets = [s for r in range(len(candidates) + 1) for s in combinations(candidates, r)]
+    b = fits.q.T @ y
+    edges = fits.edges
     table = {}
-    for start in range(0, len(subsets), _SCAN_BLOCK):
-        block = subsets[start : start + _SCAN_BLOCK]
-        residuals = np.empty((len(block), len(y)))
-        full_rank = []
-        for j, subset in enumerate(block):
-            design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
-            coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-            residuals[j] = y - design @ coef
-            full_rank.append(rank == design.shape[1])
+    for start in range(0, len(fits.subsets), _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        residuals = y - (fits.projectors[block] @ b) @ fits.q.T
         deviations = np.hstack(
             [np.abs(r - r.mean(axis=1, keepdims=True)) for r in np.split(residuals, edges, axis=1)]
         )
         p_min = np.fmin(_anova_pvalues(residuals, edges), _anova_pvalues(deviations, edges))
         pvalues = np.where(np.isnan(p_min), 1.0, np.minimum(1.0, 2.0 * p_min))
-        table.update((s, float(pv) if ok else None) for s, pv, ok in zip(block, pvalues, full_rank))
+        table.update(
+            (s, float(pv) if ok else None)
+            for s, pv, ok in zip(fits.subsets[block], pvalues, fits.full_rank[block])
+        )
     return table
 
 
@@ -168,7 +215,7 @@ def icp_parents(target_by_env, candidates, data: EnvDataset, alpha: float) -> fr
     _check_scan(len(candidates), data, alpha)
     if len(target_by_env) != data.n_envs:
         raise ValueError("target must provide one vector per environment")
-    return _accepted_parents(_scan_subsets(target_by_env, candidates, data), alpha)[0]
+    return _accepted_parents(_scan_subsets(target_by_env, _subset_fits(candidates, data)), alpha)[0]
 
 
 def linear_misa(data: EnvDataset, alpha: float = 0.05) -> CausalReport:
@@ -185,7 +232,7 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05) -> CausalReport:
     p = data.n_vars
     _check_scan(p, data, alpha)
     per_call_alpha = alpha / p
-    candidates = tuple(range(p))
+    fits = _subset_fits(tuple(range(p)), data)
     table_all = {}
     selected: set = set()
     stack = [_REWARD]
@@ -200,7 +247,7 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05) -> CausalReport:
             target = [env.rewards for env in data.environments]
         else:
             target = [env.next_inputs[:, node] for env in data.environments]
-        table = _scan_subsets(target, candidates, data)
+        table = _scan_subsets(target, fits)
         for subset, pv in table.items():
             table_all[(node, subset)] = pv
         parents, identified = _accepted_parents(table, per_call_alpha)

@@ -72,13 +72,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(column):
+    """``_format_cell`` of every cell, with one ``map`` for a column of floats
+    or of ints and strings (bools and other types go cell by cell)."""
+    kinds = set(map(type, column))
+    if kinds <= {float, np.float64}:
+        return map("%.17g".__mod__, column)
+    if kinds <= {int, np.int64, str}:
+        return map(str, column)
+    return map(_format_cell, column)
+
+
 def write_csv(path: Path, header, rows) -> None:
-    """Write a CSV atomically with deterministic float formatting."""
+    """Write a CSV atomically with deterministic float formatting.
+
+    Every row must have one cell per header column."""
+    rows = list(rows)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path.name}: every row must have {len(header)} cells")
+    columns = [_format_column(column) for column in zip(*rows)]
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(c) for c in row) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
     os.replace(tmp, path)
 
 
@@ -442,6 +458,10 @@ def _run_capacity(cfg, rng, art):
     return {"tabular_max_offdiagonal": off_diag}
 
 
+def _richardson_steps(t_total: float, alpha: float) -> int:
+    return int(round(t_total / alpha))
+
+
 def _run_second_order(cfg, rng, art):
     """Richardson table for the discrete-TD step-size correction."""
     mdp = random_mdp(rng, cfg["n_states"])
@@ -450,7 +470,7 @@ def _run_second_order(cfg, rng, art):
     table_rows = []
     errors = []
     for alpha in cfg["alphas"]:
-        n_steps = int(round(cfg["t_total"] / alpha))
+        n_steps = _richardson_steps(cfg["t_total"], alpha)
         discrete, first, corrected = second_order_check(
             V0, P, mdp.rewards, cfg["gamma"], alpha, n_steps
         )
@@ -501,6 +521,21 @@ class ExperimentDef:
     defaults: dict
     runner: object
     ranges: dict = field(default_factory=dict)  # key -> Range, checked item by item for lists
+    check: object = None  # config -> None, raising ConfigError for values no one key's range refuses
+
+
+def _check_smooth_kernel(cfg) -> None:
+    name, n = "smooth-kernel-generalization", cfg["n_states"]
+    if cfg["smooth_k"] > n:
+        raise ConfigError(f"{name}.smooth_k: {cfg['smooth_k']} eigenvectors exceed n_states = {n}")
+    if math.floor(n * min(cfg["fractions"])) < 1:
+        raise ConfigError(f"{name}.fractions: {min(cfg['fractions'])} of {n} states keeps no training state")
+
+
+def _check_second_order(cfg) -> None:
+    for alpha in cfg["alphas"]:
+        if _richardson_steps(cfg["t_total"], alpha) < 1:
+            raise ConfigError(f"second-order.alphas: {alpha} rounds t_total = {cfg['t_total']} to no steps")
 
 
 _DEFS = [
@@ -562,6 +597,7 @@ _DEFS = [
             "n_states": Range(2), "gamma": Range(0.0, 1.0, hi_open=True), "n_mdps": Range(1),
             "fractions": Range(0.0, 1.0, lo_open=True), "nstep_n": Range(1),
         },
+        check=_check_smooth_kernel,
     ),
     ExperimentDef(
         "bms-select", 6,
@@ -604,6 +640,7 @@ _DEFS = [
         {"n_states": 5, "gamma": 0.9, "alphas": (0.1, 0.05, 0.025), "t_total": 2.0, "v_scale": 1.0},
         _run_second_order,
         ranges={"alphas": Range(0.0, lo_open=True)},  # each alpha is a step size
+        check=_check_second_order,
     ),
 ]
 
@@ -648,16 +685,19 @@ def _coerce(name: str, key: str, default, raw, bounds: Range | None = None):
 
 
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
-    """Merge overrides into an experiment's defaults, rejecting unknown keys
-    and values outside a key's declared range."""
+    """Merge overrides into an experiment's defaults, rejecting unknown keys,
+    values outside a key's declared range and combinations the experiment's
+    check refuses."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choices: {', '.join(EXPERIMENT_ORDER)}")
-    defaults, ranges = EXPERIMENTS[name].defaults, EXPERIMENTS[name].ranges
-    config = dict(defaults)
+    exp = EXPERIMENTS[name]
+    config = dict(exp.defaults)
     for key, raw in (overrides or {}).items():
-        if key not in defaults:
+        if key not in exp.defaults:
             raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
-        config[key] = _coerce(name, key, defaults[key], raw, ranges.get(key))
+        config[key] = _coerce(name, key, exp.defaults[key], raw, exp.ranges.get(key))
+    if exp.check is not None:
+        exp.check(config)
     return config
 
 

@@ -11,6 +11,7 @@ from tdlab.causal import (
     InsufficientEnvironments,
     _scan_subsets,
     _simulate_three_var,
+    _subset_fits,
     build_synthetic_family,
     fit_reward_weights,
     icp_parents,
@@ -183,14 +184,18 @@ def test_synthetic_family_intervention_inflates_one_variable():
         assert np.all(np.delete(variances, e) < 2.0)
 
 
-def reference_scan(target_by_env, data):
-    """Per-subset invariance scan: rank check, fit, then the two scipy tests."""
+def all_subsets(p):
+    return [s for r in range(p + 1) for s in combinations(range(p), r)]
+
+
+def reference_scan(target_by_env, data, subsets=None):
+    """Per-subset invariance scan: rank check, fit, then the two scipy tests
+    (of every subset of the variables, or of ``subsets``)."""
     X = np.vstack([env.inputs for env in data.environments])
     y = np.concatenate(target_by_env)
     edges = np.cumsum([0] + [env.inputs.shape[0] for env in data.environments])
     table = {}
-    p = data.n_vars
-    for subset in (s for r in range(p + 1) for s in combinations(range(p), r)):
+    for subset in all_subsets(data.n_vars) if subsets is None else subsets:
         design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
         if np.linalg.matrix_rank(design) < design.shape[1]:
             table[subset] = None
@@ -276,24 +281,73 @@ def test_scan_matches_scipy_for_unequal_environments(sizes):
     scale drift by environment, so the scan rejects invariance."""
     data = random_dataset(sizes, seed=len(sizes))
     target = [(1.0 + e) * env.rewards + e + env.inputs[:, 0] for e, env in enumerate(data.environments)]
-    table = _scan_subsets(target, (0, 1), data)
+    table = _scan_subsets(target, _subset_fits((0, 1), data))
     assert_same_table(table, reference_scan(target, data))
     assert max(table.values()) < 0.05
 
 
-@pytest.mark.parametrize("sizes", [(7, 12), (5, 9, 6, 11, 8)])
+@pytest.mark.parametrize("sizes", [(7, 12), (5, 9, 6, 11, 8), (5, 7), (100, 200)])
 def test_scan_of_constant_residuals_matches_scipy(sizes):
     """Intercept-only residuals of a target that is constant in each
     environment: F = inf (p = 0) when the constants differ across
-    environments, NaN (mapped to 1.0) when every value is the same."""
+    environments, NaN (mapped to 1.0) when every value is the same.  The
+    intercept-only fit read off the factor of a wider design is just as
+    exact."""
     data = random_dataset(sizes, seed=7)
     steps = [np.full(n, float(e)) for e, n in enumerate(sizes)]
     flat = [np.full(n, 2.5) for n in sizes]
     for target, want in ((steps, 0.0), (flat, 1.0)):
         with np.errstate(divide="ignore", invalid="ignore"):  # scipy's levene divides by zero
             assert reference_scan(target, data)[()] == want
-        assert _scan_subsets(target, (), data) == {(): want}
+        assert _scan_subsets(target, _subset_fits((), data)) == {(): want}
+        assert _scan_subsets(target, _subset_fits((0, 1), data))[()] == want
     assert icp_parents(steps, range(2), data, alpha=0.05) == frozenset()
+
+
+def test_twelve_variable_scan_matches_per_subset_oracle():
+    """At the 12-variable cap: 4,096 subsets across 64 scan blocks, from one
+    factor.  The reward is x0 + x1 + noise and the environments rescale x0, x1
+    and four other inputs, so only supersets of {x0, x1} are invariant.  The
+    oracle takes ~2 ms a subset, so it checks every 7th subset, which lands
+    on every position of a block."""
+    rng = np.random.default_rng(12)
+    envs = []
+    for e in range(3):
+        scales = np.ones(12)
+        scales[[e, 2 + e, 5 + e]] = 3.0
+        inputs = scales * rng.standard_normal((40, 12))
+        rewards = inputs[:, 0] + inputs[:, 1] + 0.5 * rng.standard_normal(40)
+        envs.append(Environment(inputs, rng.standard_normal((40, 12)), rewards))
+    data = EnvDataset(environments=tuple(envs))
+    target = reward_targets(data)
+    table = _scan_subsets(target, _subset_fits(tuple(range(12)), data))
+    assert list(table) == all_subsets(12)
+    sampled = all_subsets(12)[::7]
+    assert_same_table({s: table[s] for s in sampled}, reference_scan(target, data, sampled))
+    accepted = [frozenset(s) for s, p in table.items() if p is not None and p > 0.05]
+    assert frozenset.intersection(*accepted) == frozenset({0, 1})
+    assert icp_parents(target, range(12), data, alpha=0.05) == frozenset({0, 1})
+
+
+def test_linear_misa_factors_each_dataset_once(monkeypatch):
+    """One QR of the pooled design serves the reward scan and the scan of every
+    expanded variable; no subset design is refitted by lstsq."""
+    calls = {"qr": 0, "lstsq": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    report = linear_misa(build_synthetic_family(seed=0, n_steps=300))
+    assert {node for node, _ in report.per_subset_pvalues} == {"reward", 0, 1}
+    assert calls == {"qr": 1, "lstsq": 0}
 
 
 def reference_simulation(rng, n_steps, noise_scales, clamp=None):

@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tdlab.cli import main
-from tdlab.experiments import EXPERIMENT_ORDER, EXPERIMENTS, ConfigError, resolve_config
+from tdlab.experiments import EXPERIMENT_ORDER, EXPERIMENTS, ConfigError, resolve_config, write_csv
 
 
 def run_cli(args):
@@ -109,6 +110,51 @@ def test_out_of_range_value_is_config_error(tmp_path, section, key, value):
     assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         resolve_config(section, {key: value})
+
+
+_INCONSISTENT = [
+    ("smooth-kernel-generalization", "n_states = 10\nsmooth_k = 20", "smooth_k"),
+    ("smooth-kernel-generalization", "n_states = 2\nsmooth_k = 2", "fractions"),
+    ("second-order", "alphas = 0.5\nt_total = 0.2", "alphas"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, body, key", _INCONSISTENT, ids=["smooth_k-above-n_states", "no-train-state", "no-steps"]
+)
+def test_inconsistent_keys_are_config_errors(tmp_path, section, body, key):
+    """Values each in range that together fail at run time: more eigenvectors
+    than states, a train fraction that keeps no state, a step longer than
+    the horizon."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{body}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    overrides = dict(line.split(" = ") for line in body.splitlines())
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        resolve_config(section, overrides)
+
+
+def test_write_csv_formats_every_cell_type(tmp_path):
+    """Columns of one type and mixed columns format exactly as cell by cell;
+    a row whose length differs from the header's is refused."""
+    header = ("b", "nb", "i", "ni", "f", "nf", "text", "mixed", "nan")
+    rows = [
+        (True, np.bool_(False), 3, np.int64(-4), 0.1, np.float64(1e-300), "", 2, float("nan")),
+        (False, np.bool_(True), -7, np.int64(2**62), -0.0, np.float64(np.inf), "x y", 2.5, np.float64("nan")),
+        (True, np.bool_(True), 0, np.int64(0), 1e16, np.float64(-2.0), "z", True, float("nan")),
+    ]
+    path = tmp_path / "cells.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == (
+        b"b,nb,i,ni,f,nf,text,mixed,nan\n"
+        b"true,false,3,-4,0.10000000000000001,1e-300,,2,nan\n"
+        b"false,true,-7,4611686018427387904,-0,inf,x y,2.5,nan\n"
+        b"true,true,0,0,10000000000000000,-2,z,true,nan\n"
+    )
+    with pytest.raises(ValueError, match="3 cells"):
+        write_csv(tmp_path / "ragged.csv", ("a", "b", "c"), [(1, 2, 3), (4, 5)])
+    assert not (tmp_path / "ragged.csv").exists()
 
 
 def test_declared_ranges_admit_the_defaults():

@@ -21,14 +21,16 @@ def main():
     held_out = np.setdiff1d(np.arange(n), train_idx)
     embedding = circle_embedding(n, radius=800.0)
 
+    lengthscales = (0.01, 1.0, 100.0)
+    kernels = [split_kernel(KernelSpec(lengthscale=ell, embedding=embedding), train_idx)
+               for ell in lengthscales]
+
     print(f"{'gamma':>6} {'lengthscale':>12}  outcome")
     for gamma in (0.5, 0.9, 0.99):
-        for ell in (0.01, 1.0, 100.0):
-            split = split_kernel(KernelSpec(lengthscale=ell, embedding=embedding), train_idx)
-            cfg = FlowConfig(gamma=gamma, t_end=100.0, dt=1.0, method="euler")
+        cfg = FlowConfig(gamma=gamma, t_end=100.0, dt=1.0, method="euler")
+        for ell, K_all in zip(lengthscales, kernels):
             try:
-                traj = kernel_td_flow(np.zeros(n), split, P, mdp.rewards,
-                                      gamma, train_idx, cfg)
+                traj = kernel_td_flow(np.zeros(n), K_all, P, mdp.rewards, train_idx, cfg)
             except DivergenceDetected as exc:
                 print(f"{gamma:6.2f} {ell:12.2f}  diverged at t = {exc.time:.0f} "
                       f"(sup {exc.sup_norm:.1e})")

@@ -56,7 +56,6 @@ from .flows import (
 )
 from .kernel_td import (
     KernelSpec,
-    SplitKernel,
     build_kernel,
     circle_embedding,
     kernel_td_flow,

@@ -117,14 +117,17 @@ class ArtifactWriter:
 # experiment runners
 
 
+def _two_state_flow_config(cfg) -> FlowConfig:
+    return FlowConfig(gamma=cfg["gamma"], t_end=cfg["t_end"], dt=cfg["dt"], method="closed_form")
+
+
 def _run_two_state(cfg, rng, art):
     """TD vs MC value trajectories on a fixed 2-state MDP."""
     trans = np.array([[[0.2, 0.8]], [[0.8, 0.2]]])
     mdp = TabularMdp(trans, np.array([1.0, 0.0]))
     P = transition_matrix(mdp, uniform_policy(mdp))
-    gamma = cfg["gamma"]
     v0 = rng.uniform(-2.0, 2.0, size=(2, cfg["n_inits"]))
-    flow_cfg = FlowConfig(gamma=gamma, t_end=cfg["t_end"], dt=cfg["dt"], method="closed_form")
+    flow_cfg = _two_state_flow_config(cfg)
     rows = []
     for flow_name, flow in (("td", td_value_flow), ("mc", mc_value_flow)):
         traj = flow(v0, P, mdp.rewards, flow_cfg)
@@ -169,6 +172,12 @@ def _run_chain_transfer(cfg, rng, art):
     return derived
 
 
+def _four_rooms_flow_configs(cfg) -> list[FlowConfig]:
+    """One flow config per ``m_heads`` entry M, with feature rate ``alpha / M``."""
+    shared = dict(gamma=cfg["gamma"], beta=cfg["beta"], t_end=cfg["t_end"], dt=cfg["dt"], method="rk4")
+    return [FlowConfig(alpha=cfg["alpha"] / M, **shared) for M in cfg["m_heads"]]
+
+
 def _run_four_rooms(cfg, rng, art):
     """Coupled feature flows on the four-rooms walk, tracked against the top EBFs."""
     mdp = build_four_rooms()
@@ -177,22 +186,19 @@ def _run_four_rooms(cfg, rng, art):
     spectrum = eigendecompose(P)
     target = subspace_from_span(real_invariant_basis(spectrum, K))
     rows = []
-    for M in cfg["m_heads"]:
+    for M, flow_cfg in zip(cfg["m_heads"], _four_rooms_flow_configs(cfg)):
         phi0 = rng.standard_normal((mdp.n_states, K))
         w0 = cfg["weight_scale"] * rng.standard_normal((K, M))
-        flow_cfg = FlowConfig(
-            gamma=cfg["gamma"],
-            alpha=cfg["alpha"] / M,
-            beta=cfg["beta"],
-            t_end=cfg["t_end"],
-            dt=cfg["dt"],
-            method="rk4",
-        )
         traj = coupled_feature_flow(phi0, w0, P, mdp.rewards, flow_cfg)
         metric = grassmann_convergence_metric(traj, target)
         rows.extend((M, t, d) for t, d in zip(traj.times, metric))
     art.csv("feature_convergence", ("m_heads", "t", "grassmann_distance"), rows)
     return {"n_states": mdp.n_states, "k_features": K}
+
+
+def _random_cumulants_flow_config(cfg) -> FlowConfig:
+    """The flow's feature rate is ``1 / m_heads``."""
+    return FlowConfig(gamma=cfg["gamma"], alpha=1.0 / cfg["m_heads"], t_end=cfg["t_end"], dt=cfg["dt"], method="rk4")
 
 
 def _run_random_cumulants(cfg, rng, art):
@@ -225,10 +231,7 @@ def _run_random_cumulants(cfg, rng, art):
     phi0 = rng.standard_normal((n, K))
     w0 = rng.standard_normal((K, M))
     cumulants = rng.standard_normal((n, M))
-    flow_cfg = FlowConfig(
-        gamma=gamma, alpha=1.0 / M, beta=0.0, t_end=cfg["t_end"], dt=cfg["dt"], method="rk4"
-    )
-    traj = random_cumulant_flow(phi0, w0, cumulants, P, flow_cfg)
+    traj = random_cumulant_flow(phi0, w0, cumulants, P, _random_cumulants_flow_config(cfg))
     metric = grassmann_convergence_metric(traj, subspace_from_span(psi @ cumulants))
     art.csv(
         "flow_alignment",
@@ -238,25 +241,28 @@ def _run_random_cumulants(cfg, rng, art):
     return {"final_rel_frobenius": err_rows[-1][1]}
 
 
+def _kernel_circle_setup(cfg) -> tuple[list[FlowConfig], list[KernelSpec]]:
+    """One flow config per ``gammas`` entry and one kernel per ``lengthscales`` entry."""
+    embedding = circle_embedding(cfg["n_states"], cfg["radius"])
+    return (
+        [FlowConfig(gamma=g, t_end=cfg["t_end"], dt=cfg["dt"], method=cfg["method"]) for g in cfg["gammas"]],
+        [KernelSpec(lengthscale=ell, embedding=embedding) for ell in cfg["lengthscales"]],
+    )
+
+
 def _run_kernel_circle(cfg, rng, art):
     """Stability/generalization sweep of kernel TD on the circle MDP."""
     mdp, train_idx = build_circle_mdp(cfg["n_states"], cfg["reward_state"], cfg["n_train"])
     P = transition_matrix(mdp, uniform_policy(mdp))
-    embedding = circle_embedding(cfg["n_states"], cfg["radius"])
+    flow_cfgs, specs = _kernel_circle_setup(cfg)
+    kernels = [split_kernel(spec, train_idx) for spec in specs]
     sweep_rows = []
     value_header = ("t", "diverged") + tuple(f"v_{s}" for s in range(cfg["n_states"]))
-    for gamma in cfg["gammas"]:
-        for ell in cfg["lengthscales"]:
-            spec = KernelSpec(lengthscale=ell, embedding=embedding)
-            split = split_kernel(spec, train_idx)
-            flow_cfg = FlowConfig(
-                gamma=gamma, t_end=cfg["t_end"], dt=cfg["dt"], method=cfg["method"]
-            )
+    for gamma, flow_cfg in zip(cfg["gammas"], flow_cfgs):
+        for ell, K_all in zip(cfg["lengthscales"], kernels):
             name = f"trajectory_gamma{gamma:g}_ell{ell:g}"
             try:
-                traj = kernel_td_flow(
-                    np.zeros(cfg["n_states"]), split, P, mdp.rewards, gamma, train_idx, flow_cfg
-                )
+                traj = kernel_td_flow(np.zeros(cfg["n_states"]), K_all, P, mdp.rewards, train_idx, flow_cfg)
             except DivergenceDetected as exc:
                 sweep_rows.append((gamma, ell, "diverged", exc.time, exc.sup_norm, "", ""))
                 partial = exc.trajectory
@@ -521,7 +527,9 @@ class ExperimentDef:
     defaults: dict
     runner: object
     ranges: dict = field(default_factory=dict)  # key -> Range, checked item by item for lists
-    check: object = None  # config -> None, raising ConfigError for values no one key's range refuses
+    # config -> anything; refuses values that pass every key's range with a ConfigError,
+    # or with a ValueError whose message opens with the refused field (FlowConfig's, KernelSpec's)
+    check: object = None
 
 
 def _check_smooth_kernel(cfg) -> None:
@@ -544,7 +552,7 @@ _DEFS = [
         "TD vs MC value-flow trajectories on a 2-state MDP",
         {"gamma": 0.9, "t_end": 8.0, "dt": 0.01, "n_inits": 5},
         _run_two_state,
-        ranges={"gamma": Range(0.0, 1.0, hi_open=True), "t_end": Range(0.0), "dt": Range(0.0, lo_open=True)},
+        check=_two_state_flow_config,
     ),
     ExperimentDef(
         "chain-transfer", 1,
@@ -563,7 +571,8 @@ _DEFS = [
             "dt": 0.01, "alpha": 1.0, "beta": 0.0, "weight_scale": 1.0,
         },
         _run_four_rooms,
-        ranges={"k_features": Range(1, 105)},  # the four-rooms walk has 105 states
+        ranges={"k_features": Range(1, 105), "m_heads": Range(1)},  # k_features: the walk has 105 states
+        check=_four_rooms_flow_configs,
     ),
     ExperimentDef(
         "random-cumulants", 3,
@@ -573,6 +582,8 @@ _DEFS = [
             "t_end": 6.0, "dt": 0.01,
         },
         _run_random_cumulants,
+        ranges={"m_heads": Range(1)},
+        check=_random_cumulants_flow_config,
     ),
     ExperimentDef(
         "kernel-circle", 4,
@@ -583,6 +594,7 @@ _DEFS = [
             "dt": 1.0, "method": "euler",
         },
         _run_kernel_circle,
+        check=_kernel_circle_setup,
     ),
     ExperimentDef(
         "smooth-kernel-generalization", 5,
@@ -594,8 +606,8 @@ _DEFS = [
         },
         _run_smooth_kernel,
         ranges={
-            "n_states": Range(2), "gamma": Range(0.0, 1.0, hi_open=True), "n_mdps": Range(1),
-            "fractions": Range(0.0, 1.0, lo_open=True), "nstep_n": Range(1),
+            "n_states": Range(2), "smooth_k": Range(1), "gamma": Range(0.0, 1.0, hi_open=True),
+            "n_mdps": Range(1), "fractions": Range(0.0, 1.0, lo_open=True), "nstep_n": Range(1),
         },
         check=_check_smooth_kernel,
     ),
@@ -687,7 +699,8 @@ def _coerce(name: str, key: str, default, raw, bounds: Range | None = None):
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
     """Merge overrides into an experiment's defaults, rejecting unknown keys,
     values outside a key's declared range and combinations the experiment's
-    check refuses."""
+    check refuses (a ``ValueError`` from the check, such as ``FlowConfig``'s,
+    becomes a ``ConfigError`` prefixed with the experiment's name)."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choices: {', '.join(EXPERIMENT_ORDER)}")
     exp = EXPERIMENTS[name]
@@ -697,7 +710,12 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
             raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
         config[key] = _coerce(name, key, exp.defaults[key], raw, exp.ranges.get(key))
     if exp.check is not None:
-        exp.check(config)
+        try:
+            exp.check(config)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{exc}") from exc
     return config
 
 

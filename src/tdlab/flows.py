@@ -78,7 +78,7 @@ class FlowConfig:
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be nonnegative and finite")
         if self.method not in ("closed_form", "rk4", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method must be closed_form, rk4 or euler, not {self.method!r}")
         n_steps = self.t_end / self.dt
         if not n_steps < np.inf:
             raise ValueError("t_end / dt overflows: the step grid has no finite length")

@@ -1,10 +1,12 @@
 """Kernel semi-gradient TD with held-out states, and eigen-kernel regression.
 
 The TD flow updates a value estimate over *all* states while Bellman errors
-are measured only on a training subset: train rows move by ``K_train @ delta``
-and held-out rows by ``K_cross @ delta``, so generalization is entirely
-mediated by the kernel's cross section.  Bootstrap targets use the full value
-vector, held-out entries included.
+are measured only on a training subset: every state moves by ``K_all @ delta``,
+where ``K_all`` is the kernel between all states and the train states and
+``delta`` holds the train states' TD errors.  Its train rows are the train
+Gram block and its held-out rows the cross section, so generalization is
+entirely mediated by the kernel's cross section.  Bootstrap targets use the
+full value vector, held-out entries included.
 """
 
 from __future__ import annotations
@@ -60,37 +62,6 @@ def circle_embedding(n_states: int, radius: float = 800.0) -> np.ndarray:
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-@dataclass(frozen=True)
-class SplitKernel:
-    """Gram matrix split into train block and held-out-to-train cross section.
-
-    ``K_cross`` rows follow the held-out states in ascending index order.
-    """
-
-    K_train: np.ndarray
-    K_cross: np.ndarray
-
-    def __post_init__(self):
-        K_train = np.asarray(self.K_train, dtype=float)
-        K_cross = np.asarray(self.K_cross, dtype=float)
-        m = K_train.shape[0]
-        if K_train.shape != (m, m):
-            raise ValueError("K_train must be square")
-        if K_cross.ndim != 2 or K_cross.shape[1] != m:
-            raise ValueError("K_cross must have one column per train state")
-        if np.max(np.abs(K_train - K_train.T)) > 1e-9:
-            raise ValueError("K_train must be symmetric")
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (K_train + K_train.T))))
-        if min_eig < -1e-9:
-            raise ValueError(f"K_train not PSD (min eigenvalue {min_eig:.2e})")
-        object.__setattr__(self, "K_train", K_train)
-        object.__setattr__(self, "K_cross", K_cross)
-
-    @property
-    def n_train(self) -> int:
-        return self.K_train.shape[0]
-
-
 def build_kernel(spec: KernelSpec, states) -> np.ndarray:
     """Gram matrix ``K[i, j] = exp(-||e_i - e_j||^2 / (2 l^2))`` over the given states."""
     states = np.asarray(states, dtype=int)
@@ -101,29 +72,26 @@ def build_kernel(spec: KernelSpec, states) -> np.ndarray:
     return np.exp(-sq / (2.0 * spec.lengthscale**2))
 
 
-def split_kernel(spec: KernelSpec, train_idx) -> SplitKernel:
-    """Build the train/held-out kernel split for a training subset."""
-    train_idx = np.asarray(train_idx, dtype=int)
-    test_idx = np.setdiff1d(np.arange(spec.n_states), train_idx)
-    K = build_kernel(spec, np.arange(spec.n_states))
-    return SplitKernel(
-        K_train=K[np.ix_(train_idx, train_idx)], K_cross=K[np.ix_(test_idx, train_idx)]
-    )
+def split_kernel(spec: KernelSpec, train_idx) -> np.ndarray:
+    """The ``(n, m)`` kernel between every state and the ``m`` train states."""
+    return build_kernel(spec, np.arange(spec.n_states))[:, np.asarray(train_idx, dtype=int)]
 
 
-def kernel_td_flow(
-    V0, split: SplitKernel, P, R, gamma: float, train_idx, cfg: FlowConfig
-) -> FlowTrajectory:
+def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajectory:
     """Kernel TD dynamics ``dV/dt = K_all @ (R + gamma P V - V)[train]``.
 
-    ``method="rk4"`` integrates the continuous flow; ``method="euler"`` takes
-    discrete semi-gradient steps of size ``dt`` (the regime in which large
-    lengthscales destabilize bootstrapping at high discounts).  Both run on
-    the linear-flow engine of :mod:`tdlab.flows`, which raises
-    :class:`~tdlab.flows.DivergenceDetected`, with the partial trajectory
-    attached, at the first step whose sup norm crosses 1e8.
+    ``K_all`` is the kernel between every state and the train states, as
+    :func:`split_kernel` builds it; its train rows must be symmetric positive
+    semidefinite.  ``gamma`` is ``cfg.gamma``.  ``method="rk4"`` integrates
+    the continuous flow; ``method="euler"`` takes discrete semi-gradient
+    steps of size ``dt`` (the regime in which large lengthscales destabilize
+    bootstrapping at high discounts).  Both run on the linear-flow engine of
+    :mod:`tdlab.flows`, which raises :class:`~tdlab.flows.DivergenceDetected`,
+    with the partial trajectory attached, at the first step whose sup norm
+    crosses 1e8.
     """
     V0 = np.asarray(V0, dtype=float)
+    K_all = np.asarray(K_all, dtype=float)
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
     train_idx = np.asarray(train_idx, dtype=int)
@@ -133,14 +101,17 @@ def kernel_td_flow(
         raise ValueError("train_idx must be nonempty")
     if V0.shape != (n,) or R.shape != (n,):
         raise ValueError("V0, P, R dimensions do not agree")
-    if split.n_train != m or split.K_cross.shape[0] != n - m:
-        raise ValueError("split kernel does not match train_idx")
+    if K_all.shape != (n, m):
+        raise ValueError(f"K_all must have shape {(n, m)}, one column per train state")
     if cfg.method == "closed_form":
         raise ValueError("kernel_td_flow supports rk4 and euler methods only")
-    test_idx = np.setdiff1d(np.arange(n), train_idx)
-    K_all = np.empty((n, m))
-    K_all[train_idx] = split.K_train
-    K_all[test_idx] = split.K_cross
+    K_train = K_all[train_idx]
+    if np.max(np.abs(K_train - K_train.T)) > 1e-9:
+        raise ValueError("the train block of K_all must be symmetric")
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (K_train + K_train.T))))
+    if min_eig < -1e-9:
+        raise ValueError(f"the train block of K_all is not PSD (min eigenvalue {min_eig:.2e})")
+    gamma = cfg.gamma
     # linear in V: dV/dt = K_all (gamma P - I)[train] V + K_all R[train]
     A = K_all @ (gamma * P - np.eye(n))[train_idx]
     times, states, work = _propagate((A, K_all @ R[train_idx]), V0, cfg)

@@ -299,13 +299,11 @@ def test_07_kernel_td_stability_regimes_on_the_circle():
 
     spec = KernelSpec(lengthscale=100.0, embedding=embedding)
     with pytest.raises(DivergenceDetected):
-        kernel_td_flow(np.zeros(50), split_kernel(spec, train_idx), P, mdp.rewards,
-                       0.99, train_idx,
+        kernel_td_flow(np.zeros(50), split_kernel(spec, train_idx), P, mdp.rewards, train_idx,
                        FlowConfig(gamma=0.99, t_end=100.0, dt=1.0, method="euler"))
 
     spec = KernelSpec(lengthscale=0.01, embedding=embedding)
-    traj = kernel_td_flow(np.zeros(50), split_kernel(spec, train_idx), P, mdp.rewards,
-                          0.5, train_idx,
+    traj = kernel_td_flow(np.zeros(50), split_kernel(spec, train_idx), P, mdp.rewards, train_idx,
                           FlowConfig(gamma=0.5, t_end=100.0, dt=1.0, method="euler"))
     residual = traj.metrics["train_residual_sup"][-1]
     held_out = np.setdiff1d(np.arange(50), train_idx)

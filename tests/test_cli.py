@@ -135,6 +135,35 @@ def test_inconsistent_keys_are_config_errors(tmp_path, section, body, key):
         resolve_config(section, overrides)
 
 
+_REFUSED_BY_BUILDERS = [
+    ("two-state", "dt", "5e-324", "two-state.t_end / dt overflows"),
+    ("kernel-circle", "dt", "1e-9", "kernel-circle.t_end / dt asks for more than"),
+    ("four-rooms-features", "m_heads", "0", "four-rooms-features.m_heads"),
+    ("four-rooms-features", "m_heads", "1,0", "four-rooms-features.m_heads"),
+    ("random-cumulants", "m_heads", "0", "random-cumulants.m_heads"),
+    ("smooth-kernel-generalization", "smooth_k", "0", "smooth-kernel-generalization.smooth_k"),
+    ("smooth-kernel-generalization", "smooth_k", "-3", "smooth-kernel-generalization.smooth_k"),
+    ("kernel-circle", "lengthscales", "0", "kernel-circle.lengthscale must be positive"),
+    ("kernel-circle", "gammas", "0.5,1.0", r"kernel-circle.gamma must lie in \[0, 1\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, match", _REFUSED_BY_BUILDERS,
+    ids=[f"{section}-{key}-{value}" for section, key, value, _ in _REFUSED_BY_BUILDERS],
+)
+def test_values_the_flow_builders_refuse_are_config_errors(tmp_path, section, key, value, match):
+    """Each of these ran to a traceback (or to all-zero predictions, for
+    smooth_k) before; validate and run now refuse them, through a declared
+    range or through the FlowConfig/KernelSpec the experiment builds."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError, match=match):
+        resolve_config(section, {key: value})
+
+
 def test_write_csv_formats_every_cell_type(tmp_path):
     """Columns of one type and mixed columns format exactly as cell by cell;
     a row whose length differs from the header's is refused."""
@@ -158,10 +187,11 @@ def test_write_csv_formats_every_cell_type(tmp_path):
 
 
 def test_declared_ranges_admit_the_defaults():
-    for exp in EXPERIMENTS.values():
+    for name, exp in EXPERIMENTS.items():
         for key, bounds in exp.ranges.items():
             default = exp.defaults[key]
             assert all(bounds.admits(v) for v in (default if isinstance(default, tuple) else (default,))), key
+        assert resolve_config(name) == exp.defaults
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from tdlab.experiments import run_experiment
 from tdlab.flows import DivergenceDetected, FlowConfig
 from tdlab.kernel_td import (
     KernelSpec,
-    SplitKernel,
     build_kernel,
     circle_embedding,
     kernel_td_flow,
@@ -72,16 +71,34 @@ def test_split_kernel_blocks_match_full_matrix():
     emb = line_embedding(8)
     spec = KernelSpec(lengthscale=1.5, embedding=emb)
     train = np.array([0, 1, 2, 5])
-    split = split_kernel(spec, train)
+    K_all = split_kernel(spec, train)
     full = build_kernel(spec, np.arange(8))
-    assert_allclose(split.K_train, full[np.ix_(train, train)], atol=1e-12)
-    test = np.array([3, 4, 6, 7])
-    assert_allclose(split.K_cross, full[np.ix_(test, train)], atol=1e-12)
+    assert K_all.shape == (8, 4)
+    assert np.array_equal(K_all, full[:, train])
 
 
-def test_split_kernel_rejects_indefinite_train_block():
-    with pytest.raises(ValueError):
-        SplitKernel(K_train=np.array([[1.0, 2.0], [2.0, 1.0]]), K_cross=np.zeros((1, 2)))
+def three_state_problem():
+    mdp, train_idx = build_circle_mdp(3, reward_state=0, n_train=2)
+    return mdp, transition_matrix(mdp, uniform_policy(mdp)), train_idx
+
+
+def test_kernel_flow_rejects_indefinite_train_block():
+    mdp, P, train_idx = three_state_problem()
+    K_all = np.array([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]])
+    cfg = FlowConfig(gamma=0.5, t_end=1.0, dt=1.0, method="euler")
+    with pytest.raises(ValueError, match="PSD"):
+        kernel_td_flow(np.zeros(3), K_all, P, mdp.rewards, train_idx, cfg)
+
+
+def test_kernel_flow_rejects_asymmetric_train_block_and_wrong_shape():
+    mdp, P, train_idx = three_state_problem()
+    cfg = FlowConfig(gamma=0.5, t_end=1.0, dt=1.0, method="euler")
+    asymmetric = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        kernel_td_flow(np.zeros(3), asymmetric, P, mdp.rewards, train_idx, cfg)
+    for K_all in (np.eye(2), np.eye(3), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            kernel_td_flow(np.zeros(3), K_all, P, mdp.rewards, train_idx, cfg)
 
 
 def test_kernel_flow_near_identity_kernel_is_plain_td():
@@ -89,9 +106,9 @@ def test_kernel_flow_near_identity_kernel_is_plain_td():
     training rows follow ordinary tabular TD while held-out rows stay put."""
     mdp, P, train_idx = circle_problem()
     spec = KernelSpec(lengthscale=1e-3, embedding=circle_embedding(50))
-    split = split_kernel(spec, train_idx)
+    K_all = split_kernel(spec, train_idx)
     cfg = FlowConfig(gamma=0.9, t_end=30.0, dt=1.0, method="euler")
-    traj = kernel_td_flow(np.zeros(50), split, P, mdp.rewards, 0.9, train_idx, cfg)
+    traj = kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
 
     V = np.zeros(50)
     for _ in range(30):
@@ -105,11 +122,11 @@ def test_kernel_flow_near_identity_kernel_is_plain_td():
 def test_kernel_flow_euler_rk4_agree_at_small_steps():
     mdp, P, train_idx = circle_problem()
     spec = KernelSpec(lengthscale=1.0, embedding=circle_embedding(50))
-    split = split_kernel(spec, train_idx)
+    K_all = split_kernel(spec, train_idx)
     v0 = np.zeros(50)
-    a = kernel_td_flow(v0, split, P, mdp.rewards, 0.5, train_idx,
+    a = kernel_td_flow(v0, K_all, P, mdp.rewards, train_idx,
                        FlowConfig(gamma=0.5, t_end=5.0, dt=1e-3, method="euler"))
-    b = kernel_td_flow(v0, split, P, mdp.rewards, 0.5, train_idx,
+    b = kernel_td_flow(v0, K_all, P, mdp.rewards, train_idx,
                        FlowConfig(gamma=0.5, t_end=5.0, dt=1e-3, method="rk4"))
     assert np.max(np.abs(a.final - b.final)) < 1e-4
 
@@ -117,19 +134,19 @@ def test_kernel_flow_euler_rk4_agree_at_small_steps():
 def test_kernel_flow_rejects_closed_form():
     mdp, P, train_idx = circle_problem()
     spec = KernelSpec(lengthscale=1.0, embedding=circle_embedding(50))
-    split = split_kernel(spec, train_idx)
+    K_all = split_kernel(spec, train_idx)
     with pytest.raises(ValueError):
-        kernel_td_flow(np.zeros(50), split, P, mdp.rewards, 0.5, train_idx,
+        kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx,
                        FlowConfig(gamma=0.5, t_end=5.0, dt=1.0, method="closed_form"))
 
 
 def test_kernel_flow_long_lengthscale_high_gamma_diverges():
     mdp, P, train_idx = circle_problem()
     spec = KernelSpec(lengthscale=100.0, embedding=circle_embedding(50))
-    split = split_kernel(spec, train_idx)
+    K_all = split_kernel(spec, train_idx)
     cfg = FlowConfig(gamma=0.99, t_end=100.0, dt=1.0, method="euler")
     with pytest.raises(DivergenceDetected) as info:
-        kernel_td_flow(np.zeros(50), split, P, mdp.rewards, 0.99, train_idx, cfg)
+        kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
     exc = info.value
     assert exc.sup_norm > 1e8
     # the partial trajectory is attached for post-mortem plots
@@ -139,14 +156,16 @@ def test_kernel_flow_long_lengthscale_high_gamma_diverges():
     assert np.max(np.abs(exc.trajectory.states[-1])) == pytest.approx(exc.sup_norm)
 
 
-def kernel_td_f(mdp, P, split, train_idx, gamma):
-    """The kernel-TD vector field, written out as the step loop evaluated it."""
+def kernel_td_f(mdp, P, K_all, train_idx, gamma):
+    """The kernel-TD vector field, written out as the step loop evaluated it:
+    train rows by the train block, held-out rows by the cross section."""
     test_idx = np.setdiff1d(np.arange(P.shape[0]), train_idx)
+    K_train, K_cross = K_all[train_idx], K_all[test_idx]
 
     def f(V):
         delta = (mdp.rewards + gamma * (P @ V) - V)[train_idx]
         out = np.empty_like(V)
-        out[train_idx], out[test_idx] = split.K_train @ delta, split.K_cross @ delta
+        out[train_idx], out[test_idx] = K_train @ delta, K_cross @ delta
         return out
 
     return f
@@ -155,11 +174,11 @@ def kernel_td_f(mdp, P, split, train_idx, gamma):
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_kernel_flow_matches_step_loop(method):
     mdp, P, train_idx = circle_problem()
-    split = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
+    K_all = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
     cfg = FlowConfig(gamma=0.5, t_end=5.0, dt=1e-3, method=method)
     v0 = np.random.default_rng(5).standard_normal(50)
-    traj = kernel_td_flow(v0, split, P, mdp.rewards, 0.5, train_idx, cfg)
-    states, crossed = step_loop(kernel_td_f(mdp, P, split, train_idx, 0.5), v0, cfg)
+    traj = kernel_td_flow(v0, K_all, P, mdp.rewards, train_idx, cfg)
+    states, crossed = step_loop(kernel_td_f(mdp, P, K_all, train_idx, 0.5), v0, cfg)
     assert crossed is None
     assert_matches_step_loop(traj, states, cfg.dt)
 
@@ -168,11 +187,11 @@ def test_kernel_flow_divergence_matches_step_loop():
     """Thinned grid (3,000 Euler steps, stride 3): the crossing step 76 is not a
     recorded step, and is still the one reported, with the same partial trajectory."""
     mdp, P, train_idx = circle_problem()
-    split = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
+    K_all = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
     cfg = FlowConfig(gamma=0.99, t_end=3000.0, dt=1.0, method="euler")
     with pytest.raises(DivergenceDetected) as info:
-        kernel_td_flow(np.zeros(50), split, P, mdp.rewards, 0.99, train_idx, cfg)
-    states, crossed = step_loop(kernel_td_f(mdp, P, split, train_idx, 0.99), np.zeros(50), cfg)
+        kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
+    states, crossed = step_loop(kernel_td_f(mdp, P, K_all, train_idx, 0.99), np.zeros(50), cfg)
     exc, partial = info.value, info.value.trajectory
     assert crossed is not None and crossed % 3 != 0
     assert exc.time == crossed * cfg.dt
@@ -186,9 +205,9 @@ def test_kernel_flow_divergence_matches_step_loop():
 def test_kernel_flow_short_lengthscale_low_gamma_converges():
     mdp, P, train_idx = circle_problem()
     spec = KernelSpec(lengthscale=0.01, embedding=circle_embedding(50))
-    split = split_kernel(spec, train_idx)
+    K_all = split_kernel(spec, train_idx)
     cfg = FlowConfig(gamma=0.5, t_end=100.0, dt=1.0, method="euler")
-    traj = kernel_td_flow(np.zeros(50), split, P, mdp.rewards, 0.5, train_idx, cfg)
+    traj = kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
     assert traj.metrics["train_residual_sup"][-1] < 1e-3
     held_out = np.setdiff1d(np.arange(50), train_idx)
     assert np.max(np.abs(traj.final[held_out])) < 1e-3

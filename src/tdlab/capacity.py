@@ -79,6 +79,10 @@ class Sgd:
 
     lr: float = 0.1
 
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+
     def init_state(self, dim: int):
         return None
 

@@ -67,11 +67,13 @@ def _cmd_run(args) -> int:
         if args.config is not None:
             sections = _load_config(args.config)
             overrides = sections.get(args.experiment, {})
-        # Validate every section up front so a typo in an unused section
-        # still fails fast rather than surfacing on a later run.
+        # Validate every other section up front so a typo in an unused section
+        # still fails fast rather than surfacing on a later run; run_experiment
+        # validates this experiment's own section while building its inputs.
         if args.config is not None:
             for name, sect in sections.items():
-                resolve_config(name, sect)
+                if name != args.experiment:
+                    resolve_config(name, sect)
         if _verbose():
             print(f"tdlab: running {args.experiment} (seed={args.seed}, reps={args.reps})",
                   file=sys.stderr)

@@ -21,6 +21,8 @@ import numpy as np
 from .flows import DivergenceDetected
 
 _COV_TOL = 1e-10
+SAMPLER_METHODS = ("gd", "exact")  # sample_then_optimize's and algorithm1_sumloss's
+TASK_KINDS = ("feature_dimension", "prior_variance", "rff_frequency")  # model_selection_task's
 
 
 class DegenerateSample(RuntimeError):
@@ -347,7 +349,7 @@ def sample_then_optimize(
     """
     if lr <= 0 or steps < 0:
         raise ValueError("lr must be positive and steps nonnegative")
-    if method not in ("gd", "exact"):
+    if method not in SAMPLER_METHODS:
         raise ValueError(f"unknown method {method!r}")
     m = data.n if upto is None else int(upto)
     if not 0 <= m <= data.n:
@@ -375,7 +377,7 @@ def algorithm1_sumloss(
     the prefixes that are scored (1..n-1 points), so a divergence that would
     occur only when fitting the whole dataset does not raise.
     """
-    if method not in ("gd", "exact"):
+    if method not in SAMPLER_METHODS:
         raise ValueError(f"unknown method {method!r}")
     phi, y = data.reordered(model)
     n, d = phi.shape
@@ -425,6 +427,8 @@ def model_selection_task(kind: str, seed: int = 0) -> tuple[list[BlrModel], Orde
     rff_frequency: binary targets from a thresholded sinusoid, models sweep
     the random-Fourier frequency.
     """
+    if kind not in TASK_KINDS:
+        raise ValueError(f"unknown task kind {kind!r}")
     rng = np.random.default_rng(seed)
     if kind == "feature_dimension":
         n, k_informative, p = 30, 15, 30
@@ -445,21 +449,19 @@ def model_selection_task(kind: str, seed: int = 0) -> tuple[list[BlrModel], Orde
         scales = np.geomspace(1e-2, 1e2, 9)
         models = [BlrModel(feature_map=None, prior_variance=float(s), noise_variance=1.0) for s in scales]
         return models, OrderedDataset(inputs=X, targets=y)
-    if kind == "rff_frequency":
-        n = 30
-        x = rng.uniform(-3.0, 3.0, size=(n, 1))
-        y = (np.sin(2.0 * x[:, 0]) > 0).astype(float)
-        freqs = np.geomspace(0.1, 10.0, 7)
-        models = [
-            BlrModel(
-                feature_map=make_rff_feature_map(float(f), n_features=20, seed=seed + 1),
-                prior_variance=1.0,
-                noise_variance=1.0,
-            )
-            for f in freqs
-        ]
-        return models, OrderedDataset(inputs=x, targets=y)
-    raise ValueError(f"unknown task kind {kind!r}")
+    n = 30  # rff_frequency
+    x = rng.uniform(-3.0, 3.0, size=(n, 1))
+    y = (np.sin(2.0 * x[:, 0]) > 0).astype(float)
+    freqs = np.geomspace(0.1, 10.0, 7)
+    models = [
+        BlrModel(
+            feature_map=make_rff_feature_map(float(f), n_features=20, seed=seed + 1),
+            prior_variance=1.0,
+            noise_variance=1.0,
+        )
+        for f in freqs
+    ]
+    return models, OrderedDataset(inputs=x, targets=y)
 
 
 def ensemble_weight_ranking(models, data: OrderedDataset, seed: int = 0) -> np.ndarray:

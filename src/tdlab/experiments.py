@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .capacity import LinearValueModel, Sgd, feature_rank, srank, update_matrix, update_rank
 from .causal import build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
-from .evidence import algorithm1_sumloss, ensemble_weight_ranking, evidence_report, model_selection_task
+from .evidence import SAMPLER_METHODS, TASK_KINDS, algorithm1_sumloss, ensemble_weight_ranking, evidence_report, model_selection_task
 from .flows import (
     DivergenceDetected,
     FlowConfig,
@@ -35,7 +35,8 @@ from .flows import (
     second_order_check,
     td_value_flow,
 )
-from .kernel_td import KernelSpec, build_kernel, circle_embedding, kernel_td_flow, line_embedding, smooth_kernel_generalization, split_kernel
+from .kernel_td import KERNEL_TD_METHODS, SMOOTH_TARGETS, KernelSpec, build_kernel, circle_embedding, kernel_td_flow
+from .kernel_td import line_embedding, smooth_kernel_generalization, split_kernel
 from .mdp import (
     TabularMdp,
     build_chain_mdp,
@@ -114,20 +115,22 @@ class ArtifactWriter:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment setups and runners: a setup builds every input that takes no random
+# draw, so ``validate`` refuses what the library's constructors refuse; every
+# repetition's runner reads (never mutates) the one setup ``run_experiment`` builds
 
 
-def _two_state_flow_config(cfg) -> FlowConfig:
-    return FlowConfig(gamma=cfg["gamma"], t_end=cfg["t_end"], dt=cfg["dt"], method="closed_form")
+def _two_state_setup(cfg):
+    """The flow config, the fixed 2-state MDP and its transition matrix."""
+    flow_cfg = FlowConfig(gamma=cfg["gamma"], t_end=cfg["t_end"], dt=cfg["dt"], method="closed_form")
+    mdp = TabularMdp(np.array([[[0.2, 0.8]], [[0.8, 0.2]]]), np.array([1.0, 0.0]))
+    return flow_cfg, mdp, transition_matrix(mdp, uniform_policy(mdp))
 
 
-def _run_two_state(cfg, rng, art):
+def _run_two_state(cfg, inputs, rng, art):
     """TD vs MC value trajectories on a fixed 2-state MDP."""
-    trans = np.array([[[0.2, 0.8]], [[0.8, 0.2]]])
-    mdp = TabularMdp(trans, np.array([1.0, 0.0]))
-    P = transition_matrix(mdp, uniform_policy(mdp))
+    flow_cfg, mdp, P = inputs
     v0 = rng.uniform(-2.0, 2.0, size=(2, cfg["n_inits"]))
-    flow_cfg = _two_state_flow_config(cfg)
     rows = []
     for flow_name, flow in (("td", td_value_flow), ("mc", mc_value_flow)):
         traj = flow(v0, P, mdp.rewards, flow_cfg)
@@ -138,30 +141,31 @@ def _run_two_state(cfg, rng, art):
     return {"fixed_point": traj.meta["fixed_point"].tolist()}
 
 
-def _run_chain_transfer(cfg, rng, art):
-    """Grassmann transfer heatmaps of EBF/RSBF/random features across a policy path."""
-    mdp = build_chain_mdp(
-        cfg["n_states"], cfg["slip"], cfg["left_reward"], cfg["right_reward"]
-    )
+def _chain_transfer_setup(cfg):
+    """The chain's state count, the values along its policy-iteration path,
+    and the raw EBF and RSBF bases of each policy's transition matrix."""
+    mdp = build_chain_mdp(cfg["n_states"], cfg["slip"], cfg["left_reward"], cfg["right_reward"])
     gamma, K = cfg["gamma"], cfg["k"]
     path = policy_iteration(mdp, gamma)
-    n_pol = len(path)
     transition_mats = [
         transition_matrix(mdp, deterministic_policy(a, mdp.n_actions)) for a in path.policies
     ]
-    values = path.values
+    raw_features = {
+        "ebf": [real_invariant_basis(eigendecompose(P_j), K) for P_j in transition_mats],
+        "rsbf": [rsbf(P_j, gamma, K).vectors for P_j in transition_mats],
+    }
+    return mdp.n_states, path.values, raw_features
 
-    raw_features = {"ebf": [], "rsbf": [], "random": []}
-    for P_j in transition_mats:
-        spectrum = eigendecompose(P_j)
-        raw_features["ebf"].append(real_invariant_basis(spectrum, K))
-        raw_features["rsbf"].append(rsbf(P_j, gamma, K).vectors)
-        raw_features["random"].append(rng.standard_normal((mdp.n_states, K)))
 
+def _run_chain_transfer(cfg, inputs, rng, art):
+    """Grassmann transfer heatmaps of EBF/RSBF/random features across a policy path."""
+    n, values, raw_features = inputs
+    n_pol = len(values)
+    raw_features = {**raw_features, "random": [rng.standard_normal((n, cfg["k"])) for _ in values]}
     header = ("feature_policy",) + tuple(f"d_value_{jp}" for jp in range(n_pol))
-    derived = {"n_policies": n_pol}
     for family, mats in raw_features.items():
         plain_rows, appended_rows = [], []
+        # rank-deficient spans (slip = 0 can make them so) are numerical failures, hence here
         for j, M in enumerate(mats):
             basis = subspace_from_span(M)
             basis_app = subspace_from_span(np.column_stack([M, values[j]]))
@@ -169,24 +173,32 @@ def _run_chain_transfer(cfg, rng, art):
             appended_rows.append((j,) + tuple(vector_subspace_distance(values[jp], basis_app) for jp in range(n_pol)))
         art.csv(f"transfer_{family}", header, plain_rows)
         art.csv(f"transfer_{family}_appended", header, appended_rows)
-    return derived
+    return {"n_policies": n_pol}
 
 
-def _four_rooms_flow_configs(cfg) -> list[FlowConfig]:
-    """One flow config per ``m_heads`` entry M, with feature rate ``alpha / M``."""
+def _four_rooms_setup(cfg):
+    """One flow config per ``m_heads`` entry M (feature rate ``alpha / M``),
+    the four-rooms walk, its transition matrix and its top ``k_features`` EBFs."""
     shared = dict(gamma=cfg["gamma"], beta=cfg["beta"], t_end=cfg["t_end"], dt=cfg["dt"], method="rk4")
-    return [FlowConfig(alpha=cfg["alpha"] / M, **shared) for M in cfg["m_heads"]]
-
-
-def _run_four_rooms(cfg, rng, art):
-    """Coupled feature flows on the four-rooms walk, tracked against the top EBFs."""
+    flow_cfgs = [FlowConfig(alpha=cfg["alpha"] / M, **shared) for M in cfg["m_heads"]]
     mdp = build_four_rooms()
     P = transition_matrix(mdp, uniform_policy(mdp))
-    K = cfg["k_features"]
     spectrum = eigendecompose(P)
-    target = subspace_from_span(real_invariant_basis(spectrum, K))
+    try:
+        ebfs = real_invariant_basis(spectrum, cfg["k_features"])
+    except ValueError as exc:
+        raise ConfigError(f"four-rooms-features.k_features: {exc}") from exc
+    return flow_cfgs, mdp, P, ebfs
+
+
+def _run_four_rooms(cfg, inputs, rng, art):
+    """Coupled feature flows on the four-rooms walk, tracked against the top EBFs."""
+    flow_cfgs, mdp, P, ebfs = inputs
+    K = cfg["k_features"]
+    # the top EBFs span fewer than K dimensions for K in [69, 105]: a numerical failure, hence here
+    target = subspace_from_span(ebfs)
     rows = []
-    for M, flow_cfg in zip(cfg["m_heads"], _four_rooms_flow_configs(cfg)):
+    for M, flow_cfg in zip(cfg["m_heads"], flow_cfgs):
         phi0 = rng.standard_normal((mdp.n_states, K))
         w0 = cfg["weight_scale"] * rng.standard_normal((K, M))
         traj = coupled_feature_flow(phi0, w0, P, mdp.rewards, flow_cfg)
@@ -196,12 +208,17 @@ def _run_four_rooms(cfg, rng, art):
     return {"n_states": mdp.n_states, "k_features": K}
 
 
-def _random_cumulants_flow_config(cfg) -> FlowConfig:
-    """The flow's feature rate is ``1 / m_heads``."""
+def _random_cumulants_setup(cfg) -> FlowConfig:
+    """The flow config, with feature rate ``1 / m_heads``.  The heads' cumulants
+    span at most ``n_states`` dimensions, so more heads than states is refused."""
+    if cfg["m_heads"] > cfg["n_states"]:
+        raise ConfigError(
+            f"random-cumulants.m_heads: {cfg['m_heads']} heads exceed n_states = {cfg['n_states']}"
+        )
     return FlowConfig(gamma=cfg["gamma"], alpha=1.0 / cfg["m_heads"], t_end=cfg["t_end"], dt=cfg["dt"], method="rk4")
 
 
-def _run_random_cumulants(cfg, rng, art):
+def _run_random_cumulants(cfg, flow_cfg, rng, art):
     """Random-cumulant feature covariance against the resolvent formula."""
     n, gamma, M = cfg["n_states"], cfg["gamma"], cfg["m_heads"]
     mdp = random_mdp(rng, n)
@@ -231,7 +248,7 @@ def _run_random_cumulants(cfg, rng, art):
     phi0 = rng.standard_normal((n, K))
     w0 = rng.standard_normal((K, M))
     cumulants = rng.standard_normal((n, M))
-    traj = random_cumulant_flow(phi0, w0, cumulants, P, _random_cumulants_flow_config(cfg))
+    traj = random_cumulant_flow(phi0, w0, cumulants, P, flow_cfg)
     metric = grassmann_convergence_metric(traj, subspace_from_span(psi @ cumulants))
     art.csv(
         "flow_alignment",
@@ -241,21 +258,21 @@ def _run_random_cumulants(cfg, rng, art):
     return {"final_rel_frobenius": err_rows[-1][1]}
 
 
-def _kernel_circle_setup(cfg) -> tuple[list[FlowConfig], list[KernelSpec]]:
-    """One flow config per ``gammas`` entry and one kernel per ``lengthscales`` entry."""
-    embedding = circle_embedding(cfg["n_states"], cfg["radius"])
-    return (
-        [FlowConfig(gamma=g, t_end=cfg["t_end"], dt=cfg["dt"], method=cfg["method"]) for g in cfg["gammas"]],
-        [KernelSpec(lengthscale=ell, embedding=embedding) for ell in cfg["lengthscales"]],
-    )
-
-
-def _run_kernel_circle(cfg, rng, art):
-    """Stability/generalization sweep of kernel TD on the circle MDP."""
+def _kernel_circle_setup(cfg):
+    """The circle MDP, its transition matrix and train states, one flow config
+    per ``gammas`` entry and one kernel block per ``lengthscales`` entry."""
     mdp, train_idx = build_circle_mdp(cfg["n_states"], cfg["reward_state"], cfg["n_train"])
     P = transition_matrix(mdp, uniform_policy(mdp))
-    flow_cfgs, specs = _kernel_circle_setup(cfg)
-    kernels = [split_kernel(spec, train_idx) for spec in specs]
+    flow_cfgs = [FlowConfig(gamma=g, t_end=cfg["t_end"], dt=cfg["dt"], method=cfg["method"]) for g in cfg["gammas"]]
+    embedding = circle_embedding(cfg["n_states"], cfg["radius"])
+    kernels = [split_kernel(KernelSpec(lengthscale=ell, embedding=embedding), train_idx) for ell in cfg["lengthscales"]]
+    return mdp, P, train_idx, flow_cfgs, kernels
+
+
+def _run_kernel_circle(cfg, inputs, rng, art):
+    """Stability/generalization sweep of kernel TD on the circle MDP."""
+    mdp, P, train_idx, flow_cfgs, kernels = inputs
+    test_idx = np.setdiff1d(np.arange(cfg["n_states"]), train_idx)
     sweep_rows = []
     value_header = ("t", "diverged") + tuple(f"v_{s}" for s in range(cfg["n_states"]))
     for gamma, flow_cfg in zip(cfg["gammas"], flow_cfgs):
@@ -273,7 +290,6 @@ def _run_kernel_circle(cfg, rng, art):
                 art.csv(name, value_header, rows)
                 continue
             resid = float(traj.metrics["train_residual_sup"][-1])
-            test_idx = np.setdiff1d(np.arange(cfg["n_states"]), train_idx)
             test_sup = float(np.max(np.abs(traj.final[test_idx]))) if len(test_idx) else 0.0
             sweep_rows.append((gamma, ell, "converged", "", "", resid, test_sup))
             rows = [(t, 0) + tuple(state) for t, state in zip(traj.times, traj.states)]
@@ -294,10 +310,20 @@ def _run_kernel_circle(cfg, rng, art):
     return {"embedding_radius": cfg["radius"], "method": cfg["method"]}
 
 
-def _run_smooth_kernel(cfg, rng, art):
+def _smooth_kernel_setup(cfg) -> np.ndarray:
+    """The eigenvector index set ``S``; refuses more eigenvectors than states
+    and a train fraction that keeps no state."""
+    name, n = "smooth-kernel-generalization", cfg["n_states"]
+    if cfg["smooth_k"] > n:
+        raise ConfigError(f"{name}.smooth_k: {cfg['smooth_k']} eigenvectors exceed n_states = {n}")
+    if math.floor(n * min(cfg["fractions"])) < 1:
+        raise ConfigError(f"{name}.fractions: {min(cfg['fractions'])} of {n} states keeps no training state")
+    return np.arange(cfg["smooth_k"])
+
+
+def _run_smooth_kernel(cfg, S, rng, art):
     """Eigen-kernel generalization across train fractions, targets, and MDP draws."""
     n, gamma = cfg["n_states"], cfg["gamma"]
-    S = np.arange(cfg["smooth_k"])
     # one (target, fraction) table of MSEs per problem, from one spectrum each
     mse_tables = []
     for _ in range(cfg["n_mdps"]):
@@ -321,7 +347,7 @@ def _run_smooth_kernel(cfg, rng, art):
     return {"smooth_k": cfg["smooth_k"], "n_mdps": cfg["n_mdps"]}
 
 
-def _run_bms_select(cfg, rng, art):
+def _run_bms_select(cfg, _, rng, art):
     """Evidence estimators vs exact log ML across a model-selection sweep."""
     task_seed = cfg["task_seed"]
     if task_seed < 0:
@@ -375,7 +401,7 @@ def _run_bms_select(cfg, rng, art):
     return {"task_seed": task_seed, "kind": cfg["kind"]}
 
 
-def _run_misa(cfg, rng, art):
+def _run_misa(cfg, _, rng, art):
     """Selection-rate sweep of linear MISA plus the intervention-robustness curve."""
     base = int(rng.integers(2**31))
     scales = (cfg["intervention_scale"],) * 3
@@ -420,8 +446,22 @@ def _run_misa(cfg, rng, art):
     return {"selection_rate": n_correct / cfg["n_seeds"], "first_selected": subset}
 
 
-def _run_capacity(cfg, rng, art):
+def _capacity_setup(cfg):
+    """The chain's one-step transitions, the SGD optimizer and one RBF feature
+    matrix per ``lengthscales`` entry."""
+    n = cfg["n_states"]
+    mdp = build_chain_mdp(n)
+    transitions = [(s, float(mdp.rewards[s]), min(s + 1, n - 1)) for s in range(n)]
+    rbf_features = [
+        build_kernel(KernelSpec(lengthscale=ell, embedding=line_embedding(n)), np.arange(n))
+        for ell in cfg["lengthscales"]
+    ]
+    return transitions, Sgd(cfg["sgd_lr"]), rbf_features
+
+
+def _run_capacity(cfg, inputs, rng, art):
     """Rank-estimator battery: constructed ranks, tabular updates, RBF lengthscales."""
+    transitions, sgd, rbf_features = inputs
     n, gamma = cfg["n_states"], cfg["gamma"]
     d = cfg["d_features"]
     rank_rows = []
@@ -441,10 +481,8 @@ def _run_capacity(cfg, rng, art):
         ],
     )
 
-    mdp = build_chain_mdp(n)
-    transitions = [(s, float(mdp.rewards[s]), min(s + 1, n - 1)) for s in range(n)]
     weights = rng.standard_normal(n)
-    tab_model = LinearValueModel(np.eye(n), weights, Sgd(cfg["sgd_lr"]))
+    tab_model = LinearValueModel(np.eye(n), weights, sgd)
     U_tab = update_matrix(tab_model, transitions, gamma)
     off_diag = float(np.max(np.abs(U_tab.entries - np.diag(np.diag(U_tab.entries)))))
     art.csv(
@@ -455,28 +493,36 @@ def _run_capacity(cfg, rng, art):
 
     rbf_rows = []
     rbf_weights = rng.standard_normal(n)
-    for ell in cfg["lengthscales"]:
-        phi = build_kernel(KernelSpec(lengthscale=ell, embedding=line_embedding(n)), np.arange(n))
-        model = LinearValueModel(phi, rbf_weights, Sgd(cfg["sgd_lr"]))
+    for ell, phi in zip(cfg["lengthscales"], rbf_features):
+        model = LinearValueModel(phi, rbf_weights, sgd)
         U = update_matrix(model, transitions, gamma)
         rbf_rows.append((ell, update_rank(U).rank))
     art.csv("rbf_update_ranks", ("lengthscale", "update_rank"), rbf_rows)
     return {"tabular_max_offdiagonal": off_diag}
 
 
-def _richardson_steps(t_total: float, alpha: float) -> int:
-    return int(round(t_total / alpha))
+def _second_order_setup(cfg) -> list[int]:
+    """Discrete steps per ``alphas`` entry.  The Euler FlowConfig that
+    :func:`second_order_check` builds for each step size and horizon is built
+    here first, so it refuses gamma and the step budget before any draw."""
+    steps = []
+    for alpha in cfg["alphas"]:
+        n_steps = int(round(cfg["t_total"] / alpha))
+        if n_steps < 1:
+            raise ConfigError(f"second-order.alphas: {alpha} rounds t_total = {cfg['t_total']} to no steps")
+        FlowConfig(gamma=cfg["gamma"], t_end=n_steps * alpha, dt=alpha, method="euler")
+        steps.append(n_steps)
+    return steps
 
 
-def _run_second_order(cfg, rng, art):
+def _run_second_order(cfg, steps, rng, art):
     """Richardson table for the discrete-TD step-size correction."""
     mdp = random_mdp(rng, cfg["n_states"])
     P = transition_matrix(mdp, uniform_policy(mdp))
     V0 = cfg["v_scale"] * rng.standard_normal(cfg["n_states"])
     table_rows = []
     errors = []
-    for alpha in cfg["alphas"]:
-        n_steps = _richardson_steps(cfg["t_total"], alpha)
+    for alpha, n_steps in zip(cfg["alphas"], steps):
         discrete, first, corrected = second_order_check(
             V0, P, mdp.rewards, cfg["gamma"], alpha, n_steps
         )
@@ -519,31 +565,35 @@ class Range(NamedTuple):
         return f"in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}{')' if self.hi_open else ']'}"
 
 
+# An integer key (or list item) is a count unless its definition declares a range.
+_COUNT = Range(1)
+# An integer key that is not a count: an index or seed that its builder checks, if anything.
+_ANY_INTEGER = Range(-math.inf)
+
+
 @dataclass(frozen=True)
 class ExperimentDef:
     name: str
     index: int
     description: str
     defaults: dict
-    runner: object
-    ranges: dict = field(default_factory=dict)  # key -> Range, checked item by item for lists
-    # config -> anything; refuses values that pass every key's range with a ConfigError,
-    # or with a ValueError whose message opens with the refused field (FlowConfig's, KernelSpec's)
-    check: object = None
+    runner: object  # (config, setup's inputs, rng, ArtifactWriter) -> derived dict
+    # key -> Range, checked item by item for lists; an integer key without one is a count
+    ranges: dict = field(default_factory=dict)
+    # key -> the names a string key (or each item) may take, as the library that reads it exports them
+    names: dict = field(default_factory=dict)
+    # config -> the inputs that need no random draw, or None without one; refuses what its
+    # builders refuse, with a ConfigError or with a ValueError whose message opens with the
+    # refused field (FlowConfig's, KernelSpec's, ...)
+    setup: object = None
 
-
-def _check_smooth_kernel(cfg) -> None:
-    name, n = "smooth-kernel-generalization", cfg["n_states"]
-    if cfg["smooth_k"] > n:
-        raise ConfigError(f"{name}.smooth_k: {cfg['smooth_k']} eigenvectors exceed n_states = {n}")
-    if math.floor(n * min(cfg["fractions"])) < 1:
-        raise ConfigError(f"{name}.fractions: {min(cfg['fractions'])} of {n} states keeps no training state")
-
-
-def _check_second_order(cfg) -> None:
-    for alpha in cfg["alphas"]:
-        if _richardson_steps(cfg["t_total"], alpha) < 1:
-            raise ConfigError(f"second-order.alphas: {alpha} rounds t_total = {cfg['t_total']} to no steps")
+    def bounds(self, key: str) -> Range | None:
+        """The range ``key`` declares; an integer key without one is a count."""
+        if key in self.ranges:
+            return self.ranges[key]
+        default = self.defaults[key]
+        item = default[0] if isinstance(default, tuple) else default
+        return _COUNT if type(item) is int else None
 
 
 _DEFS = [
@@ -552,7 +602,7 @@ _DEFS = [
         "TD vs MC value-flow trajectories on a 2-state MDP",
         {"gamma": 0.9, "t_end": 8.0, "dt": 0.01, "n_inits": 5},
         _run_two_state,
-        check=_two_state_flow_config,
+        setup=_two_state_setup,
     ),
     ExperimentDef(
         "chain-transfer", 1,
@@ -562,6 +612,7 @@ _DEFS = [
             "gamma": 0.9, "k": 4,
         },
         _run_chain_transfer,
+        setup=_chain_transfer_setup,
     ),
     ExperimentDef(
         "four-rooms-features", 2,
@@ -571,8 +622,7 @@ _DEFS = [
             "dt": 0.01, "alpha": 1.0, "beta": 0.0, "weight_scale": 1.0,
         },
         _run_four_rooms,
-        ranges={"k_features": Range(1, 105), "m_heads": Range(1)},  # k_features: the walk has 105 states
-        check=_four_rooms_flow_configs,
+        setup=_four_rooms_setup,
     ),
     ExperimentDef(
         "random-cumulants", 3,
@@ -582,8 +632,7 @@ _DEFS = [
             "t_end": 6.0, "dt": 0.01,
         },
         _run_random_cumulants,
-        ranges={"m_heads": Range(1)},
-        check=_random_cumulants_flow_config,
+        setup=_random_cumulants_setup,
     ),
     ExperimentDef(
         "kernel-circle", 4,
@@ -594,7 +643,9 @@ _DEFS = [
             "dt": 1.0, "method": "euler",
         },
         _run_kernel_circle,
-        check=_kernel_circle_setup,
+        ranges={"reward_state": _ANY_INTEGER},  # an index; build_circle_mdp checks it
+        names={"method": KERNEL_TD_METHODS},
+        setup=_kernel_circle_setup,
     ),
     ExperimentDef(
         "smooth-kernel-generalization", 5,
@@ -605,11 +656,14 @@ _DEFS = [
             "targets": ("value", "projected-top", "projected-bottom", "nstep"), "nstep_n": 5,
         },
         _run_smooth_kernel,
+        # n_states sizes each random walk; smooth_kernel_generalization checks gamma
+        # and the fractions only after the walk is drawn
         ranges={
-            "n_states": Range(2), "smooth_k": Range(1), "gamma": Range(0.0, 1.0, hi_open=True),
-            "n_mdps": Range(1), "fractions": Range(0.0, 1.0, lo_open=True), "nstep_n": Range(1),
+            "n_states": Range(2), "gamma": Range(0.0, 1.0, hi_open=True),
+            "fractions": Range(0.0, 1.0, lo_open=True),
         },
-        check=_check_smooth_kernel,
+        names={"targets": SMOOTH_TARGETS},
+        setup=_smooth_kernel_setup,
     ),
     ExperimentDef(
         "bms-select", 6,
@@ -619,7 +673,10 @@ _DEFS = [
             "k_values": (1, 4, 16, 64), "ls_samples": 16, "alg1_method": "exact",
         },
         _run_bms_select,
-        ranges={"n_estimator_seeds": Range(1), "k_values": Range(1), "ls_samples": Range(2)},  # LS needs 2 draws for a variance
+        # a negative task_seed draws one; the LS estimator refuses fewer than 2 draws
+        # per point (for a variance) only after the task is drawn
+        ranges={"task_seed": _ANY_INTEGER, "ls_samples": Range(2)},
+        names={"kind": TASK_KINDS, "alg1_method": SAMPLER_METHODS},
     ),
     ExperimentDef(
         "misa-robustness", 7,
@@ -629,10 +686,10 @@ _DEFS = [
             "do_values": tuple(float(v) for v in range(11)), "intervention_scale": 3.0,
         },
         _run_misa,
-        # ICP compares >= 2 environments; each needs p + 2 = 5 rows for 3 variables
+        # random-data sizes: ICP compares >= 2 environments, each needing p + 2 = 5 rows
+        # for 3 variables; linear_misa checks alpha only after the data are drawn
         ranges={
             "n_envs": Range(2), "n_steps": Range(5), "alpha": Range(0.0, 1.0, lo_open=True, hi_open=True),
-            "n_seeds": Range(1),
         },
     ),
     ExperimentDef(
@@ -644,15 +701,20 @@ _DEFS = [
             "d_features": 12, "eps": 0.01,
         },
         _run_capacity,
-        ranges={"eps": Range(0.0, lo_open=True)},
+        # each rank sizes a random factor (rank 0 runs); feature_rank checks eps only
+        # on the drawn features
+        ranges={"constructed_ranks": Range(0), "eps": Range(0.0, lo_open=True)},
+        setup=_capacity_setup,
     ),
     ExperimentDef(
         "second-order", 9,
         "Richardson ratios for the step-size-corrected TD flow",
         {"n_states": 5, "gamma": 0.9, "alphas": (0.1, 0.05, 0.025), "t_total": 2.0, "v_scale": 1.0},
         _run_second_order,
-        ranges={"alphas": Range(0.0, lo_open=True)},  # each alpha is a step size
-        check=_check_second_order,
+        # each alpha divides t_total in the setup; second_order_check refuses a
+        # nonpositive step only after the MDP is drawn
+        ranges={"alphas": Range(0.0, lo_open=True)},
+        setup=_second_order_setup,
     ),
 ]
 
@@ -680,27 +742,26 @@ def _parse(name: str, key: str, default, raw):
         raise ConfigError(f"{name}.{key}: cannot parse {raw!r} as {type(default).__name__}") from exc
 
 
-def _coerce(name: str, key: str, default, raw, bounds: Range | None = None):
+def _coerce(name: str, key: str, default, raw, bounds: Range | None = None, names=None):
     if isinstance(default, tuple):
         # comma-separated text or a sequence; every item is typed like the default's
         items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
         items = [x for x in items if not (isinstance(x, str) and not x.strip())]
         if not items:
             raise ConfigError(f"{name}.{key}: {raw!r} is an empty list")
-        return tuple(_coerce(name, key, default[0], x, bounds) for x in items)
+        return tuple(_coerce(name, key, default[0], x, bounds, names) for x in items)
     value = _parse(name, key, default, raw)
     if isinstance(default, float) and not math.isfinite(value):
         raise ConfigError(f"{name}.{key}: {raw!r} is not a finite number")
     if bounds is not None and not bounds.admits(value):
         raise ConfigError(f"{name}.{key}: {raw!r} is not {bounds}")
+    if names is not None and value not in names:
+        raise ConfigError(f"{name}.{key}: {value!r} is not one of {', '.join(names)}")
     return value
 
 
-def resolve_config(name: str, overrides: dict | None = None) -> dict:
-    """Merge overrides into an experiment's defaults, rejecting unknown keys,
-    values outside a key's declared range and combinations the experiment's
-    check refuses (a ``ValueError`` from the check, such as ``FlowConfig``'s,
-    becomes a ``ConfigError`` prefixed with the experiment's name)."""
+def _resolve(name: str, overrides: dict | None) -> tuple[dict, object]:
+    """The merged config and its setup's inputs (see :func:`resolve_config`)."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choices: {', '.join(EXPERIMENT_ORDER)}")
     exp = EXPERIMENTS[name]
@@ -708,15 +769,23 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
     for key, raw in (overrides or {}).items():
         if key not in exp.defaults:
             raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
-        config[key] = _coerce(name, key, exp.defaults[key], raw, exp.ranges.get(key))
-    if exp.check is not None:
-        try:
-            exp.check(config)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{name}.{exc}") from exc
-    return config
+        config[key] = _coerce(name, key, exp.defaults[key], raw, exp.bounds(key), exp.names.get(key))
+    try:
+        return config, None if exp.setup is None else exp.setup(config)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
+
+
+def resolve_config(name: str, overrides: dict | None = None) -> dict:
+    """Merge overrides into an experiment's defaults, rejecting unknown keys,
+    values outside a key's declared range (a count, >= 1, for an integer key
+    that declares none), names outside a string key's set, and whatever the
+    experiment's setup refuses while building its inputs (a ``ValueError``
+    from a builder, such as ``FlowConfig``'s, becomes a ``ConfigError``
+    prefixed with the experiment's name)."""
+    return _resolve(name, overrides)[0]
 
 
 def run_experiment(
@@ -726,12 +795,14 @@ def run_experiment(
     seed: int,
     reps: int = 1,
 ) -> Path:
-    """Run an experiment and write artifacts plus ``manifest.json``; returns the manifest path."""
+    """Run an experiment and write artifacts plus ``manifest.json``; returns the manifest path.
+
+    The setup runs once; every repetition's runner reads its inputs."""
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    config = resolve_config(name, overrides)
+    config, inputs = _resolve(name, overrides)
     exp = EXPERIMENTS[name]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -741,7 +812,7 @@ def run_experiment(
     for rep in range(reps):
         rng = np.random.default_rng([seed, exp.index, rep])
         art = ArtifactWriter(out_dir, f"rep{rep:03d}_")
-        info = exp.runner(config, rng, art)
+        info = exp.runner(config, inputs, rng, art)
         outputs.extend(art.files)
         derived[f"rep{rep:03d}"] = info or {}
     manifest = {

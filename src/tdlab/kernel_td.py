@@ -20,6 +20,8 @@ from .mdp import exact_value
 from .spectral import NonRealSpectrum, eigendecompose
 
 _JITTER = 1e-10  # ridge added to the training Gram of smooth_kernel_generalization
+KERNEL_TD_METHODS = ("rk4", "euler")  # the FlowConfig methods kernel_td_flow steps by
+SMOOTH_TARGETS = ("value", "projected-top", "projected-bottom", "nstep")  # smooth_kernel_generalization's
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
         raise ValueError("V0, P, R dimensions do not agree")
     if K_all.shape != (n, m):
         raise ValueError(f"K_all must have shape {(n, m)}, one column per train state")
-    if cfg.method == "closed_form":
-        raise ValueError("kernel_td_flow supports rk4 and euler methods only")
+    if cfg.method not in KERNEL_TD_METHODS:
+        raise ValueError(f"kernel_td_flow supports {' and '.join(KERNEL_TD_METHODS)} methods only")
     K_train = K_all[train_idx]
     if np.max(np.abs(K_train - K_train.T)) > 1e-9:
         raise ValueError("the train block of K_all must be symmetric")
@@ -163,6 +165,9 @@ def smooth_kernel_generalization(
     R = np.asarray(R, dtype=float)
     n = P.shape[0]
     targets = (target,) if isinstance(target, str) else tuple(target)
+    for name in targets:
+        if name not in SMOOTH_TARGETS:
+            raise ValueError(f"unknown target {name!r}")
     fractions = np.atleast_1d(np.asarray(train_fraction, dtype=float))
     if not np.all((fractions > 0.0) & (fractions <= 1.0)):
         raise ValueError("train_fraction must lie in (0, 1]")
@@ -183,7 +188,7 @@ def smooth_kernel_generalization(
         elif name == "projected-bottom":
             complement = np.setdiff1d(np.arange(n), S)
             y = _orthogonal_projection(Vpi, V[:, complement])
-        elif name == "nstep":
+        else:  # "nstep"
             if nstep_n is None or nstep_n < 1:
                 raise ValueError("target 'nstep' requires a positive nstep_n")
             y = np.zeros(n)
@@ -191,8 +196,6 @@ def smooth_kernel_generalization(
             for _ in range(nstep_n):
                 y += term
                 term = gamma * (P @ term)
-        else:
-            raise ValueError(f"unknown target {name!r}")
         ys.append(y)
 
     K = basis @ basis.T

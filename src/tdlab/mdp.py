@@ -92,7 +92,7 @@ def build_chain_mdp(
     last state.
     """
     if n_states < 2:
-        raise ValueError("chain needs at least 2 states")
+        raise ValueError("n_states must be at least 2 for a chain")
     if not 0.0 <= slip_prob <= 1.0:
         raise ValueError("slip_prob must lie in [0, 1]")
 

@@ -173,11 +173,14 @@ def _span_basis(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def subspace_from_span(M: np.ndarray) -> Subspace:
-    """Orthonormalize the column span of ``M`` (must have full column rank)."""
+    """Orthonormalize the column span of ``M`` (must have full column rank).
+
+    A rank-deficient ``M`` raises ``np.linalg.LinAlgError`` (a ``ValueError``):
+    a numerical failure of the data, not a misuse."""
     M = np.asarray(M, dtype=float)
     Q, full = _span_basis(M[:, None] if M.ndim == 1 else M)
     if not full:
-        raise ValueError("columns are rank deficient; span has lower dimension")
+        raise np.linalg.LinAlgError("columns are rank deficient; span has lower dimension")
     return Subspace(basis=Q)
 
 

@@ -1,12 +1,26 @@
+import csv
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tdlab.cli import main
-from tdlab.experiments import EXPERIMENT_ORDER, EXPERIMENTS, ConfigError, resolve_config, write_csv
+from tdlab.cli import _NUMERICAL_ERRORS, main
+from tdlab.experiments import (
+    EXPERIMENT_ORDER,
+    ArtifactWriter,
+    EXPERIMENTS,
+    ConfigError,
+    resolve_config,
+    run_experiment,
+    write_csv,
+)
 
 
 def run_cli(args):
@@ -97,6 +111,11 @@ _OUT_OF_RANGE = [
     ("smooth-kernel-generalization", "nstep_n", "0"), ("smooth-kernel-generalization", "n_states", "1"),
     ("smooth-kernel-generalization", "n_mdps", "0"), ("two-state", "gamma", "1"),
     ("two-state", "gamma", "-0.5"), ("two-state", "t_end", "-1"), ("two-state", "dt", "0"),
+    # integer keys that declare no range are counts, >= 1
+    ("two-state", "n_inits", "0"), ("random-cumulants", "n_states", "0"),
+    ("random-cumulants", "n_seeds", "-1"), ("kernel-circle", "n_states", "-1"),
+    ("capacity-ranks", "n_samples", "0"), ("capacity-ranks", "d_features", "-1"),
+    ("second-order", "n_states", "-3"), ("capacity-ranks", "constructed_ranks", "2,-1"),
 ]
 
 
@@ -116,16 +135,18 @@ _INCONSISTENT = [
     ("smooth-kernel-generalization", "n_states = 10\nsmooth_k = 20", "smooth_k"),
     ("smooth-kernel-generalization", "n_states = 2\nsmooth_k = 2", "fractions"),
     ("second-order", "alphas = 0.5\nt_total = 0.2", "alphas"),
+    ("random-cumulants", "n_states = 1", "m_heads"),
 ]
 
 
 @pytest.mark.parametrize(
-    "section, body, key", _INCONSISTENT, ids=["smooth_k-above-n_states", "no-train-state", "no-steps"]
+    "section, body, key", _INCONSISTENT,
+    ids=["smooth_k-above-n_states", "no-train-state", "no-steps", "m_heads-above-n_states"],
 )
 def test_inconsistent_keys_are_config_errors(tmp_path, section, body, key):
     """Values each in range that together fail at run time: more eigenvectors
     than states, a train fraction that keeps no state, a step longer than
-    the horizon."""
+    the horizon, more cumulant heads than states."""
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{body}\n")
     assert run_cli(["validate", "--config", str(cfg)]) == 2
@@ -145,6 +166,20 @@ _REFUSED_BY_BUILDERS = [
     ("smooth-kernel-generalization", "smooth_k", "-3", "smooth-kernel-generalization.smooth_k"),
     ("kernel-circle", "lengthscales", "0", "kernel-circle.lengthscale must be positive"),
     ("kernel-circle", "gammas", "0.5,1.0", r"kernel-circle.gamma must lie in \[0, 1\)"),
+    ("chain-transfer", "n_states", "1", "chain-transfer.n_states must be at least 2"),
+    ("chain-transfer", "slip", "-1", r"chain-transfer.slip_prob must lie in \[0, 1\]"),
+    ("chain-transfer", "gamma", "1", r"chain-transfer.gamma must lie in \[0, 1\)"),
+    ("chain-transfer", "k", "31", r"chain-transfer.k must lie in \[1, 30\]"),
+    ("kernel-circle", "reward_state", "-1", r"kernel-circle.reward_state -1 outside \[0, 50\)"),
+    ("kernel-circle", "n_train", "60", r"kernel-circle.n_train must lie in \[1, 50\]"),
+    ("kernel-circle", "method", "closed_form", "kernel-circle.method: 'closed_form' is not one of rk4, euler"),
+    ("smooth-kernel-generalization", "targets", "value, smoothest", "targets: 'smoothest' is not one of value,"),
+    ("bms-select", "kind", "linear", "bms-select.kind: 'linear' is not one of feature_dimension,"),
+    ("bms-select", "alg1_method", "sgd", "bms-select.alg1_method: 'sgd' is not one of gd, exact"),
+    ("capacity-ranks", "n_states", "1", "capacity-ranks.n_states must be at least 2"),
+    ("capacity-ranks", "lengthscales", "1,-1", "capacity-ranks.lengthscale must be positive"),
+    ("capacity-ranks", "sgd_lr", "0", "capacity-ranks.lr must be positive"),
+    ("second-order", "gamma", "1", r"second-order.gamma must lie in \[0, 1\)"),
 ]
 
 
@@ -154,8 +189,9 @@ _REFUSED_BY_BUILDERS = [
 )
 def test_values_the_flow_builders_refuse_are_config_errors(tmp_path, section, key, value, match):
     """Each of these ran to a traceback (or to all-zero predictions, for
-    smooth_k) before; validate and run now refuse them, through a declared
-    range or through the FlowConfig/KernelSpec the experiment builds."""
+    smooth_k) before; validate and run now refuse them, through the count
+    default, the names the library exports, or the inputs (FlowConfig,
+    KernelSpec, MDP, basis, optimizer) the experiment's setup builds."""
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{key} = {value}\n")
     assert run_cli(["validate", "--config", str(cfg)]) == 2
@@ -187,10 +223,14 @@ def test_write_csv_formats_every_cell_type(tmp_path):
 
 
 def test_declared_ranges_admit_the_defaults():
+    """Every numeric key's range (a count's included) and every string key's
+    name set admit its default."""
     for name, exp in EXPERIMENTS.items():
-        for key, bounds in exp.ranges.items():
-            default = exp.defaults[key]
-            assert all(bounds.admits(v) for v in (default if isinstance(default, tuple) else (default,))), key
+        for key, default in exp.defaults.items():
+            items = default if isinstance(default, tuple) else (default,)
+            bounds, names = exp.bounds(key), exp.names.get(key)
+            assert bounds is None or all(bounds.admits(v) for v in items), key
+            assert names is None or set(items) <= set(names), key
         assert resolve_config(name) == exp.defaults
 
 
@@ -336,3 +376,146 @@ def test_exact_and_sampled_evidence_load_no_scipy():
         "algorithm1_sumloss(models[0], data, seed=0, method='exact')"
     )
     assert _scipy_modules_after(code) == []
+
+
+# Every experiment at a size that runs in milliseconds; a drawn value overrides its key.
+_SMALL = {
+    "two-state": {"t_end": 1.0, "n_inits": 2},
+    "chain-transfer": {"n_states": 8, "k": 2},
+    "four-rooms-features": {"t_end": 0.1, "m_heads": (1, 2)},
+    "random-cumulants": {"n_states": 4, "m_heads": 2, "n_seeds": 10, "t_end": 0.5},
+    "kernel-circle": {
+        "n_states": 8, "reward_state": 3, "n_train": 6, "t_end": 5.0, "gammas": (0.5,), "lengthscales": (1.0,),
+    },
+    "smooth-kernel-generalization": {"n_states": 10, "smooth_k": 5, "n_mdps": 2, "fractions": (0.5,)},
+    "bms-select": {"kind": "prior_variance", "n_estimator_seeds": 2, "k_values": (2,), "ls_samples": 2},
+    "misa-robustness": {"n_seeds": 2, "n_steps": 50, "do_values": (0.0, 1.0)},
+    "capacity-ranks": {"n_states": 6, "n_samples": 20, "constructed_ranks": (1, 2), "d_features": 4},
+    "second-order": {"alphas": (0.1, 0.05), "t_total": 0.5},
+}
+
+
+def _boundary_values(exp, key):
+    """0, -1, 1, each end the key declares (a count's is 1) and one step past
+    it; for a string key, a name no library function knows."""
+    default = exp.defaults[key]
+    item = default[0] if isinstance(default, tuple) else default
+    if isinstance(item, str):
+        return ["no-such-name"]
+    values = {0, -1, 1}
+    bounds = exp.bounds(key)
+    if bounds is not None:
+        for end, outward in ((bounds.lo, -1), (bounds.hi, 1)):
+            if math.isfinite(end):
+                past = end + outward if type(item) is int else math.nextafter(end, outward * math.inf)
+                values |= {end, past}
+    return sorted(type(item)(v) for v in values)
+
+
+_ONE_KEY_CASES = [
+    (name, key, (value,) if isinstance(exp.defaults[key], tuple) else value)
+    for name, exp in EXPERIMENTS.items()
+    for key in exp.defaults
+    for value in _boundary_values(exp, key)
+]
+
+
+def _with_partner(case):
+    """The case alone, or with a boundary value of another key of its experiment."""
+    partners = [other for other in _ONE_KEY_CASES if other[0] == case[0] and other[1] != case[1]]
+    return st.one_of(st.just((case,)), st.sampled_from(partners).map(lambda other: (case, other)))
+
+
+def _every_one_key_case(test):
+    """Run each one-key case as an explicit example, so that every (experiment,
+    key) pair is covered whatever the drawn examples are."""
+    for case in _ONE_KEY_CASES:
+        test = example((case,))(test)
+    return test
+
+
+# The README's NaN columns: the distance of a rank-deficient feature snapshot
+# (four-rooms-features, random-cumulants) is NaN.
+_NAN_COLUMNS = {"grassmann_distance", "grassmann_distance_to_resolvent_span"}
+
+
+def _non_finite_cells(path: Path):
+    """(column, cell) of each non-finite number outside the NaN columns' NaNs."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    bad = []
+    for row in rows[1:]:
+        for column, cell in zip(rows[0], row):
+            try:
+                finite = math.isfinite(float(cell))
+            except ValueError:  # a label or an empty cell
+                continue
+            if not finite and not (cell == "nan" and column in _NAN_COLUMNS):
+                bad.append((column, cell))
+    return bad
+
+
+@settings(max_examples=80)
+@_every_one_key_case
+@given(st.sampled_from(_ONE_KEY_CASES).flatmap(_with_partner))
+def test_validate_refuses_or_run_completes(cases):
+    """Each boundary config, alone or paired, is refused by ``validate`` with a
+    ConfigError, or runs to success or to a numerical failure (exit 3); a
+    success writes only finite numbers, outside the documented NaN columns."""
+    name = cases[0][0]
+    overrides = dict(_SMALL[name], **{key: value for _, key, value in cases})
+    try:
+        resolve_config(name, overrides)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            manifest = json.loads(run_experiment(name, overrides, out, 0).read_text())
+        except _NUMERICAL_ERRORS:
+            return
+        for output in manifest["outputs"]:
+            bad = _non_finite_cells(Path(out) / output)
+            assert not bad, (output, bad[:3])
+
+
+@pytest.mark.parametrize(
+    "section, body",
+    [("chain-transfer", "slip = 0"), ("four-rooms-features", "k_features = 69\nt_end = 0.1")],
+    ids=["chain-slip-0", "four-rooms-k-69"],
+)
+def test_rank_deficient_span_exits_three(tmp_path, capsys, section, body):
+    """A deterministic chain's EBFs and the four-rooms walk's top 69 EBFs span
+    fewer dimensions than they have columns: a singular system, exit 3."""
+    cfg = tmp_path / "span.ini"
+    cfg.write_text(f"[{section}]\n{body}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 0
+    assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "LinAlgError: columns are rank deficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("chain-transfer", {}),
+        ("kernel-circle", {"t_end": 20.0}),
+        ("capacity-ranks", {"n_samples": 500}),
+        ("four-rooms-features", {"t_end": 0.5, "m_heads": (1, 4)}),
+    ],
+)
+def test_reps_share_one_setup_and_leave_it_unchanged(tmp_path, experiment, overrides):
+    """Repetitions share one setup: rep000 of a two-rep run is byte-identical
+    to a one-rep run, and rep001 to the runner on a fresh setup with rep 1's
+    stream, so a runner that mutates what its setup built fails here."""
+    exp = EXPERIMENTS[experiment]
+    one, two, fresh = tmp_path / "one", tmp_path / "two", tmp_path / "fresh"
+    run_experiment(experiment, overrides, one, 7, reps=1)
+    run_experiment(experiment, overrides, two, 7, reps=2)
+    fresh.mkdir()
+    config = resolve_config(experiment, overrides)
+    rep1 = ArtifactWriter(fresh, "rep001_")
+    exp.runner(config, exp.setup(config), np.random.default_rng([7, exp.index, 1]), rep1)
+    outputs = read_manifest(two)["outputs"]
+    assert read_manifest(one)["outputs"] + rep1.files == outputs
+    for name in outputs:
+        expected = (one if name.startswith("rep000_") else fresh) / name
+        assert expected.read_bytes() == (two / name).read_bytes(), name

@@ -182,7 +182,7 @@ def test_grassmann_dimension_mismatch():
         grassmann_distance(A, B)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1))
 def test_grassmann_properties_random_spans(seed):
     rng = np.random.default_rng(seed)

@@ -10,9 +10,8 @@ horizon rows therefore propagate the reward-free error flow directly.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
-from tdlab.flows import FlowConfig, td_value_flow
+from tdlab.flows import FlowConfig, expm, td_value_flow
 from tdlab.mdp import build_chain_mdp, transition_matrix, uniform_policy
 from tdlab.spectral import (
     eigendecompose,

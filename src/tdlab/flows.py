@@ -6,7 +6,8 @@ form and as fixed-step RK4 integrations.  Feature flows (coupled
 semi-gradient systems over a feature matrix and ensemble head weights,
 including the random-cumulant variant) integrate with RK4.  Every exact
 evaluation ``exp(t G)(x0 - x*) + x*`` goes through :func:`_closed_form_grid`,
-and every fixed-step run through :func:`_propagate`, which reports
+whose matrix exponential is :func:`expm` (Higham's scaling and squaring,
+in numpy), and every fixed-step run through :func:`_propagate`, which reports
 divergence instead of overflowing.  Linear flows (every flow but the coupled
 one with ``beta != 0``) step there by composed affine maps: one RK4 or Euler
 step of ``x' = A x + c`` is exactly ``x <- M x + m``, so the recorded
@@ -32,6 +33,13 @@ _MAX_STEPS = 10**7
 # this many floats, so composing its powers never costs more than it saves
 _BLOCK_STEPS = 64
 _BLOCK_ENTRIES = 2**16
+# Higham (2005), Table 2.3 and eq. (2.5): theta_13, and the [13/13] Pade
+# coefficients divided by the first, so that expm of the zero matrix is exactly I
+_THETA13 = 5.371920351148152
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+    10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
 
 
 class DivergenceDetected(RuntimeError):
@@ -107,6 +115,35 @@ def _recorded_steps(cfg: FlowConfig) -> np.ndarray:
     return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
 
 
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [13/13] Pade approximant.
+
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited" (SIAM J. Matrix Anal. Appl., 2005), Algorithm 2.3 at degree 13
+    only: ``A`` is scaled by ``2^-s`` until its exact 1-norm is at most
+    theta_13, the approximant ``(V - U)^{-1}(V + U)`` is solved, and the
+    result squared ``s`` times.  The matrices here are small, so the exact
+    norm costs less than an estimate.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("expm needs a finite matrix")
+    norm = np.abs(A).sum(axis=0).max(initial=0.0)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = A / 2.0**s
+    b = _PADE13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    eye = np.eye(A.shape[0])
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def _closed_form_grid(
     generator: np.ndarray, offset: np.ndarray, X0: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
@@ -116,8 +153,6 @@ def _closed_form_grid(
     recorded times, computing one ``expm`` per distinct step length.  No
     eigenbasis is involved, so ill-conditioned eigenvectors cannot spoil it.
     """
-    from scipy.linalg import expm  # ~0.3 s to import; only closed-form flows need it
-
     snaps = np.empty((len(times),) + X0.shape)
     current = X0 - offset
     snaps[0] = current + offset

@@ -3,12 +3,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 
 from tdlab.causal import (
     EnvDataset,
     Environment,
     InsufficientEnvironments,
+    _f_upper_tail,
     _scan_subsets,
     _simulate_three_var,
     _subset_fits,
@@ -232,6 +233,21 @@ def assert_same_table(actual, expected):
             assert got is None, key
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), key
+
+
+def test_f_upper_tail_matches_scipy_fdtrc():
+    """Every numerator and denominator degree of freedom the scan can meet at
+    small sizes, and large ones, against ``fdtrc``: relative 1e-9 wherever the
+    tail exceeds 1e-300, which includes the far tail of odd ``d1``, where a
+    tail taken as ``1 - P`` would cancel."""
+    f = np.concatenate([[0.0, np.inf, np.nan], np.logspace(-6, 4, 201)])
+    for d1 in range(1, 10):
+        for d2 in [*range(1, 31), 100, 997, 2997, 3000]:
+            got, want = _f_upper_tail(d1, d2, f), special.fdtrc(d1, d2, f)
+            assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2]), (d1, d2)
+            resolved = want > 1e-300
+            assert got[resolved] == pytest.approx(want[resolved], rel=1e-9, abs=0.0), (d1, d2)
+            assert np.all(got[3:][~resolved[3:]] < 1e-290), (d1, d2)
 
 
 @pytest.mark.parametrize("scale", [3.0, 1.0])

@@ -363,9 +363,30 @@ def _scipy_modules_after(code):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """Importing any scipy module takes ~0.3 s and only closed-form flows and the
-    ICP scan need one, so startup loads none; this interpreter has loaded scipy."""
+    """Importing any scipy module takes ~0.3 s, so startup loads none; this
+    interpreter has loaded scipy."""
     assert _scipy_modules_after("import tdlab.experiments, tdlab.cli") == []
+
+
+def test_experiments_and_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    """scipy is a test dependency only: in an interpreter where ``import scipy``
+    fails, all ten experiments run (at their small sizes), and so do ``list``
+    and ``validate`` of a config naming every experiment."""
+    config = tmp_path / "all.ini"
+    config.write_text("".join(f"[{name}]\n" for name in EXPERIMENT_ORDER))
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from tdlab.cli import main",
+        "from tdlab.experiments import run_experiment",
+        f"for name, overrides in {[(name, _SMALL[name]) for name in EXPERIMENT_ORDER]!r}:",
+        f"    run_experiment(name, overrides, {str(tmp_path)!r} + '/' + name, 0)",
+        f"sys.exit(main(['list']) or main(['validate', '--config', {str(config)!r}]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert f"ok ({len(EXPERIMENT_ORDER)} section(s))" in proc.stdout
+    assert all((tmp_path / name / "manifest.json").exists() for name in EXPERIMENT_ORDER)
 
 
 def test_exact_and_sampled_evidence_load_no_scipy():

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from tdlab import flows
 from tdlab.flows import (
     DivergenceDetected,
     FlowConfig,
@@ -237,6 +238,58 @@ def test_closed_form_matches_expm_on_ill_conditioned_eigenbases(chain, gamma):
     G = gamma * P - np.eye(n)
     expected = np.array([expm(t * G) @ (V0 - Vpi) + Vpi for t in traj.times])
     assert np.max(np.abs(traj.states - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def assert_expm_matches_scipy(A):
+    """Norm-wise agreement: exponentials of long-horizon generators have entries
+    near 1e-300 that the two routes round differently, so entrywise relative
+    error says nothing there."""
+    want = expm(A)
+    assert np.max(np.abs(flows.expm(A) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_CLOSED_FORM_RUNS = {
+    "td": lambda P, R, V0, cfg: td_value_flow(V0, P, R, cfg),
+    "mc": lambda P, R, V0, cfg: mc_value_flow(V0, P, R, cfg),
+    "nstep": lambda P, R, V0, cfg: nstep_value_flow(V0, P, R, 3, cfg),
+    "td_lambda": lambda P, R, V0, cfg: td_lambda_value_flow(V0, P, R, 0.7, cfg),
+    "limiting": lambda P, R, V0, cfg: limiting_ensemble_flow(
+        np.outer(V0, [1.0, -2.0]), P, R, cfg.gamma, t=cfg.t_end
+    ),
+    "second_order": lambda P, R, V0, cfg: second_order_check(V0, P, R, cfg.gamma, alpha=0.1, n_steps=50),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("run", list(_CLOSED_FORM_RUNS.values()), ids=list(_CLOSED_FORM_RUNS))
+def test_expm_matches_scipy_on_every_generator_the_flows_build(monkeypatch, run, gamma):
+    """Every matrix a closed-form flow exponentiates (each generator times each
+    step length) against ``scipy.linalg.expm``."""
+    P, R, V0, _ = small_problem(27, gamma=gamma)
+    seen = []
+    numpy_expm = flows.expm
+    monkeypatch.setattr(flows, "expm", lambda A: seen.append(A) or numpy_expm(A))
+    run(P, R, V0, FlowConfig(gamma=gamma, t_end=12.0, dt=0.3))
+    monkeypatch.undo()
+    assert seen
+    for A in seen:
+        assert_expm_matches_scipy(A)
+
+
+def test_expm_matches_scipy_on_the_30_state_chain_to_t200():
+    mdp = build_chain_mdp(30)
+    G = 0.9 * transition_matrix(mdp, uniform_policy(mdp)) - np.eye(30)
+    for t in np.linspace(0.0, 200.0, 41):
+        assert_expm_matches_scipy(t * G)
+
+
+def test_expm_of_zero_is_the_identity_and_non_finite_input_is_refused():
+    assert np.array_equal(flows.expm(np.zeros((4, 4))), np.eye(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        A = np.zeros((3, 3))
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            flows.expm(A)
 
 
 def test_rk4_value_flow_divergence_detected():

@@ -13,18 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "RankReport",
-    "UpdateMatrix",
-    "Sgd",
-    "AdamLike",
-    "LinearValueModel",
-    "feature_rank",
-    "srank",
-    "update_matrix",
-    "update_rank",
-]
-
 
 @dataclass(frozen=True)
 class RankReport:

@@ -228,24 +228,25 @@ def _estimate(per_seed: np.ndarray) -> EstimateResult:
 
 
 class _Chain(NamedTuple):
-    """The prequential posteriors of one (model, data) pair, in presentation order."""
+    """The prequential predictions of one (model, data) pair, in presentation order.
 
-    phi: np.ndarray  # (n, d) features
+    Point i's sampled prediction ``phi_i^T (mu_i + F_i z)`` is ``m_i + z^T w_i``,
+    with ``mu_i``, ``F_i`` the posterior mean and sample factor given the
+    points before i: one mean and one d-vector per point.
+    """
+
     y: np.ndarray  # (n,) targets
-    means: np.ndarray  # (n, d) posterior means after 0..n-1 points
-    factors: np.ndarray  # (n, d, d) their sample factors
+    m: np.ndarray  # (n,) predictive means phi_i^T mu_i
+    w: np.ndarray  # (n, d, 1) projected factors F_i^T phi_i
     noise_variance: float
 
     def draws(self, pass_seed: np.random.SeedSequence, k: int) -> np.ndarray:
         """(n, k) sampled predictions: row i from the posterior given the points before i, seeded by child i."""
-        n, d = self.means.shape
+        n, d = self.w.shape[:2]
         Z = np.empty((n, k, d))
         for z, point_seed in zip(Z, pass_seed.spawn(n)):
             np.random.default_rng(point_seed).standard_normal(out=z)
-        # phi_i^T (mu_i + F_i z) = m_i + z^T (F_i^T phi_i): one mean and one d-vector per point
-        m = np.einsum("id,id->i", self.means, self.phi)
-        w = np.swapaxes(self.factors, 1, 2) @ self.phi[:, :, None]
-        return m[:, None] + (Z @ w)[:, :, 0]
+        return self.m[:, None] + (Z @ self.w)[:, :, 0]
 
     def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
         """Summed L_k point scores, shape (len(ks), n_seeds), on nested draws of max(ks)."""
@@ -277,7 +278,9 @@ class _Chain(NamedTuple):
 def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
     phi, y = data.reordered(model)
     means, covs = _posteriors(model, phi, y, range(data.n))
-    return _Chain(phi, y, means, _sample_factors(covs), model.noise_variance)
+    m = np.einsum("id,id->i", means, phi)
+    w = np.swapaxes(_sample_factors(covs), 1, 2) @ phi[:, :, None]
+    return _Chain(y, m, w, model.noise_variance)
 
 
 def estimate_Lk(model: BlrModel, data: OrderedDataset, k, n_seeds: int = 1, seed: int = 0):

@@ -501,35 +501,33 @@ def _run_capacity(cfg, inputs, rng, art):
     return {"tabular_max_offdiagonal": off_diag}
 
 
-def _second_order_setup(cfg) -> list[int]:
-    """Discrete steps per ``alphas`` entry.  The Euler FlowConfig that
-    :func:`second_order_check` builds for each step size and horizon is built
-    here first, so it refuses gamma and the step budget before any draw."""
-    steps = []
-    for alpha in cfg["alphas"]:
-        n_steps = int(round(cfg["t_total"] / alpha))
-        if n_steps < 1:
-            raise ConfigError(f"second-order.alphas: {alpha} rounds t_total = {cfg['t_total']} to no steps")
-        FlowConfig(gamma=cfg["gamma"], t_end=n_steps * alpha, dt=alpha, method="euler")
-        steps.append(n_steps)
-    return steps
+def _second_order_setup(cfg) -> list[FlowConfig]:
+    """The Euler FlowConfig of each ``alphas`` entry over ``t_total`` (rounded
+    to whole steps), built before any draw, so that it refuses gamma, the
+    step budget and an overflowing ``t_total / alpha`` first."""
+    configs = [
+        FlowConfig(gamma=cfg["gamma"], t_end=cfg["t_total"], dt=alpha, method="euler") for alpha in cfg["alphas"]
+    ]
+    for flow_cfg in configs:
+        if round(flow_cfg.t_end / flow_cfg.dt) < 1:
+            raise ConfigError(f"second-order.alphas: {flow_cfg.dt} rounds t_total = {flow_cfg.t_end} to no steps")
+    return configs
 
 
-def _run_second_order(cfg, steps, rng, art):
+def _run_second_order(cfg, flow_cfgs, rng, art):
     """Richardson table for the discrete-TD step-size correction."""
     mdp = random_mdp(rng, cfg["n_states"])
     P = transition_matrix(mdp, uniform_policy(mdp))
     V0 = cfg["v_scale"] * rng.standard_normal(cfg["n_states"])
     table_rows = []
     errors = []
-    for alpha, n_steps in zip(cfg["alphas"], steps):
-        discrete, first, corrected = second_order_check(
-            V0, P, mdp.rewards, cfg["gamma"], alpha, n_steps
-        )
+    for flow_cfg in flow_cfgs:
+        discrete, first, corrected = second_order_check(V0, P, mdp.rewards, flow_cfg)
+        alpha = flow_cfg.dt
         e1 = float(np.linalg.norm(discrete - first))
         e2 = float(np.linalg.norm(discrete - corrected))
         errors.append((alpha, e1, e2))
-        table_rows.append((alpha, n_steps, e1, e2))
+        table_rows.append((alpha, int(round(flow_cfg.t_end / alpha)), e1, e2))
     art.csv("richardson", ("alpha", "n_steps", "err_first_order", "err_corrected"), table_rows)
 
     ratio_rows = []
@@ -711,8 +709,8 @@ _DEFS = [
         "Richardson ratios for the step-size-corrected TD flow",
         {"n_states": 5, "gamma": 0.9, "alphas": (0.1, 0.05, 0.025), "t_total": 2.0, "v_scale": 1.0},
         _run_second_order,
-        # each alpha divides t_total in the setup; second_order_check refuses a
-        # nonpositive step only after the MDP is drawn
+        # the setup divides t_total by each alpha, so a zero or negative one is
+        # refused before that
         ranges={"alphas": Range(0.0, lo_open=True)},
         setup=_second_order_setup,
     ),

@@ -112,7 +112,8 @@ def _recorded_steps(cfg: FlowConfig) -> np.ndarray:
     """Step indices of the recorded snapshots: 0, every stride-th step, and the last."""
     n_steps = max(int(round(cfg.t_end / cfg.dt)), 1) if cfg.t_end > 0 else 0
     stride = max(1, int(np.ceil(n_steps / _MAX_SNAPSHOTS)))
-    return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
+    steps = np.arange(0, n_steps + 1, stride)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -571,32 +572,28 @@ def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
     return np.where(full, grassmann_distance(bases, target_basis), np.nan)
 
 
-def second_order_check(
-    V0, P, R, gamma: float, alpha: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def second_order_check(V0, P, R, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Discrete TD iterates vs first-order and second-order flow endpoints.
 
-    Runs ``n_steps`` discrete updates ``V <- V + alpha f(V)`` with
-    ``f(V) = R + gamma P V - V`` (Euler steps of size exactly ``alpha``),
-    then evaluates at ``t = n_steps * alpha`` the first-order flow
-    ``dV = f`` and the step-size-corrected flow
-    ``dV = f + (alpha/2)(I - gamma P) f`` (the modified equation whose
-    truncation error is O(alpha^2)).  Returns the three endpoints.
+    ``cfg`` is an Euler config: its grid's last step ``n`` counts the
+    discrete updates ``V <- V + alpha f(V)`` with ``f(V) = R + gamma P V - V``
+    and ``alpha = cfg.dt`` (Euler steps of size exactly ``alpha``).  Then
+    evaluates at ``t = n * alpha`` the first-order flow ``dV = f`` and the
+    step-size-corrected flow ``dV = f + (alpha/2)(I - gamma P) f`` (the
+    modified equation whose truncation error is O(alpha^2)).  Returns the
+    three endpoints.
     """
+    if cfg.method != "euler":
+        raise ValueError(f"second_order_check takes Euler steps, not method {cfg.method!r}")
     V0 = np.asarray(V0, dtype=float)
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
-    if alpha <= 0 or n_steps < 1:
-        raise ValueError("alpha must be positive and n_steps >= 1")
-    n = P.shape[0]
-    A = np.eye(n) - gamma * P
-    Vpi = exact_value(P, R, gamma)
-    t = n_steps * alpha
-    cfg = FlowConfig(gamma=gamma, t_end=t, dt=alpha, method="euler")
-    V = _propagate((-A, R), V0, cfg)[1][-1]
-    grid = np.array([0.0, t])
+    A = np.eye(P.shape[0]) - cfg.gamma * P
+    Vpi = exact_value(P, R, cfg.gamma)
+    times, snaps, _ = _propagate((-A, R), V0, cfg)
+    V, grid = snaps[-1], np.array([0.0, times[-1]])
     first = _closed_form_grid(-A, Vpi, V0, grid)[-1]
-    corrected = _closed_form_grid(-(A + 0.5 * alpha * (A @ A)), Vpi, V0, grid)[-1]
+    corrected = _closed_form_grid(-(A + 0.5 * cfg.dt * (A @ A)), Vpi, V0, grid)[-1]
     return V, first, corrected
 
 

@@ -326,9 +326,8 @@ def test_08_richardson_ratios_for_step_size_correction():
     t_total = 2.0
     errors = []
     for alpha in (0.1, 0.05, 0.025):
-        discrete, first, corrected = second_order_check(
-            V0, P, mdp.rewards, 0.9, alpha, int(round(t_total / alpha))
-        )
+        cfg = FlowConfig(gamma=0.9, t_end=t_total, dt=alpha, method="euler")
+        discrete, first, corrected = second_order_check(V0, P, mdp.rewards, cfg)
         errors.append((np.linalg.norm(discrete - first), np.linalg.norm(discrete - corrected)))
     for (e1c, e2c), (e1f, e2f) in zip(errors, errors[1:]):
         r1, r2 = e1c / e1f, e2c / e2f

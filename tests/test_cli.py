@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -180,6 +181,7 @@ _REFUSED_BY_BUILDERS = [
     ("capacity-ranks", "lengthscales", "1,-1", "capacity-ranks.lengthscale must be positive"),
     ("capacity-ranks", "sgd_lr", "0", "capacity-ranks.lr must be positive"),
     ("second-order", "gamma", "1", r"second-order.gamma must lie in \[0, 1\)"),
+    ("second-order", "alphas", "1e-320", r"second-order.t_end / dt overflows"),
 ]
 
 
@@ -366,6 +368,15 @@ def test_import_leaves_scipy_stats_unloaded():
     """Importing any scipy module takes ~0.3 s, so startup loads none; this
     interpreter has loaded scipy."""
     assert _scipy_modules_after("import tdlab.experiments, tdlab.cli") == []
+
+
+def test_package_namespace_holds_only_submodules_and_dunders():
+    """Each public name has one import path, the module that defines it:
+    ``tdlab`` itself binds no library name."""
+    import tdlab
+
+    names = [n for n, obj in vars(tdlab).items() if not n.startswith("__") and not isinstance(obj, ModuleType)]
+    assert names == []
 
 
 def test_experiments_and_commands_run_where_scipy_cannot_be_imported(tmp_path):

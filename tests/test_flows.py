@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -256,7 +259,9 @@ _CLOSED_FORM_RUNS = {
     "limiting": lambda P, R, V0, cfg: limiting_ensemble_flow(
         np.outer(V0, [1.0, -2.0]), P, R, cfg.gamma, t=cfg.t_end
     ),
-    "second_order": lambda P, R, V0, cfg: second_order_check(V0, P, R, cfg.gamma, alpha=0.1, n_steps=50),
+    "second_order": lambda P, R, V0, cfg: second_order_check(
+        V0, P, R, FlowConfig(gamma=cfg.gamma, t_end=5.0, dt=0.1, method="euler")
+    ),
 }
 
 
@@ -534,11 +539,44 @@ def test_random_cumulant_flow_matches_step_loop():
 def test_second_order_check_matches_step_loop():
     P, R, V0, gamma = small_problem(31)
     alpha, n_steps = 0.05, 40
-    discrete, _, _ = second_order_check(V0, P, R, gamma, alpha, n_steps)
     cfg = FlowConfig(gamma=gamma, t_end=n_steps * alpha, dt=alpha, method="euler")
+    discrete, _, _ = second_order_check(V0, P, R, cfg)
     states, _ = step_loop(lambda V: R + gamma * P @ V - V, V0, cfg)
     assert len(states) == n_steps + 1
     assert np.max(np.abs(discrete - states[-1])) <= 1e-12 * np.max(np.abs(states))
+
+
+def test_second_order_check_refuses_a_non_euler_config():
+    P, R, V0, gamma = small_problem(31)
+    for method in ("closed_form", "rk4"):
+        with pytest.raises(ValueError, match="Euler"):
+            second_order_check(V0, P, R, FlowConfig(gamma=gamma, t_end=1.0, dt=0.1, method=method))
+
+
+def test_recorded_steps_equal_the_unique_grid():
+    """The snapshot grid is ``arange`` plus the last step when missing: the same
+    array as dropping the duplicate of ``append(arange, n)`` with ``unique``."""
+    for t_end in (0.0, 0.004, 0.01, 1.0, 10.0, 10.24, 10.25, 20.48, 100.0, 1234.5, 1e4):
+        for dt in (0.0025, 0.01, 0.3, 1.0, 7.0):
+            n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
+            stride = max(1, int(np.ceil(n_steps / 1024)))
+            expected = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
+            got = flows._recorded_steps(FlowConfig(gamma=0.9, t_end=t_end, dt=dt))
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected, err_msg=f"t_end={t_end}, dt={dt}")
+
+
+def test_closed_form_flow_leaves_numpy_ma_unloaded():
+    """The first closed-form flow of a process imports no ``numpy.ma``, which
+    ``np.unique`` would load on its first call."""
+    code = (
+        "import sys; import numpy as np; from tdlab.flows import FlowConfig, td_value_flow; "
+        "td_value_flow(np.zeros(2), np.full((2, 2), 0.5), np.ones(2), FlowConfig(gamma=0.9, t_end=3.0)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_transient_growth_falls_back_to_steps_and_still_matches():
@@ -699,8 +737,8 @@ def test_second_order_ratio_improves():
     P, R, V0, gamma = small_problem(22)
     err1, err2 = [], []
     for alpha in (0.1, 0.05):
-        n_steps = int(round(2.0 / alpha))
-        discrete, first, corrected = second_order_check(V0, P, R, gamma, alpha, n_steps)
+        cfg = FlowConfig(gamma=gamma, t_end=2.0, dt=alpha, method="euler")
+        discrete, first, corrected = second_order_check(V0, P, R, cfg)
         err1.append(np.linalg.norm(discrete - first))
         err2.append(np.linalg.norm(discrete - corrected))
     assert err1[0] / err1[1] == pytest.approx(2.0, abs=0.5)

@@ -1,16 +1,22 @@
-"""The names perfbench reads off tdlab stay defined.
+"""The names perfbench reads off tdlab stay defined, and its references still hold.
 
 ``perfbench/run.py`` reports ``values[name]`` for every per-layer metric in
 ``BENCHMARK.json``, so a renamed or deleted public function makes a traced
 run die with a ``KeyError``; the tracer binds a ``cfg`` argument of every
-flow in ``tracing.RK4_FLOWS`` to count RK4 steps.  Both files are only read.
+flow in ``tracing.RK4_FLOWS`` to count RK4 steps.  The golden check runs the
+ten experiments as perfbench does and compares them with its stored outputs.
+perfbench's files are only read.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +53,36 @@ def test_rk4_flows_take_a_cfg_parameter():
     assert "kernel_td.kernel_td_flow" in flows
     for qualified in flows:
         assert "cfg" in inspect.signature(public_function(qualified)).parameters, qualified
+
+
+_GOLDEN = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import workloads
+try:
+    kernel = workloads.blas_kernel()
+except RuntimeError as exc:
+    sys.exit(f"skip: {{exc}}")
+workloads.pin_environment(kernel)  # before numpy loads its BLAS
+import reference
+from tdlab.experiments import EXPERIMENT_ORDER, run_experiment
+ref = reference.Reference(0, kernel)
+for name in EXPERIMENT_ORDER:
+    out = {out!r} + "/" + name
+    run_experiment(name, dict(workloads.CONFIGS[name]), out, 0)
+    for miss in ref.check(name, out):
+        print(miss)
+"""
+
+
+def test_experiments_reproduce_the_perfbench_references(tmp_path):
+    """Seed 0 of every experiment, at perfbench's pinned configs, one BLAS thread
+    and this CPU's kernel family, matches the stored reference cell by cell
+    under ``reference.RULES``.  A fresh interpreter, because the environment
+    must be pinned before numpy loads; ``-B`` keeps perfbench free of bytecode."""
+    code = _GOLDEN.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"), out=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    if proc.stderr.startswith("skip: "):
+        pytest.skip(proc.stderr.strip().removeprefix("skip: "))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "", f"reference misses:\n{proc.stdout}"

@@ -35,7 +35,7 @@ def main():
                 print(f"{gamma:6.2f} {ell:12.2f}  diverged at t = {exc.time:.0f} "
                       f"(sup {exc.sup_norm:.1e})")
                 continue
-            resid = traj.metrics["train_residual_sup"][-1]
+            resid = traj.meta["train_residual_sup"][-1]
             test_sup = float(np.max(np.abs(traj.final[held_out])))
             print(f"{gamma:6.2f} {ell:12.2f}  trained (residual {resid:.1e}, "
                   f"held-out sup {test_sup:.1e})")

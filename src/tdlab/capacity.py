@@ -120,17 +120,14 @@ class LinearValueModel:
         return self.features @ self.weights
 
 
-def update_matrix(
-    model: LinearValueModel, transitions, gamma: float, reset_optimizer_state: bool = True
-) -> UpdateMatrix:
+def update_matrix(model: LinearValueModel, transitions, gamma: float) -> UpdateMatrix:
     """One-step TD update interference matrix over a transition batch.
 
     For each transition ``(x, r, x')`` a single semi-gradient step
     ``w <- w + step(delta * features[x])`` with ``delta = r + gamma V(x') - V(x)``
-    is taken from the *same* starting weights; entry ``(i, j)`` is the
-    absolute change that step ``i`` causes in the value of transition ``j``'s
-    start state.  By default the optimizer state is also reset between rows;
-    with ``reset_optimizer_state=False`` it carries over sequentially.
+    is taken from the *same* starting weights and a fresh optimizer state;
+    entry ``(i, j)`` is the absolute change that step ``i`` causes in the
+    value of transition ``j``'s start state.
     """
     transitions = list(transitions)
     if not transitions:
@@ -145,25 +142,11 @@ def update_matrix(
     state = model.optimizer.init_state(phi.shape[1])
     for i, (x, r, x_next) in enumerate(transitions):
         delta = r + gamma * base[x_next] - base[x]
-        grad = delta * phi[x]
-        move, new_state = model.optimizer.step(grad, state)
-        if not reset_optimizer_state:
-            state = new_state
+        move, _ = model.optimizer.step(delta * phi[x], state)
         entries[i] = np.abs(phi[starts] @ move)
     return UpdateMatrix(entries=entries)
 
 
 def update_rank(U, eps_fraction: float = 0.1) -> RankReport:
-    """Count singular values above ``eps_fraction`` times the largest one."""
-    entries = U.entries if isinstance(U, UpdateMatrix) else np.asarray(U, dtype=float)
-    if eps_fraction <= 0:
-        raise ValueError("eps_fraction must be positive")
-    sigma = np.linalg.svd(entries, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        raise ValueError("update_rank is undefined for a zero matrix")
-    return RankReport(
-        raw_singular_values=sigma,
-        threshold=eps_fraction,
-        rank=int(np.sum(sigma > eps_fraction * sigma[0])),
-        normalized=True,
-    )
+    """:func:`srank` of an update matrix: singular values above ``eps_fraction`` times the largest."""
+    return srank(U.entries if isinstance(U, UpdateMatrix) else U, eps_fraction)

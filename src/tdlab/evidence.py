@@ -18,8 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .flows import DivergenceDetected
-
 _COV_TOL = 1e-10
 SAMPLER_METHODS = ("gd", "exact")  # sample_then_optimize's and algorithm1_sumloss's
 TASK_KINDS = ("feature_dimension", "prior_variance", "rff_frequency")  # model_selection_task's
@@ -283,24 +281,23 @@ def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
     return _Chain(y, m, w, model.noise_variance)
 
 
-def estimate_Lk(model: BlrModel, data: OrderedDataset, k, n_seeds: int = 1, seed: int = 0):
-    """k-sample average-likelihood lower-bound estimator of the log ML.
+def estimate_Lk(model: BlrModel, data: OrderedDataset, ks, n_seeds: int = 1, seed: int = 0) -> list[EstimateResult]:
+    """k-sample average-likelihood lower-bound estimators of the log ML, one per k in ``ks``.
 
     For each point, draws k parameters from the posterior given the preceding
-    points and scores ``log mean_j N(y_i; phi_i theta_j, sN^2)``.  ``k`` may be
-    an int or a sequence of ints; a sequence reuses nested draws (the first
-    samples of the largest k), which couples the estimates across k and makes
-    ``estimate_Lk(..., 1, ...)`` coincide exactly with :func:`estimate_L`.
+    points and scores ``log mean_j N(y_i; phi_i theta_j, sN^2)``.  ``ks`` is a
+    sequence of ints, and the list holds one estimate per entry, in order.
+    All k reuse nested draws (the first samples of the largest k), which
+    couples the estimates across k and makes the k = 1 entry coincide
+    exactly with :func:`estimate_L`.
     """
-    ks = (k,) if np.isscalar(k) else tuple(k)
-    per_seed = _prequential_chain(model, data).lk_per_seed(ks, n_seeds, seed)
-    results = [_estimate(row) for row in per_seed]
-    return results[0] if np.isscalar(k) else results
+    per_seed = _prequential_chain(model, data).lk_per_seed(tuple(ks), n_seeds, seed)
+    return [_estimate(row) for row in per_seed]
 
 
 def estimate_L(model: BlrModel, data: OrderedDataset, n_seeds: int = 1, seed: int = 0) -> EstimateResult:
     """Posterior-sample estimator: one parameter draw per point (k = 1 case)."""
-    return estimate_Lk(model, data, 1, n_seeds=n_seeds, seed=seed)
+    return estimate_Lk(model, data, (1,), n_seeds=n_seeds, seed=seed)[0]
 
 
 def estimate_LS(model: BlrModel, data: OrderedDataset, k: int, seed: int = 0) -> float:
@@ -313,20 +310,22 @@ def estimate_LS(model: BlrModel, data: OrderedDataset, k: int, seed: int = 0) ->
     return _prequential_chain(model, data).ls_total(k, seed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gd_minimize(phi, y_tilde, lam, theta_init, theta0, lr, steps):
-    """Gradient descent on ||y - Phi t||^2 + lam ||t - t0||^2; flags divergence."""
+    """Gradient descent on ||y - Phi t||^2 + lam ||t - t0||^2.
+
+    Raises :class:`FloatingPointError` at the first step whose loss is not
+    finite or has risen for 100 consecutive steps.
+    """
     theta = theta_init.copy()
     prev_loss = np.inf
     rising = 0
     for step in range(steps):
         resid = phi @ theta - y_tilde
         loss = float(resid @ resid + lam * np.sum((theta - theta0) ** 2))
-        if loss > prev_loss:
-            rising += 1
-            if rising >= 100:
-                raise DivergenceDetected(float(step), loss)
-        else:
-            rising = 0
+        rising = rising + 1 if loss > prev_loss else 0
+        if rising >= 100 or not np.isfinite(loss):
+            raise FloatingPointError(f"gradient descent diverged at step {step}: loss {loss:.3e}")
         prev_loss = loss
         theta = theta - lr * (2.0 * phi.T @ resid + 2.0 * lam * (theta - theta0))
     return theta
@@ -366,26 +365,27 @@ def sample_then_optimize(
 
 
 def algorithm1_sumloss(
-    model: BlrModel, data: OrderedDataset, seed, lr: float = 1e-3, steps_per_point: int = 5000,
+    model: BlrModel, data: OrderedDataset, seeds, lr: float = 1e-3, steps_per_point: int = 5000,
     method: str = "gd",
-) -> float | np.ndarray:
-    """Prequential sum-of-losses estimate of the log ML from iterated optimization.
+) -> np.ndarray:
+    """Prequential sum-of-losses estimates of the log ML from iterated optimization.
 
     Walks the data in presentation order, scoring the current parameters on
     each point (true targets) before re-optimizing on the noised prefix, warm
-    started.  Returns ``-sumLoss - (n/2) log(2 pi sN^2)``, directly comparable
-    to :func:`estimate_L`.  ``seed`` may be an int or a sequence of ints; a
-    sequence returns an array of one score per seed, in order.  Exact mode
-    predicts ``y~ - e(y~ - Phi theta0)`` with innovations e; gd mode fits only
-    the prefixes that are scored (1..n-1 points), so a divergence that would
-    occur only when fitting the whole dataset does not raise.
+    started.  Each score is ``-sumLoss - (n/2) log(2 pi sN^2)``, directly
+    comparable to :func:`estimate_L`.  ``seeds`` is a sequence of ints, and
+    the array holds one score per seed, in order.  Exact mode predicts
+    ``y~ - e(y~ - Phi theta0)`` with innovations e; gd mode fits only the
+    prefixes that are scored (1..n-1 points), so a divergence that would
+    occur only when fitting the whole dataset does not raise.  A gd fit that
+    diverges raises :class:`FloatingPointError`.
     """
     if method not in SAMPLER_METHODS:
         raise ValueError(f"unknown method {method!r}")
     phi, y = data.reordered(model)
     n, d = phi.shape
     nv, lam = model.noise_variance, model.noise_variance / model.prior_variance
-    draws = [_prior_draw(model, y, d, int(s)) for s in np.atleast_1d(seed)]
+    draws = [_prior_draw(model, y, d, int(s)) for s in seeds]
     theta0s = np.reshape([theta0 for theta0, _ in draws], (len(draws), d))  # one row per seed
     y_tildes = np.reshape([y_tilde for _, y_tilde in draws], (len(draws), n))
     if method == "exact":
@@ -397,8 +397,7 @@ def algorithm1_sumloss(
             for i in range(1, n):
                 thetas.append(_gd_minimize(phi[:i], y_tilde[:i], lam, thetas[-1], theta0, lr, steps_per_point))
             pred[:] = np.sum(phi * np.reshape(thetas[:n], (n, d)), axis=1)
-    scores = -np.sum((preds - y) ** 2, axis=1) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv)
-    return float(scores[0]) if np.isscalar(seed) else scores
+    return -np.sum((preds - y) ** 2, axis=1) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv)
 
 
 def sotl(loss_sequence) -> float:

@@ -278,21 +278,21 @@ def _run_kernel_circle(cfg, inputs, rng, art):
     for gamma, flow_cfg in zip(cfg["gammas"], flow_cfgs):
         for ell, K_all in zip(cfg["lengthscales"], kernels):
             name = f"trajectory_gamma{gamma:g}_ell{ell:g}"
+            diverged = False
             try:
                 traj = kernel_td_flow(np.zeros(cfg["n_states"]), K_all, P, mdp.rewards, train_idx, flow_cfg)
             except DivergenceDetected as exc:
+                traj, diverged = exc.trajectory, True
                 sweep_rows.append((gamma, ell, "diverged", exc.time, exc.sup_norm, "", ""))
-                partial = exc.trajectory
-                rows = [
-                    (t, int(i == len(partial.times) - 1)) + tuple(state)
-                    for i, (t, state) in enumerate(zip(partial.times, partial.states))
-                ]
-                art.csv(name, value_header, rows)
-                continue
-            resid = float(traj.metrics["train_residual_sup"][-1])
-            test_sup = float(np.max(np.abs(traj.final[test_idx]))) if len(test_idx) else 0.0
-            sweep_rows.append((gamma, ell, "converged", "", "", resid, test_sup))
-            rows = [(t, 0) + tuple(state) for t, state in zip(traj.times, traj.states)]
+            else:
+                resid = float(traj.meta["train_residual_sup"][-1])
+                test_sup = float(np.max(np.abs(traj.final[test_idx]))) if len(test_idx) else 0.0
+                sweep_rows.append((gamma, ell, "converged", "", "", resid, test_sup))
+            last = len(traj.times) - 1
+            rows = [
+                (t, int(diverged and i == last)) + tuple(state)
+                for i, (t, state) in enumerate(zip(traj.times, traj.states))
+            ]
             art.csv(name, value_header, rows)
     art.csv(
         "sweep",
@@ -329,9 +329,9 @@ def _run_smooth_kernel(cfg, S, rng, art):
     for _ in range(cfg["n_mdps"]):
         P = random_walk_matrix(rng, n, cfg["edge_prob"])
         R = rng.standard_normal(n)
-        mse_tables.append(smooth_kernel_generalization(
-            P, R, gamma, S, cfg["fractions"], target=cfg["targets"], nstep_n=cfg["nstep_n"]
-        ))
+        mse_tables.append(
+            smooth_kernel_generalization(P, R, gamma, S, cfg["fractions"], cfg["targets"], nstep_n=cfg["nstep_n"])
+        )
     rows = []
     for target, mse_table in zip(cfg["targets"], np.swapaxes(mse_tables, 0, 1)):
         for frac, mses in zip(cfg["fractions"], mse_table.T):
@@ -370,7 +370,7 @@ def _run_bms_select(cfg, _, rng, art):
             ls_samples=cfg["ls_samples"], seed=base + j,
         )
         alg1 = algorithm1_sumloss(
-            model, data, seed=base + 7919 * (j + 1) + np.arange(n_seeds), method=cfg["alg1_method"]
+            model, data, seeds=base + 7919 * (j + 1) + np.arange(n_seeds), method=cfg["alg1_method"]
         )
         rows.append(
             (j, rep.exact_log_ml, rep.L_hat.value, rep.L_hat.stderr)
@@ -429,7 +429,7 @@ def _run_misa(cfg, _, rng, art):
     )
 
     weights_full = fit_reward_weights(first_data)
-    subset = sorted(first_report.selected) if first_report.selected else [0, 1]
+    subset = sorted(first_report.selected)
     weights_misa = fit_reward_weights(first_data, subset=subset)
     curve = intervention_robustness(
         weights_full,
@@ -725,12 +725,6 @@ def _parse(name: str, key: str, default, raw):
         return raw
     text = str(raw).strip()
     try:
-        if isinstance(default, bool):
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

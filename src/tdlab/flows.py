@@ -96,11 +96,15 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Time grid plus state snapshots and derived metric columns."""
+    """Time grid plus state snapshots.
+
+    ``meta`` holds the flow's settings, its integrator counts and any
+    per-snapshot arrays, such as the coupled flow's ``weights`` and kernel
+    TD's ``train_residual_sup``.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    metrics: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     @property

@@ -90,7 +90,8 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     bootstrapping at high discounts).  Both run on the linear-flow engine of
     :mod:`tdlab.flows`, which raises :class:`~tdlab.flows.DivergenceDetected`,
     with the partial trajectory attached, at the first step whose sup norm
-    crosses 1e8.
+    crosses 1e8.  ``meta["train_residual_sup"]`` holds each snapshot's largest
+    absolute TD error over the train states.
     """
     V0 = np.asarray(V0, dtype=float)
     K_all = np.asarray(K_all, dtype=float)
@@ -120,12 +121,8 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     residual = np.max(
         np.abs((R[None, :] + gamma * states @ P.T - states)[:, train_idx]), axis=1
     )
-    return FlowTrajectory(
-        times=times,
-        states=states,
-        metrics={"train_residual_sup": residual},
-        meta={"flow": "kernel_td", "train_idx": train_idx, "method": cfg.method, **work},
-    )
+    meta = {"flow": "kernel_td", "train_idx": train_idx, "method": cfg.method, "train_residual_sup": residual, **work}
+    return FlowTrajectory(times=times, states=states, meta=meta)
 
 
 def _orthogonal_projection(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -138,39 +135,38 @@ def smooth_kernel_generalization(
     R,
     gamma: float,
     S,
-    train_fraction,
-    target="value",
+    fractions,
+    targets,
     nstep_n: int | None = None,
-) -> float | np.ndarray:
-    """Held-out MSE of eigen-kernel regression ``K_S(x, y) = sum_{i in S} v_i(x) v_i(y)``.
+) -> np.ndarray:
+    """Held-out MSEs of eigen-kernel regression ``K_S(x, y) = sum_{i in S} v_i(x) v_i(y)``.
 
     ``S`` indexes eigenvectors in decreasing-real-part order (0 = smoothest).
-    The training subset is the first ``floor(n * train_fraction)`` states;
-    with ``train_fraction = 1`` the MSE is evaluated on all states instead of
-    the (empty) held-out set.
+    For each train fraction the training subset is the first
+    ``floor(n * fraction)`` states; with a fraction of 1 the MSE is evaluated
+    on all states instead of the (empty) held-out set.
     Targets: the exact value function ("value"), its orthogonal projection
     onto span(S) ("projected-top") or onto the complementary eigenvectors
     ("projected-bottom"), or the n-step return target
     ``sum_{j<n} (gamma P)^j R`` ("nstep", with ``nstep_n``).
 
-    ``target`` and ``train_fraction`` may each be a sequence; all of them
-    share one spectrum, one exact value and one Gram matrix.  A scalar pair
-    returns a float; otherwise the array has one axis per sequence, targets
-    first: ``(n_targets, n_fractions)`` for two sequences.  Each entry equals
-    the scalar call for its (target, fraction).
+    ``fractions`` and ``targets`` are sequences, and all of them share one
+    spectrum, one exact value and one Gram matrix.  Returns the
+    ``(len(targets), len(fractions))`` array of MSEs; each entry equals the
+    one-element call for its (target, fraction).
 
     Requires a real spectrum; raises :class:`NonRealSpectrum` otherwise.
     """
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
     n = P.shape[0]
-    targets = (target,) if isinstance(target, str) else tuple(target)
+    targets = tuple(targets)
     for name in targets:
         if name not in SMOOTH_TARGETS:
             raise ValueError(f"unknown target {name!r}")
-    fractions = np.atleast_1d(np.asarray(train_fraction, dtype=float))
-    if not np.all((fractions > 0.0) & (fractions <= 1.0)):
-        raise ValueError("train_fraction must lie in (0, 1]")
+    fractions = np.asarray(fractions, dtype=float)
+    if fractions.ndim != 1 or not np.all((fractions > 0.0) & (fractions <= 1.0)):
+        raise ValueError("fractions must be a sequence of values in (0, 1]")
     spectrum = eigendecompose(P)
     if not spectrum.is_real:
         raise NonRealSpectrum("smooth_kernel_generalization requires a real spectrum")
@@ -213,8 +209,4 @@ def smooth_kernel_generalization(
         for i, y in enumerate(ys):
             pred = K_cross @ np.linalg.solve(K_train, y[train])
             mses[i, j] = np.mean((pred - y[test]) ** 2)
-    if isinstance(target, str):
-        mses = mses[0]
-    if np.ndim(train_fraction) == 0:
-        mses = mses[..., 0]
-    return float(mses) if mses.ndim == 0 else mses
+    return mses

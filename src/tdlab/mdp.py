@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ROW_SUM_TOL = 1e-12
+_POLICY_ITERATION_ROUNDS = 100
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -59,22 +60,6 @@ class TabularMdp:
     @property
     def n_actions(self) -> int:
         return self.transitions.shape[1]
-
-    def to_json_dict(self) -> dict:
-        """Serializable document for golden-file tests."""
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "transition": self.transitions.tolist(),
-            "reward": self.rewards.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TabularMdp":
-        return cls(
-            transitions=np.asarray(doc["transition"], dtype=float),
-            rewards=np.asarray(doc["reward"], dtype=float),
-        )
 
 
 def build_chain_mdp(
@@ -255,22 +240,16 @@ def random_walk_matrix(rng: np.random.Generator, n_states: int, edge_prob: float
     return adjacency / adjacency.sum(axis=1, keepdims=True)
 
 
-def policy_iteration(
-    mdp: TabularMdp, gamma: float, max_iters: int = 100
-) -> PolicyIterationPath:
+def policy_iteration(mdp: TabularMdp, gamma: float) -> PolicyIterationPath:
     """Exact policy iteration from the all-zeros (lowest-index) policy.
 
     Alternates exact evaluation with greedy improvement; greedy ties break
     toward the lowest action index.  Stops when the greedy policy repeats or
-    after ``max_iters`` improvement rounds.
+    after 100 improvement rounds.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
     actions = np.zeros(mdp.n_states, dtype=int)
     policies, values = [], []
-    for _ in range(max_iters):
+    for _ in range(_POLICY_ITERATION_ROUNDS):
         policy = deterministic_policy(actions, mdp.n_actions)
         P_pi = transition_matrix(mdp, policy)
         V = exact_value(P_pi, mdp.rewards, gamma)

@@ -42,22 +42,14 @@ class Spectrum:
     is_real: bool
 
 
-def eigendecompose(P: np.ndarray, order: str = "real") -> Spectrum:
-    """Eigendecomposition of a square matrix with deterministic ordering.
-
-    ``order="real"`` sorts by descending real part (ties broken by descending
-    imaginary part); ``order="magnitude"`` sorts by descending ``|lambda|``.
-    """
+def eigendecompose(P: np.ndarray) -> Spectrum:
+    """Eigendecomposition of a square matrix, sorted by descending real part
+    (ties broken by descending imaginary part)."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"P must be square, got shape {P.shape}")
-    if order not in ("real", "magnitude"):
-        raise ValueError(f"unknown ordering {order!r}")
     eigvals, eigvecs = np.linalg.eig(P)
-    if order == "real":
-        perm = np.lexsort((-eigvals.imag, -eigvals.real))
-    else:
-        perm = np.argsort(-np.abs(eigvals))
+    perm = np.lexsort((-eigvals.imag, -eigvals.real))
     eigvals = eigvals[perm]
     eigvecs = eigvecs[:, perm]
     eigvecs = eigvecs / np.linalg.norm(eigvecs, axis=0, keepdims=True)

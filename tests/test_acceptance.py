@@ -305,7 +305,7 @@ def test_07_kernel_td_stability_regimes_on_the_circle():
     spec = KernelSpec(lengthscale=0.01, embedding=embedding)
     traj = kernel_td_flow(np.zeros(50), split_kernel(spec, train_idx), P, mdp.rewards, train_idx,
                           FlowConfig(gamma=0.5, t_end=100.0, dt=1.0, method="euler"))
-    residual = traj.metrics["train_residual_sup"][-1]
+    residual = traj.meta["train_residual_sup"][-1]
     held_out = np.setdiff1d(np.arange(50), train_idx)
     test_sup = float(np.max(np.abs(traj.final[held_out])))
     print(f"[acceptance] 07 train residual {residual:.2e}, held-out sup {test_sup:.2e}")
@@ -393,7 +393,7 @@ def test_09c_bound_gap_strictly_shrinks_with_k():
 def test_09d_iterated_optimization_agrees_with_posterior_sampling():
     started = time.monotonic()
     model, data = nine_task()
-    alg1 = np.array([algorithm1_sumloss(model, data, seed=s, method="exact") for s in range(100)])
+    alg1 = algorithm1_sumloss(model, data, seeds=range(100), method="exact")
     direct = estimate_L(model, data, n_seeds=100, seed=321)
     pooled = np.sqrt(np.var(alg1, ddof=1) / len(alg1) + direct.stderr**2)
     diff = abs(float(np.mean(alg1)) - direct.value)

@@ -128,17 +128,21 @@ def test_update_matrix_grad_step_matches_hand_rollout():
         np.testing.assert_allclose(U.entries[i], expected, atol=1e-12)
 
 
-def test_adamlike_state_carryover_changes_rows():
-    features = np.eye(4)
-    model = LinearValueModel(
-        features=features, weights=np.ones(4), optimizer=AdamLike(lr=0.1)
-    )
-    transitions = [(0, 1.0, 1), (1, 1.0, 2), (2, 1.0, 3)]
-    fresh = update_matrix(model, transitions, gamma=0.9, reset_optimizer_state=True)
-    carried = update_matrix(model, transitions, gamma=0.9, reset_optimizer_state=False)
-    # first row sees identical state either way; later rows differ
-    np.testing.assert_allclose(fresh.entries[0], carried.entries[0], atol=1e-12)
-    assert not np.allclose(fresh.entries[1:], carried.entries[1:])
+def test_adamlike_update_matrix_rows_take_the_first_step_from_a_fresh_state():
+    """From a fresh state Adam's bias correction gives m-hat = g and v-hat = g^2,
+    so every row's step is lr g / (|g| + eps)."""
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((5, 3))
+    opt = AdamLike(lr=0.1)
+    model = LinearValueModel(features=features, weights=rng.standard_normal(3), optimizer=opt)
+    transitions = [(0, 1.0, 1), (1, 0.0, 2), (3, 1.0, 4), (4, -1.0, 0)]
+    U = update_matrix(model, transitions, gamma=0.9)
+    base = features @ model.weights
+    starts = [x for x, _, _ in transitions]
+    for i, (x, r, x_next) in enumerate(transitions):
+        g = (r + 0.9 * base[x_next] - base[x]) * features[x]
+        step = opt.lr * g / (np.abs(g) + opt.eps)
+        np.testing.assert_allclose(U.entries[i], np.abs(features[starts] @ step), rtol=1e-12, atol=1e-15)
 
 
 def test_update_matrix_validates_transitions():

@@ -405,7 +405,7 @@ def test_exact_and_sampled_evidence_load_no_scipy():
         "from tdlab.evidence import algorithm1_sumloss, evidence_report, model_selection_task; "
         "models, data = model_selection_task('prior_variance'); "
         "evidence_report(models[0], data, n_seeds=2); "
-        "algorithm1_sumloss(models[0], data, seed=0, method='exact')"
+        "algorithm1_sumloss(models[0], data, seeds=[0], method='exact')"
     )
     assert _scipy_modules_after(code) == []
 
@@ -551,3 +551,17 @@ def test_reps_share_one_setup_and_leave_it_unchanged(tmp_path, experiment, overr
     for name in outputs:
         expected = (one if name.startswith("rep000_") else fresh) / name
         assert expected.read_bytes() == (two / name).read_bytes(), name
+
+
+def test_misa_robustness_charts_the_selection_it_made(tmp_path):
+    """When the first seed's MISA selects no variable, the robustness curve
+    fits the intercept-only predictor, not the true parents.  The intercept
+    ignores the clamped variable and the draws are common across values, so
+    its error is the same at every value."""
+    run_experiment("misa-robustness", {"n_steps": 10, "n_seeds": 3}, tmp_path, seed=2)
+    assert read_manifest(tmp_path)["derived"]["rep000"]["first_selected"] == []
+    with open(tmp_path / "rep000_selection.csv") as fh:
+        assert next(csv.DictReader(fh))["selected"] == ""
+    with open(tmp_path / "rep000_robustness.csv") as fh:
+        misa_mse = {row["misa_mse"] for row in csv.DictReader(fh)}
+    assert len(misa_mse) == 1

@@ -108,7 +108,7 @@ def test_posterior_sample_estimator_bias_is_kl_gap():
 def test_nested_k_draws_are_coupled():
     model, data = random_task(4)
     seq = estimate_Lk(model, data, (1, 4, 16), n_seeds=3, seed=7)
-    single = estimate_Lk(model, data, 1, n_seeds=3, seed=7)
+    single = estimate_Lk(model, data, (1,), n_seeds=3, seed=7)[0]
     # same underlying draws; only last-ulp BLAS shape effects may differ
     assert seq[0].value == pytest.approx(single.value, rel=1e-12)
     assert_allclose(seq[0].per_seed, single.per_seed, rtol=1e-12)
@@ -167,9 +167,7 @@ def test_sumloss_estimator_agrees_with_posterior_sampling():
     estimate the same quantity; their means should agree within noise."""
     model, data = random_task(10, n=10, d=3)
     n_seeds = 150
-    alg1 = np.array(
-        [algorithm1_sumloss(model, data, seed=s, method="exact") for s in range(n_seeds)]
-    )
+    alg1 = algorithm1_sumloss(model, data, seeds=range(n_seeds), method="exact")
     direct = estimate_L(model, data, n_seeds=n_seeds, seed=123)
     pooled = np.sqrt(np.var(alg1, ddof=1) / n_seeds + direct.stderr**2)
     assert abs(np.mean(alg1) - direct.value) < 3.0 * pooled
@@ -178,8 +176,8 @@ def test_sumloss_estimator_agrees_with_posterior_sampling():
 def test_sumloss_empty_dataset_scores_zero():
     model = BlrModel(feature_map=None)
     data = OrderedDataset(inputs=np.zeros((0, 2)), targets=np.zeros(0))
-    assert algorithm1_sumloss(model, data, seed=0, method="exact") == 0.0
-    assert np.array_equal(algorithm1_sumloss(model, data, seed=[0, 1], method="exact"), [0.0, 0.0])
+    assert np.array_equal(algorithm1_sumloss(model, data, seeds=[0], method="exact"), [0.0])
+    assert np.array_equal(algorithm1_sumloss(model, data, seeds=[0, 1], method="exact"), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -199,7 +197,7 @@ def test_every_entry_point_on_zero_and_one_points(n):
         "LS": [estimate_LS(model, data, ls_samples, seed=seed + 1 + s) for s in range(n_seeds)],
         "report_exact": [rep.exact_log_ml, rep.kl_gap],
         "report_sampled": [rep.L_hat.per_seed] + [rep.Lk_hat[k].per_seed for k in ks] + [rep.LS_hat.per_seed],
-        "alg1": algorithm1_sumloss(model, data, seed=[0, 7], method="exact"),
+        "alg1": algorithm1_sumloss(model, data, seeds=[0, 7], method="exact"),
     }
     weights = ensemble_weight_ranking([model], data, seed=seed)
     if n == 0:
@@ -257,10 +255,10 @@ def test_exact_minimizers_read_off_the_posterior_match_the_normal_equations():
     seeds = [0, 7, 7919]
     for model, data in cases:
         expected = [algorithm1_reference(model, data, s) for s in seeds]
-        single = [algorithm1_sumloss(model, data, seed=s, method="exact") for s in seeds]
-        assert all(isinstance(v, float) for v in single)
-        assert_allclose(single, expected, rtol=1e-10, atol=0)
-        batched = algorithm1_sumloss(model, data, seed=seeds, method="exact")
+        single = [algorithm1_sumloss(model, data, seeds=[s], method="exact") for s in seeds]
+        assert all(v.shape == (1,) for v in single)
+        assert_allclose(np.concatenate(single), expected, rtol=1e-10, atol=0)
+        batched = algorithm1_sumloss(model, data, seeds=seeds, method="exact")
         assert isinstance(batched, np.ndarray) and batched.shape == (len(seeds),)
         assert_allclose(batched, expected, rtol=1e-10, atol=0)
         for upto in (0, 1, 7, 15, 30):
@@ -272,8 +270,8 @@ def test_exact_minimizers_read_off_the_posterior_match_the_normal_equations():
 def test_sumloss_gd_converges_to_exact_mode():
     rng = np.random.default_rng(0)
     data = OrderedDataset(inputs=rng.standard_normal((6, 2)), targets=rng.standard_normal(6))
-    exact = algorithm1_sumloss(BlrModel(), data, seed=0, method="exact")
-    gd = algorithm1_sumloss(BlrModel(), data, seed=0, method="gd")
+    (exact,) = algorithm1_sumloss(BlrModel(), data, seeds=[0], method="exact")
+    (gd,) = algorithm1_sumloss(BlrModel(), data, seeds=[0], method="gd")
     assert abs(gd - exact) < 1e-4
 
 
@@ -288,13 +286,28 @@ def test_sumloss_gd_fits_only_the_scored_prefixes(monkeypatch):
     monkeypatch.setattr(evidence, "_gd_minimize", counting_gd_minimize)
     rng = np.random.default_rng(0)
     data = OrderedDataset(inputs=rng.standard_normal((6, 2)), targets=rng.standard_normal(6))
-    assert np.all(np.isfinite(algorithm1_sumloss(BlrModel(), data, seed=[0, 1], method="gd", steps_per_point=10)))
+    assert np.all(np.isfinite(algorithm1_sumloss(BlrModel(), data, seeds=[0, 1], method="gd", steps_per_point=10)))
     assert fitted == [1, 2, 3, 4, 5] * 2
     fitted.clear()
     one = OrderedDataset(inputs=data.inputs[:1], targets=data.targets[:1])
-    assert np.isfinite(algorithm1_sumloss(BlrModel(), one, seed=0, method="gd")) and fitted == []
+    assert np.all(np.isfinite(algorithm1_sumloss(BlrModel(), one, seeds=[0], method="gd"))) and fitted == []
     empty = OrderedDataset(inputs=np.zeros((0, 2)), targets=np.zeros(0))
-    assert algorithm1_sumloss(BlrModel(), empty, seed=0, method="gd") == 0.0 and fitted == []
+    assert np.array_equal(algorithm1_sumloss(BlrModel(), empty, seeds=[0], method="gd"), [0.0]) and fitted == []
+
+
+def test_gd_refuses_a_non_finite_loss():
+    """At lr = 1 the loss overflows; both gd entry points raise instead of returning NaN."""
+    models, data = model_selection_task("prior_variance")
+    with pytest.raises(FloatingPointError, match=r"diverged at step \d+: loss (inf|nan)"):
+        algorithm1_sumloss(models[0], data, seeds=[0], method="gd", lr=1.0, steps_per_point=500)
+    with pytest.raises(FloatingPointError, match=r"diverged at step \d+: loss (inf|nan)"):
+        sample_then_optimize(models[0], data, seed=0, lr=1.0, steps=500, method="gd")
+
+
+def test_gd_divergence_names_the_step_and_the_loss():
+    models, data = model_selection_task("prior_variance")
+    with pytest.raises(FloatingPointError, match=r"diverged at step 100: loss \d\.\d{3}e\+\d+$"):
+        algorithm1_sumloss(models[0], data, seeds=[0], method="gd", lr=0.05, steps_per_point=500)
 
 
 @pytest.mark.parametrize("method", ["gd", "exact"])

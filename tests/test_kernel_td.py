@@ -208,7 +208,7 @@ def test_kernel_flow_short_lengthscale_low_gamma_converges():
     K_all = split_kernel(spec, train_idx)
     cfg = FlowConfig(gamma=0.5, t_end=100.0, dt=1.0, method="euler")
     traj = kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
-    assert traj.metrics["train_residual_sup"][-1] < 1e-3
+    assert traj.meta["train_residual_sup"][-1] < 1e-3
     held_out = np.setdiff1d(np.arange(50), train_idx)
     assert np.max(np.abs(traj.final[held_out])) < 1e-3
 
@@ -224,8 +224,8 @@ def real_walk(seed, n=30):
 def test_smooth_kernel_interpolates_in_span_targets():
     P = real_walk(0)
     R = np.random.default_rng(1).standard_normal(30)
-    mse = smooth_kernel_generalization(P, R, 0.9, np.arange(10), 1.0, target="projected-top")
-    assert mse < 1e-10
+    mse = smooth_kernel_generalization(P, R, 0.9, np.arange(10), (1.0,), ("projected-top",))
+    assert mse.shape == (1, 1) and mse[0, 0] < 1e-10
 
 
 def test_smooth_kernel_value_target_improves_with_data():
@@ -234,8 +234,9 @@ def test_smooth_kernel_value_target_improves_with_data():
     for seed in range(30):
         P = real_walk(seed)
         R = np.random.default_rng(10_000 + seed).standard_normal(30)
-        lo.append(smooth_kernel_generalization(P, R, gamma, S, 0.3, target="value"))
-        hi.append(smooth_kernel_generalization(P, R, gamma, S, 0.9, target="value"))
+        (mse_lo, mse_hi), = smooth_kernel_generalization(P, R, gamma, S, (0.3, 0.9), ("value",))
+        lo.append(mse_lo)
+        hi.append(mse_hi)
     assert np.mean(hi) < np.mean(lo)
 
 
@@ -247,71 +248,65 @@ def test_smooth_kernel_rough_targets_transfer_worse():
     for seed in range(30):
         P = real_walk(seed)
         R = np.random.default_rng(20_000 + seed).standard_normal(30)
-        smooth.append(
-            smooth_kernel_generalization(P, R, gamma, S, 0.5, target="projected-top")
-        )
-        rough.append(
-            smooth_kernel_generalization(P, R, gamma, S, 0.5, target="projected-bottom")
-        )
+        (top,), (bottom,) = smooth_kernel_generalization(P, R, gamma, S, (0.5,), ("projected-top", "projected-bottom"))
+        smooth.append(top)
+        rough.append(bottom)
     assert np.mean(rough) > np.mean(smooth)
 
 
 def test_smooth_kernel_nstep_needs_horizon():
     P = real_walk(3)
     with pytest.raises(ValueError):
-        smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), 0.5, target="nstep")
-    mse = smooth_kernel_generalization(
-        P, np.ones(30), 0.9, np.arange(5), 0.5, target="nstep", nstep_n=4
-    )
-    assert np.isfinite(mse)
+        smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), (0.5,), ("nstep",))
+    mse = smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), (0.5,), ("nstep",), nstep_n=4)
+    assert np.all(np.isfinite(mse))
 
 
 def test_smooth_kernel_rejects_rotation_spectrum():
     P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])  # 3-cycle
     with pytest.raises(NonRealSpectrum):
-        smooth_kernel_generalization(P, np.ones(3), 0.9, np.array([0]), 0.5)
+        smooth_kernel_generalization(P, np.ones(3), 0.9, np.array([0]), (0.5,), ("value",))
 
 
 def test_smooth_kernel_validates_fraction():
     P = real_walk(4)
-    for fraction in (0.0, [0.5, 0.0], [0.5, 1.5], [0.5, np.nan]):
+    for fractions in ((0.0,), (0.5, 0.0), (0.5, 1.5), (0.5, np.nan), 0.5):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), fraction)
+            smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), fractions, ("value",))
 
 
 @pytest.mark.parametrize("target", ["value", "projected-top", "projected-bottom", "nstep"])
 def test_smooth_kernel_fraction_sequence_matches_scalar_calls(target):
+    """A batch of fractions equals its one-element calls."""
     P = real_walk(5)
     R = np.random.default_rng(5).standard_normal(30)
     fractions = (0.2, 0.5, 0.9, 1.0)
     args = (P, R, 0.9, np.arange(12))
-    mses = smooth_kernel_generalization(*args, fractions, target=target, nstep_n=3)
-    scalar = [smooth_kernel_generalization(*args, f, target=target, nstep_n=3) for f in fractions]
-    assert isinstance(scalar[0], float)
-    assert np.array_equal(mses, scalar)
+    mses = smooth_kernel_generalization(*args, fractions, (target,), nstep_n=3)
+    single = [smooth_kernel_generalization(*args, (f,), (target,), nstep_n=3)[0, 0] for f in fractions]
+    assert mses.shape == (1, len(fractions))
+    assert np.array_equal(mses[0], single)
 
 
 _TARGETS = ("value", "projected-top", "projected-bottom", "nstep")
 
 
-@pytest.mark.parametrize("fractions", [0.5, (0.2, 0.5, 0.9, 1.0)], ids=["scalar", "sequence"])
+@pytest.mark.parametrize("fractions", [(0.5,), (0.2, 0.5, 0.9, 1.0)], ids=["scalar", "sequence"])
 def test_smooth_kernel_target_sequence_matches_scalar_calls(fractions):
+    """A (targets, fractions) batch equals its one-element calls."""
     P = real_walk(6)
     R = np.random.default_rng(6).standard_normal(30)
     args = (P, R, 0.9, np.arange(12))
-    table = smooth_kernel_generalization(*args, fractions, target=_TARGETS, nstep_n=3)
-    scalar = [
-        [smooth_kernel_generalization(*args, f, target=t, nstep_n=3) for f in np.atleast_1d(fractions)]
-        for t in _TARGETS
-    ]
-    assert table.shape == (len(_TARGETS),) + np.shape(fractions)
-    assert np.array_equal(table, np.reshape(scalar, table.shape))
+    table = smooth_kernel_generalization(*args, fractions, _TARGETS, nstep_n=3)
+    single = [[smooth_kernel_generalization(*args, (f,), (t,), nstep_n=3)[0, 0] for f in fractions] for t in _TARGETS]
+    assert table.shape == (len(_TARGETS), len(fractions))
+    assert np.array_equal(table, single)
 
 
 def test_smooth_kernel_rejects_an_unknown_target_in_a_sequence():
     P = real_walk(7)
     with pytest.raises(ValueError, match="unknown target 'bogus'"):
-        smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), 0.5, target=("value", "bogus"))
+        smooth_kernel_generalization(P, np.ones(30), 0.9, np.arange(5), (0.5,), ("value", "bogus"))
 
 
 def test_smooth_kernel_experiment_decomposes_each_mdp_once(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -68,14 +67,6 @@ def test_tabular_mdp_rejects_mismatched_rewards():
     trans = np.full((2, 1, 2), 0.5)
     with pytest.raises(ValueError):
         TabularMdp(trans, np.zeros(3))
-
-
-def test_tabular_mdp_json_roundtrip():
-    mdp = build_chain_mdp(4)
-    blob = json.dumps(mdp.to_json_dict())
-    again = TabularMdp.from_json_dict(json.loads(blob))
-    assert_allclose(again.transitions, mdp.transitions)
-    assert_allclose(again.rewards, mdp.rewards)
 
 
 def test_chain_mdp_structure():

@@ -70,12 +70,6 @@ def test_eigendecompose_is_deterministic():
     assert_allclose(a.right_eigenvectors, b.right_eigenvectors)
 
 
-def test_eigendecompose_magnitude_order():
-    P = np.diag([0.5, -0.9, 0.1])
-    spec = eigendecompose(P, order="magnitude")
-    assert_allclose(np.abs(spec.eigenvalues), [0.9, 0.5, 0.1])
-
-
 def test_eigendecompose_rejects_nonsquare():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))

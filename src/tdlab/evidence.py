@@ -9,10 +9,24 @@ I`` (Rasmussen & Williams 2006, Alg. 2.1): in presentation order, point i's
 predictive variance is ``s_i = C_ii^2`` and its innovation (target less
 predictive mean) ``e_i = C_ii (C^-1 y)_i``.  The sampled estimators read one
 prequential chain from one stacked normal-equations solve and one stacked ``eigh``.
+
+Each sampled pass gives point i its own PCG64 stream, the stream of
+``default_rng(child_i)`` for child i of the pass's ``SeedSequence``: pass p of
+L and L_k is ``SeedSequence(seed).spawn(n_seeds)[p]``, L_S pass s is
+``SeedSequence(seed + 1 + s).spawn(1)[0]`` and stacking model j is
+``SeedSequence(seed).spawn(len(models))[j]``.  A vectorized copy of
+``SeedSequence``'s hash computes the seed words of a call's points at once,
+bit-identical to ``spawn``, so every seed, derived ones included, must lie in
+[0, 2^128).  Known overlap, kept because mending it moves pinned outputs: L_S
+pass s at seed t reads the streams of L pass 0 at seed t + 1 + s, so with
+``bms-select``'s seed ``base + j`` per model, model j's L_S pass s shares its
+point streams with model j + 1 + s's L pass 0.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -225,6 +239,74 @@ def _estimate(per_seed: np.ndarray) -> EstimateResult:
     return EstimateResult(value=float(np.mean(per_seed)), stderr=stderr, per_seed=per_seed)
 
 
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, randutils 2015): pool of 4 uint32 words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _spawn_states(entropies, keys, n: int) -> np.ndarray:
+    """PCG64 seed words (passes, n, 4) of every child of every pass, in one vectorized hash.
+
+    Entry ``[p, i]`` equals ``SeedSequence(entropies[p], spawn_key=(keys[p],))
+    .spawn(n)[i].generate_state(4, np.uint64)``.  For entropy in [0, 2^128)
+    numpy hashes the same 6 words for every child: the entropy as 4
+    little-endian uint32 words, then the key words keys[p] and i (below 2^32).
+    The hash constants evolve as masked Python ints; only uint32 arrays are
+    multiplied, since numpy scalars warn on wraparound.
+    """
+    entropies = [operator.index(e) for e in entropies]
+    if not all(0 <= e < 1 << 128 for e in entropies):
+        raise ValueError("seeds must lie in [0, 2**128)")
+    columns = [[e >> 32 * j & _MASK32 for e in entropies] for j in range(4)] + [keys]
+    shape = (len(entropies), n)
+    words = [np.broadcast_to(np.asarray(c, dtype=np.uint32)[:, None], shape) for c in columns]
+    words.append(np.broadcast_to(np.arange(n, dtype=np.uint32), shape))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append(value ^ value >> 16)
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 precomputed seed words; numpy refuses a duck-typed one."""
+    from numpy.random.bit_generator import ISeedSequence  # here, so `import tdlab.experiments` loads no numpy.random
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 seed words
+
+    return SeedWords
+
+
 class _Chain(NamedTuple):
     """The prequential predictions of one (model, data) pair, in presentation order.
 
@@ -238,12 +320,13 @@ class _Chain(NamedTuple):
     w: np.ndarray  # (n, d, 1) projected factors F_i^T phi_i
     noise_variance: float
 
-    def draws(self, pass_seed: np.random.SeedSequence, k: int) -> np.ndarray:
-        """(n, k) sampled predictions: row i from the posterior given the points before i, seeded by child i."""
+    def draws(self, states: np.ndarray, k: int) -> np.ndarray:
+        """(n, k) sampled predictions: row i from the posterior given the points before i, PCG64-seeded by states[i]."""
         n, d = self.w.shape[:2]
         Z = np.empty((n, k, d))
-        for z, point_seed in zip(Z, pass_seed.spawn(n)):
-            np.random.default_rng(point_seed).standard_normal(out=z)
+        seed_words = _seed_words_type()
+        for z, words in zip(Z, states):
+            np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=z)
         return self.m[:, None] + (Z @ self.w)[:, :, 0]
 
     def lk_per_seed(self, ks: tuple, n_seeds: int, seed: int) -> np.ndarray:
@@ -251,9 +334,10 @@ class _Chain(NamedTuple):
         if min(ks) < 1 or n_seeds < 1:
             raise ValueError("k and n_seeds must be positive")
         k_max = max(ks)
+        states = _spawn_states([seed] * n_seeds, range(n_seeds), len(self.y))
         logliks = np.array([
-            _gaussian_logpdf(self.y[:, None], self.draws(pass_seed, k_max), self.noise_variance)
-            for pass_seed in np.random.SeedSequence(seed).spawn(n_seeds)
+            _gaussian_logpdf(self.y[:, None], self.draws(pass_states, k_max), self.noise_variance)
+            for pass_states in states
         ])
         # Running log-sum-exp over the draws: entry k-1 is log sum_{j<k} exp(loglik_j).
         # It needs no shift; one shared max shift would underflow, since on the
@@ -262,15 +346,18 @@ class _Chain(NamedTuple):
         ks = np.asarray(ks)
         return np.ascontiguousarray((prefix[:, :, ks - 1] - np.log(ks)).sum(axis=1).T)
 
-    def ls_total(self, k: int, seed: int) -> float:
-        """One seed's moment-matched score from k draws per point."""
+    def ls_per_seed(self, k: int, seeds) -> np.ndarray:
+        """Moment-matched scores from k draws per point, one per seed in ``seeds``."""
         if k < 2:
             raise DegenerateSample("estimate_LS needs k >= 2 samples for a variance")
-        f = self.draws(np.random.SeedSequence(seed).spawn(1)[0], k)
-        var = np.var(f, axis=1, ddof=1) + self.noise_variance
-        if np.any(var <= 0):
-            raise DegenerateSample("nonpositive predictive variance estimate")
-        return float(np.sum(_gaussian_logpdf(self.y, np.mean(f, axis=1), var)))
+        totals = []
+        for pass_states in _spawn_states(seeds, [0] * len(seeds), len(self.y)):
+            f = self.draws(pass_states, k)
+            var = np.var(f, axis=1, ddof=1) + self.noise_variance
+            if np.any(var <= 0):
+                raise DegenerateSample("nonpositive predictive variance estimate")
+            totals.append(np.sum(_gaussian_logpdf(self.y, np.mean(f, axis=1), var)))
+        return np.array(totals, dtype=float)
 
 
 def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
@@ -307,7 +394,7 @@ def estimate_LS(model: BlrModel, data: OrderedDataset, k: int, seed: int = 0) ->
     unbiased sample variance (divisor k-1).  Stays finite as the noise
     variance shrinks, unlike the average-likelihood estimators.
     """
-    return _prequential_chain(model, data).ls_total(k, seed)
+    return float(_prequential_chain(model, data).ls_per_seed(k, [seed])[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -380,6 +467,8 @@ def algorithm1_sumloss(
     occur only when fitting the whole dataset does not raise.  A gd fit that
     diverges raises :class:`FloatingPointError`.
     """
+    if lr <= 0 or steps_per_point < 0:
+        raise ValueError("lr must be positive and steps nonnegative")
     if method not in SAMPLER_METHODS:
         raise ValueError(f"unknown method {method!r}")
     phi, y = data.reordered(model)
@@ -477,8 +566,8 @@ def ensemble_weight_ranking(models, data: OrderedDataset, seed: int = 0) -> np.n
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    model_seeds = np.random.SeedSequence(seed).spawn(len(models))
-    preds = np.column_stack([_prequential_chain(m, data).draws(s, 1)[:, 0] for m, s in zip(models, model_seeds)])
+    states = _spawn_states([seed] * len(models), range(len(models)), data.n)
+    preds = np.column_stack([_prequential_chain(m, data).draws(s, 1)[:, 0] for m, s in zip(models, states)])
     _, y = data.reordered(models[0])
     gram = preds.T @ preds + 1e-10 * np.eye(len(models))
     return np.linalg.solve(gram, preds.T @ y)
@@ -514,7 +603,7 @@ def evidence_report(
     k_values = tuple(k_values)
     chain = _prequential_chain(model, data)
     lk = [_estimate(row) for row in chain.lk_per_seed((1,) + k_values, n_seeds, seed)]
-    ls_vals = np.array([chain.ls_total(ls_samples, seed + 1 + s) for s in range(n_seeds)])
+    ls_vals = chain.ls_per_seed(ls_samples, [seed + 1 + s for s in range(n_seeds)])
     log_ml, gap = _exact_evidence(model, data)
     return EvidenceReport(
         exact_log_ml=log_ml,

@@ -356,9 +356,9 @@ def test_console_entry_point_runs():
     assert "two-state" in proc.stdout
 
 
-def _scipy_modules_after(code):
-    """Names of the scipy modules loaded after ``code`` runs in a fresh interpreter."""
-    code += "; import sys; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _modules_after(code, package="scipy"):
+    """Names of the modules of ``package`` loaded after ``code`` runs in a fresh interpreter."""
+    code += f"; import sys; print(' '.join(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -367,7 +367,13 @@ def _scipy_modules_after(code):
 def test_import_leaves_scipy_stats_unloaded():
     """Importing any scipy module takes ~0.3 s, so startup loads none; this
     interpreter has loaded scipy."""
-    assert _scipy_modules_after("import tdlab.experiments, tdlab.cli") == []
+    assert _modules_after("import tdlab.experiments, tdlab.cli") == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """The sampled estimators import ``numpy.random`` on their first draw, so
+    startup (every CLI call, and perfbench's ``setup_s``) does not pay for it."""
+    assert _modules_after("import tdlab.experiments, tdlab.cli", "numpy.random") == []
 
 
 def test_package_namespace_holds_only_submodules_and_dunders():
@@ -407,7 +413,7 @@ def test_exact_and_sampled_evidence_load_no_scipy():
         "evidence_report(models[0], data, n_seeds=2); "
         "algorithm1_sumloss(models[0], data, seeds=[0], method='exact')"
     )
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code) == []
 
 
 # Every experiment at a size that runs in milliseconds; a drawn value overrides its key.

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import logsumexp
 
 from tdlab import evidence
 from tdlab.evidence import (
+    SAMPLER_METHODS,
     BlrModel,
     DegenerateSample,
     GaussianPosterior,
@@ -310,6 +313,15 @@ def test_gd_divergence_names_the_step_and_the_loss():
         algorithm1_sumloss(models[0], data, seeds=[0], method="gd", lr=0.05, steps_per_point=500)
 
 
+@pytest.mark.parametrize("method", SAMPLER_METHODS)
+@pytest.mark.parametrize("bad", [{"steps_per_point": -5}, {"lr": -1e-3}, {"lr": 0.0}])
+def test_sumloss_refuses_a_nonpositive_lr_and_negative_steps(method, bad):
+    """The same rule and wording as :func:`sample_then_optimize`, in both modes."""
+    model, data = random_task(9, n=6)
+    with pytest.raises(ValueError, match="lr must be positive and steps nonnegative"):
+        algorithm1_sumloss(model, data, seeds=[0], method=method, **bad)
+
+
 @pytest.mark.parametrize("method", ["gd", "exact"])
 @pytest.mark.parametrize("upto", [-1, 11])
 def test_sample_then_optimize_refuses_upto_outside_the_data(method, upto):
@@ -501,6 +513,39 @@ def test_shared_chain_reproduces_per_point_loops():
             reference_stacking_weights(models, data, seed),
             **close,
         )
+
+
+_PASSES = st.lists(st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**32 - 1)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60)
+@given(_PASSES, st.sampled_from([0, 1, 30]))
+@example([(0, 0), (2**32 - 1, 1), (2**32, 7), (2**128 - 1, 2**32 - 1)], 30)
+def test_spawn_states_are_numpys_spawned_seed_words(passes, n):
+    """One vectorized hash gives every child's PCG64 seed words exactly, and
+    the ``ISeedSequence`` adapter draws ``default_rng(child)``'s normals."""
+    states = evidence._spawn_states([e for e, _ in passes], [key for _, key in passes], n)
+    assert states.shape == (len(passes), n, 4) and states.dtype == np.uint64
+    seed_words = evidence._seed_words_type()
+    for (entropy, key), pass_states in zip(passes, states):
+        for child, words in zip(np.random.SeedSequence(entropy, spawn_key=(key,)).spawn(n), pass_states):
+            assert np.array_equal(words, child.generate_state(4, np.uint64))
+            adapted = np.random.Generator(np.random.PCG64(seed_words(words)))
+            assert np.array_equal(adapted.standard_normal(3), np.random.default_rng(child).standard_normal(3))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_sampled_estimators_refuse_a_seed_outside_128_bits(seed):
+    model, data = random_task(9, n=4)
+    calls = [
+        lambda: estimate_Lk(model, data, (1, 4), seed=seed),
+        lambda: estimate_LS(model, data, 4, seed=seed),
+        lambda: evidence_report(model, data, n_seeds=2, seed=seed),
+        lambda: ensemble_weight_ranking([model], data, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\*\*128\)"):
+            call()
 
 
 @pytest.mark.parametrize("eigenvalue, refused", [(-1e-9, True), (-1e-11, False)])

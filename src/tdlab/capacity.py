@@ -17,16 +17,7 @@ import numpy as np
 @dataclass(frozen=True)
 class RankReport:
     raw_singular_values: np.ndarray
-    threshold: float
     rank: int
-    normalized: bool
-
-
-@dataclass(frozen=True)
-class UpdateMatrix:
-    """entries[i, j] = |change in value at state x_j after one step on transition i|."""
-
-    entries: np.ndarray
 
 
 def feature_rank(phi_samples, eps: float = 0.01) -> RankReport:
@@ -37,12 +28,7 @@ def feature_rank(phi_samples, eps: float = 0.01) -> RankReport:
     if phi.ndim != 2 or phi.shape[0] < 1:
         raise ValueError("phi_samples must be a nonempty matrix")
     sigma = np.linalg.svd(phi / np.sqrt(phi.shape[0]), compute_uv=False)
-    return RankReport(
-        raw_singular_values=sigma,
-        threshold=eps,
-        rank=int(np.sum(sigma > eps)),
-        normalized=False,
-    )
+    return RankReport(raw_singular_values=sigma, rank=int(np.sum(sigma > eps)))
 
 
 def srank(phi, eps: float = 0.01) -> RankReport:
@@ -53,12 +39,7 @@ def srank(phi, eps: float = 0.01) -> RankReport:
     sigma = np.linalg.svd(phi, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         raise ValueError("srank is undefined for a zero matrix")
-    return RankReport(
-        raw_singular_values=sigma,
-        threshold=eps,
-        rank=int(np.sum(sigma / sigma[0] > eps)),
-        normalized=True,
-    )
+    return RankReport(raw_singular_values=sigma, rank=int(np.sum(sigma / sigma[0] > eps)))
 
 
 @dataclass(frozen=True)
@@ -120,14 +101,15 @@ class LinearValueModel:
         return self.features @ self.weights
 
 
-def update_matrix(model: LinearValueModel, transitions, gamma: float) -> UpdateMatrix:
+def update_matrix(model: LinearValueModel, transitions, gamma: float) -> np.ndarray:
     """One-step TD update interference matrix over a transition batch.
 
     For each transition ``(x, r, x')`` a single semi-gradient step
     ``w <- w + step(delta * features[x])`` with ``delta = r + gamma V(x') - V(x)``
-    is taken from the *same* starting weights and a fresh optimizer state;
-    entry ``(i, j)`` is the absolute change that step ``i`` causes in the
-    value of transition ``j``'s start state.
+    is taken from the *same* starting weights and a fresh optimizer state.
+    Returns the ``(n, n)`` array, ``n`` the number of transitions, whose entry
+    ``(i, j)`` is the absolute change that step ``i`` causes in the value of
+    transition ``j``'s start state.
     """
     transitions = list(transitions)
     if not transitions:
@@ -144,9 +126,10 @@ def update_matrix(model: LinearValueModel, transitions, gamma: float) -> UpdateM
         delta = r + gamma * base[x_next] - base[x]
         move, _ = model.optimizer.step(delta * phi[x], state)
         entries[i] = np.abs(phi[starts] @ move)
-    return UpdateMatrix(entries=entries)
+    return entries
 
 
 def update_rank(U, eps_fraction: float = 0.1) -> RankReport:
-    """:func:`srank` of an update matrix: singular values above ``eps_fraction`` times the largest."""
-    return srank(U.entries if isinstance(U, UpdateMatrix) else U, eps_fraction)
+    """:func:`srank` of an update matrix (the array :func:`update_matrix` returns):
+    its singular values above ``eps_fraction`` times the largest."""
+    return srank(U, eps_fraction)

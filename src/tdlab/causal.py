@@ -79,8 +79,6 @@ class EnvDataset:
 class CausalReport:
     selected: frozenset
     per_subset_pvalues: dict
-    alpha_used: float
-    per_call_alpha: float
     non_identified: bool
 
 
@@ -322,8 +320,6 @@ def linear_misa(data: EnvDataset, alpha: float = 0.05) -> CausalReport:
     return CausalReport(
         selected=frozenset(selected),
         per_subset_pvalues=table_all,
-        alpha_used=alpha,
-        per_call_alpha=per_call_alpha,
         non_identified=non_identified,
     )
 

@@ -9,8 +9,9 @@ Config files are INI: each section is an experiment name and each key
 overrides one default.  Unknown sections or keys are an error (exit code 2),
 as is any value that fails to parse.  Numerical failures inside an experiment
 (divergence, singular systems, non-real spectra, ...) exit with code 3 and
-name the offending error class.  Set ``TDLAB_VERBOSE=1`` for progress lines
-on stderr; the variable affects verbosity only, never results.
+name the offending error class; one in an experiment's setup does so at
+``validate`` as well as at ``run``.  Set ``TDLAB_VERBOSE=1`` for progress
+lines on stderr; the variable affects verbosity only, never results.
 """
 
 from __future__ import annotations
@@ -20,22 +21,7 @@ import configparser
 import os
 import sys
 
-import numpy as np
-
-from .causal import InsufficientEnvironments
-from .evidence import DegenerateSample
-from .experiments import EXPERIMENT_ORDER, EXPERIMENTS, ConfigError, resolve_config, run_experiment
-from .flows import DivergenceDetected
-from .spectral import NonRealSpectrum
-
-_NUMERICAL_ERRORS = (
-    DivergenceDetected,
-    NonRealSpectrum,
-    DegenerateSample,
-    InsufficientEnvironments,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+from .experiments import EXPERIMENT_ORDER, EXPERIMENTS, NUMERICAL_ERRORS, ConfigError, resolve_config, run_experiment
 
 
 def _verbose() -> bool:
@@ -61,19 +47,27 @@ def _load_config(path: str) -> dict[str, dict]:
     return sections
 
 
+def _numerical_failure(experiment: str, exc: Exception) -> int:
+    print(
+        f"tdlab: numerical failure in experiment {experiment!r}: {type(exc).__name__}: {exc}",
+        file=sys.stderr,
+    )
+    return 3
+
+
 def _cmd_run(args) -> int:
+    name, overrides = args.experiment, {}  # name: the experiment being set up or run
     try:
-        overrides = {}
         if args.config is not None:
             sections = _load_config(args.config)
             overrides = sections.get(args.experiment, {})
-        # Validate every other section up front so a typo in an unused section
-        # still fails fast rather than surfacing on a later run; run_experiment
-        # validates this experiment's own section while building its inputs.
-        if args.config is not None:
+            # Validate every other section up front so a typo in an unused section
+            # still fails fast rather than surfacing on a later run; run_experiment
+            # validates this experiment's own section while building its inputs.
             for name, sect in sections.items():
                 if name != args.experiment:
                     resolve_config(name, sect)
+            name = args.experiment
         if _verbose():
             print(f"tdlab: running {args.experiment} (seed={args.seed}, reps={args.reps})",
                   file=sys.stderr)
@@ -81,13 +75,8 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"tdlab: config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(
-            f"tdlab: numerical failure in experiment {args.experiment!r}: "
-            f"{type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 3
+    except NUMERICAL_ERRORS as exc:
+        return _numerical_failure(name, exc)
     if _verbose():
         print(f"tdlab: wrote {manifest}", file=sys.stderr)
     print(manifest)
@@ -109,6 +98,8 @@ def _cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"tdlab: config error: {exc}", file=sys.stderr)
         return 2
+    except NUMERICAL_ERRORS as exc:
+        return _numerical_failure(name, exc)
     print(f"{args.config}: ok ({len(sections)} section(s))")
     return 0
 

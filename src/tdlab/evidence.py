@@ -580,8 +580,6 @@ class EvidenceReport:
     Lk_hat: dict
     LS_hat: EstimateResult
     kl_gap: float
-    n_seeds: int
-    k_values: tuple
 
     def lower_bounds_hold(self, slack_sigmas: float = 3.0) -> bool:
         bounds = [self.L_hat] + list(self.Lk_hat.values()) + [self.LS_hat]
@@ -599,7 +597,10 @@ def evidence_report(
     ls_samples: int = 16,
     seed: int = 0,
 ) -> EvidenceReport:
-    """Exact evidence next to every estimator, with Monte-Carlo error bars."""
+    """Exact evidence next to every estimator, with Monte-Carlo error bars.
+
+    ``Lk_hat`` maps each of ``k_values``, in order, to its L_k estimate.
+    """
     k_values = tuple(k_values)
     chain = _prequential_chain(model, data)
     lk = [_estimate(row) for row in chain.lk_per_seed((1,) + k_values, n_seeds, seed)]
@@ -611,6 +612,4 @@ def evidence_report(
         Lk_hat=dict(zip(k_values, lk[1:])),
         LS_hat=_estimate(ls_vals),
         kl_gap=gap,
-        n_seeds=n_seeds,
-        k_values=k_values,
     )

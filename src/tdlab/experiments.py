@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .capacity import LinearValueModel, Sgd, feature_rank, srank, update_matrix, update_rank
-from .causal import build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
-from .evidence import SAMPLER_METHODS, TASK_KINDS, algorithm1_sumloss, ensemble_weight_ranking, evidence_report, model_selection_task
+from .causal import InsufficientEnvironments, build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
+from .evidence import SAMPLER_METHODS, TASK_KINDS, DegenerateSample, algorithm1_sumloss, ensemble_weight_ranking, evidence_report
+from .evidence import model_selection_task
 from .flows import (
     DivergenceDetected,
     FlowConfig,
@@ -50,6 +51,7 @@ from .mdp import (
     uniform_policy,
 )
 from .spectral import (
+    NonRealSpectrum,
     eigendecompose,
     real_invariant_basis,
     resolvent,
@@ -61,6 +63,17 @@ from .spectral import (
 
 class ConfigError(ValueError):
     """Configuration could not be parsed or validated."""
+
+
+# A sound config's numbers failing, in its setup or its run: never a ConfigError.
+NUMERICAL_ERRORS = (
+    DivergenceDetected,
+    NonRealSpectrum,
+    DegenerateSample,
+    InsufficientEnvironments,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+)
 
 
 def _format_cell(value) -> str:
@@ -205,7 +218,7 @@ def _run_four_rooms(cfg, inputs, rng, art):
         metric = grassmann_convergence_metric(traj, target)
         rows.extend((M, t, d) for t, d in zip(traj.times, metric))
     art.csv("feature_convergence", ("m_heads", "t", "grassmann_distance"), rows)
-    return {"n_states": mdp.n_states, "k_features": K}
+    return {"n_states": mdp.n_states}
 
 
 def _random_cumulants_setup(cfg) -> FlowConfig:
@@ -307,7 +320,6 @@ def _run_kernel_circle(cfg, inputs, rng, art):
         ),
         sweep_rows,
     )
-    return {"embedding_radius": cfg["radius"], "method": cfg["method"]}
 
 
 def _smooth_kernel_setup(cfg) -> np.ndarray:
@@ -344,7 +356,6 @@ def _run_smooth_kernel(cfg, S, rng, art):
                 )
             )
     art.csv("generalization", ("target", "train_fraction", "mean_mse", "stderr_mse"), rows)
-    return {"smooth_k": cfg["smooth_k"], "n_mdps": cfg["n_mdps"]}
 
 
 def _run_bms_select(cfg, _, rng, art):
@@ -398,7 +409,7 @@ def _run_bms_select(cfg, _, rng, art):
     ]
     selection_rows.append(("stacking_weight", int(np.argmax(weights))))
     art.csv("selection", ("estimator", "argmax_model"), selection_rows)
-    return {"task_seed": task_seed, "kind": cfg["kind"]}
+    return {"task_seed": task_seed}
 
 
 def _run_misa(cfg, _, rng, art):
@@ -484,7 +495,7 @@ def _run_capacity(cfg, inputs, rng, art):
     weights = rng.standard_normal(n)
     tab_model = LinearValueModel(np.eye(n), weights, sgd)
     U_tab = update_matrix(tab_model, transitions, gamma)
-    off_diag = float(np.max(np.abs(U_tab.entries - np.diag(np.diag(U_tab.entries)))))
+    off_diag = float(np.max(np.abs(U_tab - np.diag(np.diag(U_tab)))))
     art.csv(
         "tabular_update",
         ("n_transitions", "update_rank", "max_offdiagonal"),
@@ -575,7 +586,7 @@ class ExperimentDef:
     index: int
     description: str
     defaults: dict
-    runner: object  # (config, setup's inputs, rng, ArtifactWriter) -> derived dict
+    runner: object  # (config, setup's inputs, rng, ArtifactWriter) -> derived dict, or None
     # key -> Range, checked item by item for lists; an integer key without one is a count
     ranges: dict = field(default_factory=dict)
     # key -> the names a string key (or each item) may take, as the library that reads it exports them
@@ -764,7 +775,7 @@ def _resolve(name: str, overrides: dict | None) -> tuple[dict, object]:
         config[key] = _coerce(name, key, exp.defaults[key], raw, exp.bounds(key), exp.names.get(key))
     try:
         return config, None if exp.setup is None else exp.setup(config)
-    except ConfigError:
+    except (ConfigError, *NUMERICAL_ERRORS):
         raise
     except ValueError as exc:
         raise ConfigError(f"{name}.{exc}") from exc
@@ -776,7 +787,8 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
     that declares none), names outside a string key's set, and whatever the
     experiment's setup refuses while building its inputs (a ``ValueError``
     from a builder, such as ``FlowConfig``'s, becomes a ``ConfigError``
-    prefixed with the experiment's name)."""
+    prefixed with the experiment's name).  A numerical failure while building
+    them, one of ``NUMERICAL_ERRORS``, propagates as itself."""
     return _resolve(name, overrides)[0]
 
 

@@ -98,9 +98,12 @@ class FlowConfig:
 class FlowTrajectory:
     """Time grid plus state snapshots.
 
-    ``meta`` holds the flow's settings, its integrator counts and any
-    per-snapshot arrays, such as the coupled flow's ``weights`` and kernel
-    TD's ``train_residual_sup``.
+    ``meta`` holds only what the run computed: the value flows'
+    ``fixed_point``, the coupled flows' per-snapshot ``weights`` and kernel
+    TD's per-snapshot ``train_residual_sup``, and for every RK4 or Euler run
+    the integrator counts ``steps`` and ``stepwise_strides``.  The partial
+    trajectory a :class:`DivergenceDetected` carries holds the counts, and a
+    coupled flow's its ``weights`` too.
     """
 
     times: np.ndarray
@@ -245,9 +248,8 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
                 if not now <= _DIVERGENCE_SUP:
                     exc = DivergenceDetected(k * cfg.dt, now)
                     snaps[j] = rec
-                    meta = {"diverged": True, "steps": k, "stepwise_strides": stepwise}
                     exc.trajectory = FlowTrajectory(
-                        np.append(times[:j], exc.time), snaps[: j + 1], meta=meta
+                        np.append(times[:j], exc.time), snaps[: j + 1], {"steps": k, "stepwise_strides": stepwise}
                     )
                     raise exc
                 if k == steps[j]:
@@ -316,7 +318,6 @@ def _linear_value_flow(
     R: np.ndarray,
     cfg: FlowConfig,
     generator: np.ndarray,
-    meta: dict,
 ) -> FlowTrajectory:
     V0 = np.asarray(V0, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -329,16 +330,12 @@ def _linear_value_flow(
     Vpi = exact_value(P, R, cfg.gamma)
     offset = Vpi if V0.ndim == 1 else Vpi[:, None]
 
-    meta = dict(meta)
     if cfg.method == "closed_form":
-        times = cfg.dt * _recorded_steps(cfg)
+        times, work = cfg.dt * _recorded_steps(cfg), {}
         states = _closed_form_grid(generator, offset, V0, times)
     else:
         times, states, work = _propagate((generator, -generator @ offset), V0, cfg)
-        meta.update(work)
-    meta["fixed_point"] = Vpi
-    meta["t_end_effective"] = float(times[-1])
-    return FlowTrajectory(times=times, states=states, meta=meta)
+    return FlowTrajectory(times=times, states=states, meta={"fixed_point": Vpi, **work})
 
 
 def td_value_flow(V0, P, R, cfg: FlowConfig) -> FlowTrajectory:
@@ -348,14 +345,14 @@ def td_value_flow(V0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     """
     P = np.asarray(P, dtype=float)
     generator = cfg.gamma * P - np.eye(P.shape[0])
-    return _linear_value_flow(V0, P, R, cfg, generator, {"flow": "td"})
+    return _linear_value_flow(V0, P, R, cfg, generator)
 
 
 def mc_value_flow(V0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     """Monte-Carlo expected dynamics ``dV/dt = V_pi - V`` (linear interpolation)."""
     P = np.asarray(P, dtype=float)
     generator = -np.eye(P.shape[0])
-    return _linear_value_flow(V0, P, R, cfg, generator, {"flow": "mc"})
+    return _linear_value_flow(V0, P, R, cfg, generator)
 
 
 def nstep_value_flow(V0, P, R, n: int, cfg: FlowConfig) -> FlowTrajectory:
@@ -364,7 +361,7 @@ def nstep_value_flow(V0, P, R, n: int, cfg: FlowConfig) -> FlowTrajectory:
         raise ValueError("n must be a positive integer")
     P = np.asarray(P, dtype=float)
     generator = np.linalg.matrix_power(cfg.gamma * P, n) - np.eye(P.shape[0])
-    return _linear_value_flow(V0, P, R, cfg, generator, {"flow": "nstep", "n": n})
+    return _linear_value_flow(V0, P, R, cfg, generator)
 
 
 def td_lambda_value_flow(V0, P, R, lam: float, cfg: FlowConfig) -> FlowTrajectory:
@@ -380,7 +377,7 @@ def td_lambda_value_flow(V0, P, R, lam: float, cfg: FlowConfig) -> FlowTrajector
     eye = np.eye(P.shape[0])
     gp = cfg.gamma * P
     generator = (1.0 - lam) * np.linalg.solve(eye - lam * gp, gp) - eye
-    return _linear_value_flow(V0, P, R, cfg, generator, {"flow": "td_lambda", "lambda": lam})
+    return _linear_value_flow(V0, P, R, cfg, generator)
 
 
 def _coupled_flow(
@@ -389,7 +386,6 @@ def _coupled_flow(
     targets: np.ndarray,
     P: np.ndarray,
     cfg: FlowConfig,
-    meta: dict,
 ) -> FlowTrajectory:
     """Shared engine: ``dPhi = alpha (T + (gamma P - I) Phi W) W^T``, ``dW = beta Phi^T (...)``."""
     phi0 = np.asarray(phi0, dtype=float)
@@ -437,10 +433,9 @@ def _coupled_flow(
         def unpack(states):
             return states[:, :split].reshape(-1, n, K), states[:, split:].reshape(-1, K, M)
 
-    def trajectory(times, states, meta):
+    def trajectory(times, states, work):
         phi, weights = unpack(states)
-        meta = dict(meta, weights=weights, t_end_effective=float(times[-1]))
-        return FlowTrajectory(times=times, states=phi, meta=meta)
+        return FlowTrajectory(times=times, states=phi, meta=dict(work, weights=weights))
 
     try:
         times, states, work = _propagate(flow, x0, cfg, record, floor)
@@ -448,7 +443,7 @@ def _coupled_flow(
         partial = exc.trajectory
         exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
         raise
-    return trajectory(times, states, dict(meta, **work))
+    return trajectory(times, states, work)
 
 
 def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
@@ -466,13 +461,13 @@ def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     R = np.asarray(R, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     targets = np.tile(R[:, None], (1, w0.shape[1]))
-    return _coupled_flow(phi0, w0, targets, P, cfg, {"flow": "coupled"})
+    return _coupled_flow(phi0, w0, targets, P, cfg)
 
 
 def random_cumulant_flow(phi0, w0, cumulants, P, cfg: FlowConfig) -> FlowTrajectory:
     """Coupled flow where head ``m`` regresses its own cumulant column."""
     cumulants = np.asarray(cumulants, dtype=float)
-    return _coupled_flow(phi0, w0, cumulants, P, cfg, {"flow": "random_cumulant"})
+    return _coupled_flow(phi0, w0, cumulants, P, cfg)
 
 
 def limiting_ensemble_flow(
@@ -490,21 +485,21 @@ def limiting_ensemble_flow(
     R = np.asarray(R, dtype=float)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    if noise is None:
+        return _limit_at(phi0, gamma * P, t)
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (phi0.shape[1],):
+        raise ValueError(f"noise must have one entry per feature, shape ({phi0.shape[1]},)")
+    return _limit_at(phi0, gamma * P, t, np.outer(resolvent(P, gamma) @ R, noise))
+
+
+def _limit_at(phi0: np.ndarray, gamma_P: np.ndarray, t: float, offset=0.0) -> np.ndarray:
+    """``exp(-t(I - gamma_P))(Phi0 - offset) + offset`` at the finite time ``t``."""
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if P.shape != (phi0.shape[0], phi0.shape[0]):
+    if gamma_P.shape != (phi0.shape[0], phi0.shape[0]):
         raise ValueError("P dimension does not match phi0")
-    if noise is None:
-        offset = np.zeros_like(phi0)
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (phi0.shape[1],):
-            raise ValueError(
-                f"noise must have one entry per feature, shape ({phi0.shape[1]},)"
-            )
-        offset = np.outer(resolvent(P, gamma) @ R, noise)
-    generator = gamma * P - np.eye(P.shape[0])
-    return _closed_form_grid(generator, offset, phi0, np.array([0.0, t]))[-1]
+    return _closed_form_grid(gamma_P - np.eye(phi0.shape[0]), offset, phi0, np.array([0.0, t]))[-1]
 
 
 def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
@@ -523,38 +518,21 @@ def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
     return cov
 
 
-def multi_task_limit_flow(
-    phi0,
-    t: float,
-    gamma: float | None = None,
-    transition_matrices: list | None = None,
-    P=None,
-    discounts: list | None = None,
-) -> np.ndarray:
-    """Zero-reward multi-task limits: averaged policies or averaged discounts.
+def multi_task_limit_flow(phi0, tasks, t: float) -> np.ndarray:
+    """Zero-reward multi-task limit ``exp(-t(I - mean_i gamma_i P_i)) Phi0``.
 
-    Pass either ``transition_matrices`` (a list of per-policy matrices, with a
-    single ``gamma``) or ``discounts`` (a list of per-task discounts, with a
-    single ``P``); the limit is ``exp(-t(I - mean-discount * mean-P)) Phi0``.
+    ``tasks`` is a nonempty sequence of ``(gamma_i, P_i)`` pairs, each
+    ``gamma_i`` in [0, 1).  Tasks that share a discount average their
+    policies' transition matrices, tasks that share a transition matrix
+    average their discounts, and mixed tasks average the products.
     """
-    phi0 = np.asarray(phi0, dtype=float)
-    if (transition_matrices is None) == (discounts is None):
-        raise ValueError("pass exactly one of transition_matrices or discounts")
-    if transition_matrices is not None:
-        if len(transition_matrices) == 0:
-            raise ValueError("task list must be nonempty")
-        if gamma is None:
-            raise ValueError("gamma is required with transition_matrices")
-        P_bar = np.mean([np.asarray(Pi, dtype=float) for Pi in transition_matrices], axis=0)
-        gamma_bar = gamma
-    else:
-        if len(discounts) == 0:
-            raise ValueError("task list must be nonempty")
-        if P is None:
-            raise ValueError("P is required with discounts")
-        P_bar = np.asarray(P, dtype=float)
-        gamma_bar = float(np.mean(discounts))
-    return limiting_ensemble_flow(phi0, P_bar, np.zeros(P_bar.shape[0]), gamma_bar, t)
+    tasks = list(tasks)
+    if not tasks:
+        raise ValueError("task list must be nonempty")
+    if not all(0.0 <= gamma < 1.0 for gamma, _ in tasks):
+        raise ValueError("every gamma must lie in [0, 1)")
+    gamma_P = np.mean([gamma * np.asarray(P, dtype=float) for gamma, P in tasks], axis=0)
+    return _limit_at(np.asarray(phi0, dtype=float), gamma_P, t)
 
 
 def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:

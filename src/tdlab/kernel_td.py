@@ -90,8 +90,10 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     bootstrapping at high discounts).  Both run on the linear-flow engine of
     :mod:`tdlab.flows`, which raises :class:`~tdlab.flows.DivergenceDetected`,
     with the partial trajectory attached, at the first step whose sup norm
-    crosses 1e8.  ``meta["train_residual_sup"]`` holds each snapshot's largest
-    absolute TD error over the train states.
+    crosses 1e8.  ``meta`` holds ``train_residual_sup``, each snapshot's largest
+    absolute TD error over the train states, and the integrator counts
+    ``steps`` and ``stepwise_strides``; a diverged partial trajectory carries
+    only the counts.
     """
     V0 = np.asarray(V0, dtype=float)
     K_all = np.asarray(K_all, dtype=float)
@@ -121,8 +123,7 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     residual = np.max(
         np.abs((R[None, :] + gamma * states @ P.T - states)[:, train_idx]), axis=1
     )
-    meta = {"flow": "kernel_td", "train_idx": train_idx, "method": cfg.method, "train_residual_sup": residual, **work}
-    return FlowTrajectory(times=times, states=states, meta=meta)
+    return FlowTrajectory(times=times, states=states, meta={"train_residual_sup": residual, **work})
 
 
 def _orthogonal_projection(y: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -460,7 +460,7 @@ def test_10_rank_estimators():
     model = LinearValueModel(features=np.eye(20), weights=np.zeros(20))
     for batch in (5, 12, 20):
         U = update_matrix(model, transitions[:batch], gamma=0.9)
-        off = U.entries - np.diag(np.diag(U.entries))
+        off = U - np.diag(np.diag(U))
         assert np.max(np.abs(off)) == 0.0
         assert update_rank(U).rank == batch
 

@@ -61,8 +61,6 @@ def test_ancestor_closure_walks_the_chain():
 
 def test_report_carries_scan_details():
     report = linear_misa(build_synthetic_family(seed=5), alpha=0.05)
-    assert report.alpha_used == 0.05
-    assert report.per_call_alpha == pytest.approx(0.05 / 3)
     assert ("reward", ()) in report.per_subset_pvalues
 
 

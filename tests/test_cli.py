@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdlab.cli import _NUMERICAL_ERRORS, main
+from tdlab.cli import main
 from tdlab.experiments import (
     EXPERIMENT_ORDER,
     ArtifactWriter,
     EXPERIMENTS,
+    NUMERICAL_ERRORS,
     ConfigError,
     resolve_config,
     run_experiment,
@@ -287,6 +288,22 @@ def test_numerical_failure_exits_three_and_names_the_error(tmp_path, capsys):
     assert "DivergenceDetected" in err
 
 
+@pytest.mark.parametrize("n_states", [30, 100, 300])
+def test_numerical_failure_in_a_setup_exits_three_at_validate_and_run(tmp_path, capsys, n_states):
+    """A chain whose slip is all but zero has an eigendecomposition no solver
+    can trust: a numerical failure while the setup builds the EBFs, not a
+    config error, so ``validate`` and ``run`` both exit 3 and name it."""
+    cfg = tmp_path / "slip.ini"
+    cfg.write_text(f"[chain-transfer]\nslip = 1e-12\nn_states = {n_states}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 3
+    assert run_cli(["run", "chain-transfer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("tdlab: numerical failure in experiment 'chain-transfer': LinAlgError: ")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_validate_reports_ok_and_errors(tmp_path, capsys):
     good = tmp_path / "good.ini"
     good.write_text("[two-state]\nn_inits = 3\n[second-order]\ngamma = 0.5\n")
@@ -498,18 +515,19 @@ def _non_finite_cells(path: Path):
 @given(st.sampled_from(_ONE_KEY_CASES).flatmap(_with_partner))
 def test_validate_refuses_or_run_completes(cases):
     """Each boundary config, alone or paired, is refused by ``validate`` with a
-    ConfigError, or runs to success or to a numerical failure (exit 3); a
-    success writes only finite numbers, outside the documented NaN columns."""
+    ConfigError or a numerical failure (exit 3) in its setup, or runs to
+    success or to a numerical failure; a success writes only finite numbers,
+    outside the documented NaN columns."""
     name = cases[0][0]
     overrides = dict(_SMALL[name], **{key: value for _, key, value in cases})
     try:
         resolve_config(name, overrides)
-    except ConfigError:
+    except (ConfigError, *NUMERICAL_ERRORS):
         return
     with tempfile.TemporaryDirectory() as out:
         try:
             manifest = json.loads(run_experiment(name, overrides, out, 0).read_text())
-        except _NUMERICAL_ERRORS:
+        except NUMERICAL_ERRORS:
             return
         for output in manifest["outputs"]:
             bad = _non_finite_cells(Path(out) / output)

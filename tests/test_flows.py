@@ -25,8 +25,10 @@ from tdlab.flows import (
     td_lambda_value_flow,
     td_value_flow,
 )
+from tdlab.kernel_td import KernelSpec, circle_embedding, kernel_td_flow, split_kernel
 from tdlab.mdp import (
     build_chain_mdp,
+    build_circle_mdp,
     build_four_rooms,
     exact_value,
     random_mdp,
@@ -599,6 +601,68 @@ def test_transient_growth_falls_back_to_steps_and_still_matches():
     assert_matches_step_loop(traj, states, cfg.dt)
 
 
+_COUNTS = {"steps", "stepwise_strides"}
+
+
+def _meta_runs():
+    """(case, call, meta keys) for every flow, completed or (a case ending in
+    "diverged") cut short by divergence."""
+    P, R, V0, gamma = small_problem(41)
+    rng = np.random.default_rng(41)
+    phi0, w0, cumulants = rng.standard_normal((5, 3)), rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
+    closed, rk4 = (FlowConfig(gamma=gamma, t_end=1.0, dt=0.1, method=m) for m in ("closed_form", "rk4"))
+    learned = FlowConfig(gamma=gamma, beta=0.5, t_end=1.0, dt=0.1, method="rk4")
+    value_flows = {
+        "td": td_value_flow,
+        "mc": mc_value_flow,
+        "nstep": lambda V0, P, R, cfg: nstep_value_flow(V0, P, R, 3, cfg),
+        "td_lambda": lambda V0, P, R, cfg: td_lambda_value_flow(V0, P, R, 0.5, cfg),
+    }
+    for name, flow in value_flows.items():
+        yield f"{name}-closed_form", lambda flow=flow: flow(V0, P, R, closed), {"fixed_point"}
+        yield f"{name}-rk4", lambda flow=flow: flow(V0, P, R, rk4), {"fixed_point"} | _COUNTS
+    yield "coupled-frozen", lambda: coupled_feature_flow(phi0, w0, P, R, rk4), {"weights"} | _COUNTS
+    yield "coupled-learned", lambda: coupled_feature_flow(phi0, w0, P, R, learned), {"weights"} | _COUNTS
+    yield "random_cumulant", lambda: random_cumulant_flow(phi0, w0, cumulants, P, rk4), {"weights"} | _COUNTS
+    mdp, train_idx = build_circle_mdp(50, reward_state=24, n_train=40)
+    P50 = transition_matrix(mdp, uniform_policy(mdp))
+    # the longest lengthscale at the high discount diverges, as in test_kernel_td
+    for name, ell, gamma_k, keys in (
+        ("kernel_td", 1.0, 0.5, {"train_residual_sup"} | _COUNTS), ("kernel_td-diverged", 100.0, 0.99, _COUNTS)
+    ):
+        K_all = split_kernel(KernelSpec(lengthscale=ell, embedding=circle_embedding(50)), train_idx)
+        cfg = FlowConfig(gamma=gamma_k, t_end=100.0, dt=1.0, method="euler")
+        yield name, (
+            lambda K_all=K_all, cfg=cfg: kernel_td_flow(np.zeros(50), K_all, P50, mdp.rewards, train_idx, cfg)
+        ), keys
+    # the divergence configs of test_rk4_value_flow_divergence_detected and
+    # test_coupled_flow_divergence_detected
+    P2, R2 = np.array([[0.2, 0.8], [0.8, 0.2]]), np.array([1.0, 0.0])
+    blowup = FlowConfig(gamma=0.9, t_end=500.0, dt=5.0, method="rk4")
+    yield "td-rk4-diverged", lambda: td_value_flow(np.zeros(2), P2, R2, blowup), _COUNTS
+    P8, R8, _, _ = small_problem(13, n=8, gamma=0.99)
+    rng = np.random.default_rng(13)
+    phi8, w8 = 3.0 * rng.standard_normal((8, 3)), 3.0 * rng.standard_normal((3, 4))
+    hot = FlowConfig(gamma=0.99, alpha=10.0, beta=10.0, t_end=20.0, dt=0.01, method="rk4")
+    yield "coupled-diverged", lambda: coupled_feature_flow(phi8, w8, P8, R8, hot), {"weights"} | _COUNTS
+
+
+@pytest.mark.parametrize("name, run, keys", [pytest.param(*case, id=case[0]) for case in _meta_runs()])
+def test_flow_meta_holds_only_what_the_run_computed(name, run, keys):
+    """Each flow's ``meta`` keys are exactly the documented set (see
+    :class:`~tdlab.flows.FlowTrajectory`): no echo of a setting or an input,
+    and on a diverged partial trajectory no flag that the exception already
+    states."""
+    try:
+        traj = run()
+    except DivergenceDetected as exc:
+        assert name.endswith("diverged")
+        traj = exc.trajectory
+    else:
+        assert not name.endswith("diverged")
+    assert set(traj.meta) == keys
+
+
 # ---------------------------------------------------------------------------
 # limiting ensembles and covariance
 
@@ -648,9 +712,7 @@ def test_limiting_flows_refuse_a_non_finite_time():
         with pytest.raises(ValueError, match="t must be finite"):
             limiting_ensemble_flow(phi0, P, R, gamma, t=t)
         with pytest.raises(ValueError, match="t must be finite"):
-            multi_task_limit_flow(phi0, t, gamma=gamma, transition_matrices=[P])
-        with pytest.raises(ValueError, match="t must be finite"):
-            multi_task_limit_flow(phi0, t, P=P, discounts=[gamma])
+            multi_task_limit_flow(phi0, [(gamma, P)], t)
 
 
 def test_limiting_cumulant_covariance_formula():
@@ -675,18 +737,23 @@ def test_multi_task_limit_reductions():
     Ps = [random_walk_matrix(rng, 6) for _ in range(3)]
     phi0 = rng.standard_normal((6, 2))
     # several copies of one task collapse to the single-task flow
-    same = multi_task_limit_flow(phi0, 2.0, gamma=0.9, transition_matrices=[Ps[0]] * 3)
+    same = multi_task_limit_flow(phi0, [(0.9, Ps[0])] * 3, 2.0)
     single = limiting_ensemble_flow(phi0, Ps[0], np.zeros(6), 0.9, t=2.0)
     assert_allclose(same, single, atol=1e-10)
-    # mixed tasks average the transition kernel
-    mixed = multi_task_limit_flow(phi0, 2.0, gamma=0.9, transition_matrices=Ps)
+    # policies under one discount average the transition kernel
+    policies = multi_task_limit_flow(phi0, [(0.9, P) for P in Ps], 2.0)
     Pbar = sum(Ps) / 3
-    assert_allclose(mixed, expm(-2.0 * (np.eye(6) - 0.9 * Pbar)) @ phi0, atol=1e-10)
-    # discount list averages the rate
-    d = multi_task_limit_flow(phi0, 2.0, P=Ps[0], discounts=[0.5, 0.9])
+    assert_allclose(policies, expm(-2.0 * (np.eye(6) - 0.9 * Pbar)) @ phi0, atol=1e-10)
+    # discounts under one policy average the rate
+    d = multi_task_limit_flow(phi0, [(0.5, Ps[0]), (0.9, Ps[0])], 2.0)
     assert_allclose(d, expm(-2.0 * (np.eye(6) - 0.7 * Ps[0])) @ phi0, atol=1e-10)
-    with pytest.raises(ValueError):
-        multi_task_limit_flow(phi0, 2.0, gamma=0.9)
+    # tasks that differ in both average the products gamma_i P_i
+    mixed = multi_task_limit_flow(phi0, [(0.5, Ps[1]), (0.9, Ps[2])], 2.0)
+    gamma_P = (0.5 * Ps[1] + 0.9 * Ps[2]) / 2
+    assert_allclose(mixed, expm(-2.0 * (np.eye(6) - gamma_P)) @ phi0, atol=1e-10)
+    for tasks in ([], [(1.0, Ps[0])], [(0.9, Ps[0]), (-0.1, Ps[1])]):
+        with pytest.raises(ValueError):
+            multi_task_limit_flow(phi0, tasks, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,6 @@ def test_kernel_flow_long_lengthscale_high_gamma_diverges():
     assert exc.sup_norm > 1e8
     # the partial trajectory is attached for post-mortem plots
     assert exc.trajectory is not None
-    assert exc.trajectory.meta["diverged"]
     assert exc.trajectory.times[-1] == pytest.approx(exc.time)
     assert np.max(np.abs(exc.trajectory.states[-1])) == pytest.approx(exc.sup_norm)
 

@@ -52,33 +52,21 @@ class Sgd:
         if not self.lr > 0:
             raise ValueError("lr must be positive")
 
-    def init_state(self, dim: int):
-        return None
-
-    def step(self, grad: np.ndarray, state):
-        return self.lr * grad, None
+    def step(self, grads: np.ndarray) -> np.ndarray:
+        return self.lr * grads
 
 
 @dataclass(frozen=True)
-class AdamLike:
-    """Adam-style step with bias-corrected first/second moment estimates."""
+class AdamLike(Sgd):
+    """Adam's first step from a fresh state, which is the only step
+    :func:`update_matrix` takes: bias correction makes the moment estimates
+    ``g`` and ``g^2``, so the step is ``lr g / (|g| + eps)`` elementwise
+    (Kingma & Ba, 2015).  ``lr`` is checked as :class:`Sgd` checks it."""
 
-    lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps: float = 1e-8
 
-    def init_state(self, dim: int):
-        return (np.zeros(dim), np.zeros(dim), 0)
-
-    def step(self, grad: np.ndarray, state):
-        m, v, t = state
-        t = t + 1
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps), (m, v, t)
+    def step(self, grads: np.ndarray) -> np.ndarray:
+        return self.lr * grads / (np.abs(grads) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -106,30 +94,27 @@ def update_matrix(model: LinearValueModel, transitions, gamma: float) -> np.ndar
 
     For each transition ``(x, r, x')`` a single semi-gradient step
     ``w <- w + step(delta * features[x])`` with ``delta = r + gamma V(x') - V(x)``
-    is taken from the *same* starting weights and a fresh optimizer state.
-    Returns the ``(n, n)`` array, ``n`` the number of transitions, whose entry
-    ``(i, j)`` is the absolute change that step ``i`` causes in the value of
-    transition ``j``'s start state.
+    is taken from the *same* starting weights and a fresh optimizer state,
+    so the optimizer steps every row's gradient at once.  Returns the
+    ``(n, n)`` array, ``n`` the number of transitions, whose entry ``(i, j)``
+    is the absolute change that step ``i`` causes in the value of transition
+    ``j``'s start state.  Raises ``ValueError`` on a start or next state
+    outside ``[0, n_states)``.
     """
     transitions = list(transitions)
     if not transitions:
         raise ValueError("transitions must be nonempty")
     phi = model.features
-    n_states = phi.shape[0]
     starts = np.array([t[0] for t in transitions], dtype=int)
-    if np.any(starts < 0) or np.any(starts >= n_states):
+    nexts = np.array([t[2] for t in transitions], dtype=int)
+    if min(starts.min(), nexts.min()) < 0 or max(starts.max(), nexts.max()) >= phi.shape[0]:
         raise ValueError("transition state index out of range")
-    base = model.values()
-    entries = np.empty((len(transitions), len(transitions)))
-    state = model.optimizer.init_state(phi.shape[1])
-    for i, (x, r, x_next) in enumerate(transitions):
-        delta = r + gamma * base[x_next] - base[x]
-        move, _ = model.optimizer.step(delta * phi[x], state)
-        entries[i] = np.abs(phi[starts] @ move)
-    return entries
+    base, phi_starts = model.values(), phi[starts]
+    deltas = np.array([t[1] for t in transitions], dtype=float) + gamma * base[nexts] - base[starts]
+    return np.abs(model.optimizer.step(deltas[:, None] * phi_starts) @ phi_starts.T)
 
 
-def update_rank(U, eps_fraction: float = 0.1) -> RankReport:
-    """:func:`srank` of an update matrix (the array :func:`update_matrix` returns):
-    its singular values above ``eps_fraction`` times the largest."""
-    return srank(U, eps_fraction)
+def update_rank(U) -> RankReport:
+    """:func:`srank` of an update matrix (the array :func:`update_matrix`
+    returns): its singular values above 0.1 times the largest."""
+    return srank(U, 0.1)

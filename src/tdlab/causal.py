@@ -379,10 +379,13 @@ def fit_reward_weights(data: EnvDataset, subset=None) -> np.ndarray:
     """Pooled least-squares reward predictor, as a full-length weight vector.
 
     Returns ``(1 + p)`` weights (intercept first); coefficients of variables
-    outside ``subset`` are structurally zero.
+    outside ``subset`` are structurally zero.  Raises ``ValueError`` on a
+    variable index outside ``[0, p)``.
     """
     p = data.n_vars
     subset = tuple(range(p)) if subset is None else tuple(sorted(int(v) for v in subset))
+    if any(not 0 <= v < p for v in subset):
+        raise ValueError(f"subset indices must lie in [0, {p}), got {subset}")
     X = np.vstack([env.inputs for env in data.environments])
     y = np.concatenate([env.rewards for env in data.environments])
     design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])
@@ -406,14 +409,13 @@ def intervention_robustness(
     test_intervention_values,
     seed: int = 0,
     n_steps: int = 1000,
-    intervention_variable: int = 2,
 ) -> RobustnessCurve:
     """Reward-prediction error of two predictors under hard test interventions.
 
-    For each value v, simulates a fresh environment with the intervened
-    variable clamped to v (common random numbers across v, so a predictor
-    that ignores that variable traces an exactly flat curve) and reports each
-    predictor's mean squared reward error.
+    For each value v, simulates a fresh environment with the shadow x3
+    clamped to v (common random numbers across v, so a predictor that
+    ignores x3 traces an exactly flat curve) and reports each predictor's
+    mean squared reward error.
     """
     values = np.asarray(list(test_intervention_values), dtype=float)
     weights_full = np.asarray(weights_full, dtype=float)
@@ -422,9 +424,7 @@ def intervention_robustness(
     misa_mse = np.empty(len(values))
     for a, v in enumerate(values):
         rng = np.random.default_rng([seed, 10_000])
-        env = _simulate_three_var(
-            rng, n_steps, np.ones(3), clamp=(intervention_variable, float(v))
-        )
+        env = _simulate_three_var(rng, n_steps, np.ones(3), clamp=(2, float(v)))
         design = np.column_stack([np.ones(n_steps), env.inputs])
         full_mse[a] = float(np.mean((design @ weights_full - env.rewards) ** 2))
         misa_mse[a] = float(np.mean((design @ weights_misa - env.rewards) ** 2))

@@ -186,7 +186,6 @@ def _run_chain_transfer(cfg, inputs, rng, art):
             appended_rows.append((j,) + tuple(vector_subspace_distance(values[jp], basis_app) for jp in range(n_pol)))
         art.csv(f"transfer_{family}", header, plain_rows)
         art.csv(f"transfer_{family}_appended", header, appended_rows)
-    return {"n_policies": n_pol}
 
 
 def _four_rooms_setup(cfg):
@@ -218,7 +217,6 @@ def _run_four_rooms(cfg, inputs, rng, art):
         metric = grassmann_convergence_metric(traj, target)
         rows.extend((M, t, d) for t, d in zip(traj.times, metric))
     art.csv("feature_convergence", ("m_heads", "t", "grassmann_distance"), rows)
-    return {"n_states": mdp.n_states}
 
 
 def _random_cumulants_setup(cfg) -> FlowConfig:
@@ -268,12 +266,16 @@ def _run_random_cumulants(cfg, flow_cfg, rng, art):
         ("t", "grassmann_distance_to_resolvent_span"),
         list(zip(traj.times, metric)),
     )
-    return {"final_rel_frobenius": err_rows[-1][1]}
 
 
 def _kernel_circle_setup(cfg):
     """The circle MDP, its transition matrix and train states, one flow config
-    per ``gammas`` entry and one kernel block per ``lengthscales`` entry."""
+    per ``gammas`` entry and one kernel block per ``lengthscales`` entry.
+    Refuses entries that share a ``:g`` name, since they would share a
+    trajectory file."""
+    for key in ("gammas", "lengthscales"):
+        if len({f"{v:g}" for v in cfg[key]}) < len(cfg[key]):
+            raise ConfigError(f"kernel-circle.{key}: {cfg[key]} repeats a name in the trajectory files")
     mdp, train_idx = build_circle_mdp(cfg["n_states"], cfg["reward_state"], cfg["n_train"])
     P = transition_matrix(mdp, uniform_policy(mdp))
     flow_cfgs = [FlowConfig(gamma=g, t_end=cfg["t_end"], dt=cfg["dt"], method=cfg["method"]) for g in cfg["gammas"]]
@@ -418,8 +420,6 @@ def _run_misa(cfg, _, rng, art):
     scales = (cfg["intervention_scale"],) * 3
     n_correct = 0
     selection_rows = []
-    first_report = None
-    first_data = None
     for s in range(cfg["n_seeds"]):
         data = build_synthetic_family(
             cfg["n_envs"], cfg["n_steps"], seed=base + s, intervention_scales=scales
@@ -439,12 +439,9 @@ def _run_misa(cfg, _, rng, art):
         [(cfg["n_seeds"], n_correct, n_correct / cfg["n_seeds"])],
     )
 
-    weights_full = fit_reward_weights(first_data)
-    subset = sorted(first_report.selected)
-    weights_misa = fit_reward_weights(first_data, subset=subset)
     curve = intervention_robustness(
-        weights_full,
-        weights_misa,
+        fit_reward_weights(first_data),
+        fit_reward_weights(first_data, subset=first_report.selected),
         cfg["do_values"],
         seed=base,
         n_steps=cfg["n_steps"],
@@ -454,7 +451,6 @@ def _run_misa(cfg, _, rng, art):
         ("do_value", "full_mse", "misa_mse"),
         list(zip(curve.values, curve.full_mse, curve.misa_mse)),
     )
-    return {"selection_rate": n_correct / cfg["n_seeds"], "first_selected": subset}
 
 
 def _capacity_setup(cfg):
@@ -509,7 +505,6 @@ def _run_capacity(cfg, inputs, rng, art):
         U = update_matrix(model, transitions, gamma)
         rbf_rows.append((ell, update_rank(U).rank))
     art.csv("rbf_update_ranks", ("lengthscale", "update_rank"), rbf_rows)
-    return {"tabular_max_offdiagonal": off_diag}
 
 
 def _second_order_setup(cfg) -> list[FlowConfig]:
@@ -541,13 +536,8 @@ def _run_second_order(cfg, flow_cfgs, rng, art):
         table_rows.append((alpha, int(round(flow_cfg.t_end / alpha)), e1, e2))
     art.csv("richardson", ("alpha", "n_steps", "err_first_order", "err_corrected"), table_rows)
 
-    ratio_rows = []
-    for (a0, e10, e20), (a1, e11, e21) in zip(errors, errors[1:]):
-        ratio_rows.append((a0, a1, e10 / e11, e20 / e21))
-    art.csv(
-        "ratios", ("alpha_coarse", "alpha_fine", "ratio_first_order", "ratio_corrected"), ratio_rows
-    )
-    return {"ratios": [list(r) for r in ratio_rows]}
+    ratio_rows = [(a0, a1, e10 / e11, e20 / e21) for (a0, e10, e20), (a1, e11, e21) in zip(errors, errors[1:])]
+    art.csv("ratios", ("alpha_coarse", "alpha_fine", "ratio_first_order", "ratio_corrected"), ratio_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +742,10 @@ def _coerce(name: str, key: str, default, raw, bounds: Range | None = None, name
         items = [x for x in items if not (isinstance(x, str) and not x.strip())]
         if not items:
             raise ConfigError(f"{name}.{key}: {raw!r} is an empty list")
-        return tuple(_coerce(name, key, default[0], x, bounds, names) for x in items)
+        values = tuple(_coerce(name, key, default[0], x, bounds, names) for x in items)
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name}.{key}: {raw!r} repeats an item")
+        return values
     value = _parse(name, key, default, raw)
     if isinstance(default, float) and not math.isfinite(value):
         raise ConfigError(f"{name}.{key}: {raw!r} is not a finite number")

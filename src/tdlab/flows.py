@@ -153,23 +153,23 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_grid(
-    generator: np.ndarray, offset: np.ndarray, X0: np.ndarray, times: np.ndarray
+    generator: np.ndarray, offset: np.ndarray, X0: np.ndarray, steps, dt: float
 ) -> np.ndarray:
-    """Snapshots of ``exp(t G)(X0 - offset) + offset`` at the given times.
+    """Snapshots of ``exp(t G)(X0 - offset) + offset`` at the times ``dt * steps``.
 
-    Steps the exact semigroup ``expm(G * delta_t)`` between consecutive
-    recorded times, computing one ``expm`` per distinct step length.  No
-    eigenbasis is involved, so ill-conditioned eigenvectors cannot spoil it.
+    ``steps`` are increasing integers from 0.  Steps the exact semigroup
+    ``expm(G * gap * dt)`` between consecutive recorded steps, computing one
+    ``expm`` per distinct step gap.  No eigenbasis is involved, so
+    ill-conditioned eigenvectors cannot spoil it.
     """
-    snaps = np.empty((len(times),) + X0.shape)
+    snaps = np.empty((len(steps),) + X0.shape)
     current = X0 - offset
     snaps[0] = current + offset
     propagators = {}
-    for k in range(1, len(times)):
-        delta = times[k] - times[k - 1]
-        if delta not in propagators:
-            propagators[delta] = expm(generator * delta)
-        current = propagators[delta] @ current
+    for k, gap in enumerate(np.diff(steps).tolist(), 1):
+        if gap not in propagators:
+            propagators[gap] = expm(generator * (gap * dt))
+        current = propagators[gap] @ current
         snaps[k] = current + offset
     return snaps
 
@@ -331,8 +331,8 @@ def _linear_value_flow(
     offset = Vpi if V0.ndim == 1 else Vpi[:, None]
 
     if cfg.method == "closed_form":
-        times, work = cfg.dt * _recorded_steps(cfg), {}
-        states = _closed_form_grid(generator, offset, V0, times)
+        steps, work = _recorded_steps(cfg), {}
+        times, states = cfg.dt * steps, _closed_form_grid(generator, offset, V0, steps, cfg.dt)
     else:
         times, states, work = _propagate((generator, -generator @ offset), V0, cfg)
     return FlowTrajectory(times=times, states=states, meta={"fixed_point": Vpi, **work})
@@ -499,7 +499,7 @@ def _limit_at(phi0: np.ndarray, gamma_P: np.ndarray, t: float, offset=0.0) -> np
         raise ValueError(f"t must be finite, got {t}")
     if gamma_P.shape != (phi0.shape[0], phi0.shape[0]):
         raise ValueError("P dimension does not match phi0")
-    return _closed_form_grid(gamma_P - np.eye(phi0.shape[0]), offset, phi0, np.array([0.0, t]))[-1]
+    return _closed_form_grid(gamma_P - np.eye(phi0.shape[0]), offset, phi0, [0, 1], t)[-1]
 
 
 def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
@@ -573,10 +573,10 @@ def second_order_check(V0, P, R, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarra
     A = np.eye(P.shape[0]) - cfg.gamma * P
     Vpi = exact_value(P, R, cfg.gamma)
     times, snaps, _ = _propagate((-A, R), V0, cfg)
-    V, grid = snaps[-1], np.array([0.0, times[-1]])
-    first = _closed_form_grid(-A, Vpi, V0, grid)[-1]
-    corrected = _closed_form_grid(-(A + 0.5 * cfg.dt * (A @ A)), Vpi, V0, grid)[-1]
-    return V, first, corrected
+    t = times[-1]
+    first = _closed_form_grid(-A, Vpi, V0, [0, 1], t)[-1]
+    corrected = _closed_form_grid(-(A + 0.5 * cfg.dt * (A @ A)), Vpi, V0, [0, 1], t)[-1]
+    return snaps[-1], first, corrected
 
 
 def td_error_norm(V, P, R, gamma: float) -> float:

@@ -64,9 +64,18 @@ def circle_embedding(n_states: int, radius: float = 800.0) -> np.ndarray:
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+def _state_indices(idx, n_states: int, name: str) -> np.ndarray:
+    """``idx`` as an int array, refused unless every entry lies in ``[0, n_states)``."""
+    idx = np.asarray(idx, dtype=int)
+    if idx.size and not 0 <= idx.min() <= idx.max() < n_states:
+        raise ValueError(f"{name} must index states in [0, {n_states})")
+    return idx
+
+
 def build_kernel(spec: KernelSpec, states) -> np.ndarray:
-    """Gram matrix ``K[i, j] = exp(-||e_i - e_j||^2 / (2 l^2))`` over the given states."""
-    states = np.asarray(states, dtype=int)
+    """Gram matrix ``K[i, j] = exp(-||e_i - e_j||^2 / (2 l^2))`` over the given
+    states, each an index in ``[0, spec.n_states)``."""
+    states = _state_indices(states, spec.n_states, "states")
     if states.size == 0:
         raise ValueError("states must be nonempty")
     E = spec.embedding[states]
@@ -76,7 +85,8 @@ def build_kernel(spec: KernelSpec, states) -> np.ndarray:
 
 def split_kernel(spec: KernelSpec, train_idx) -> np.ndarray:
     """The ``(n, m)`` kernel between every state and the ``m`` train states."""
-    return build_kernel(spec, np.arange(spec.n_states))[:, np.asarray(train_idx, dtype=int)]
+    train_idx = _state_indices(train_idx, spec.n_states, "train_idx")
+    return build_kernel(spec, np.arange(spec.n_states))[:, train_idx]
 
 
 def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajectory:
@@ -84,10 +94,11 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
 
     ``K_all`` is the kernel between every state and the train states, as
     :func:`split_kernel` builds it; its train rows must be symmetric positive
-    semidefinite.  ``gamma`` is ``cfg.gamma``.  ``method="rk4"`` integrates
-    the continuous flow; ``method="euler"`` takes discrete semi-gradient
-    steps of size ``dt`` (the regime in which large lengthscales destabilize
-    bootstrapping at high discounts).  Both run on the linear-flow engine of
+    semidefinite, and ``train_idx`` indexes states in ``[0, n)``.  ``gamma``
+    is ``cfg.gamma``.  ``method="rk4"`` integrates the continuous flow;
+    ``method="euler"`` takes discrete semi-gradient steps of size ``dt`` (the
+    regime in which large lengthscales destabilize bootstrapping at high
+    discounts).  Both run on the linear-flow engine of
     :mod:`tdlab.flows`, which raises :class:`~tdlab.flows.DivergenceDetected`,
     with the partial trajectory attached, at the first step whose sup norm
     crosses 1e8.  ``meta`` holds ``train_residual_sup``, each snapshot's largest
@@ -99,8 +110,8 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     K_all = np.asarray(K_all, dtype=float)
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
-    train_idx = np.asarray(train_idx, dtype=int)
     n = P.shape[0]
+    train_idx = _state_indices(train_idx, n, "train_idx")
     m = train_idx.size
     if m == 0:
         raise ValueError("train_idx must be nonempty")

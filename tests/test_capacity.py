@@ -150,6 +150,17 @@ def test_update_matrix_validates_transitions():
         update_matrix(model, [], gamma=0.9)
     with pytest.raises(ValueError):
         update_matrix(model, [(5, 0.0, 0)], gamma=0.9)
+    # a next state of -1 would read the last state's value, and 3 would raise IndexError
+    for bad_next in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            update_matrix(model, [(0, 0.0, 1), (1, 0.0, bad_next)], gamma=0.9)
+
+
+@pytest.mark.parametrize("optimizer", [Sgd, AdamLike])
+def test_optimizers_refuse_a_nonpositive_learning_rate(optimizer):
+    for lr in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            optimizer(lr=lr)
 
 
 def test_linear_model_validates_shapes():

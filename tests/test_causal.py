@@ -133,6 +133,13 @@ def test_fit_reward_weights_zeroes_excluded_variables():
     assert_allclose(w_sub[1:3], [1.0, 1.0], atol=0.05)
 
 
+@pytest.mark.parametrize("subset", [[0, -2], [3], [0, 1, 5]])
+def test_fit_reward_weights_refuses_out_of_range_variables(subset):
+    """A negative index would fit one variable and write its slope into another's slot."""
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        fit_reward_weights(build_synthetic_family(seed=1, n_steps=50), subset=subset)
+
+
 def test_fit_reward_weights_matches_lstsq_oracle():
     data = build_synthetic_family(seed=2, n_steps=500)
     X = np.vstack([env.inputs for env in data.environments])

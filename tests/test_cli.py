@@ -239,13 +239,36 @@ def test_declared_ranges_admit_the_defaults():
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("four-rooms-features", "m_heads", "1,x"), ("bms-select", "k_values", "")],
+    [
+        ("four-rooms-features", "m_heads", "1,x"),
+        ("bms-select", "k_values", ""),
+        # a repeated item would write two columns of one name (Lk_2 twice in
+        # bms-select's evidence.csv) or rows no reader can tell apart
+        ("bms-select", "k_values", "2,2"),
+        ("four-rooms-features", "m_heads", "1,20,1"),
+        ("second-order", "alphas", "0.1,0.05,0.10"),
+        ("smooth-kernel-generalization", "targets", "value, value"),
+    ],
 )
 def test_bad_list_value_is_config_error(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{key} = {value}\n")
     assert run_cli(["validate", "--config", str(cfg)]) == 2
     assert run_cli(["run", section, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError, match=f"{section}.{key}: "):
+        resolve_config(section, {key: value})
+
+
+@pytest.mark.parametrize("key, value", [("gammas", "0.5,0.5000001"), ("lengthscales", "1,1.0000001")])
+def test_kernel_circle_refuses_values_that_share_a_file_name(tmp_path, capsys, key, value):
+    """Trajectory files are named ``trajectory_gamma{:g}_ell{:g}``: two values
+    that print alike would write one file twice and lose the first."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[kernel-circle]\n{key} = {value}\n")
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    assert f"kernel-circle.{key}" in capsys.readouterr().err
+    assert run_cli(["run", "kernel-circle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_list_values_are_typed_once():
@@ -583,7 +606,6 @@ def test_misa_robustness_charts_the_selection_it_made(tmp_path):
     ignores the clamped variable and the draws are common across values, so
     its error is the same at every value."""
     run_experiment("misa-robustness", {"n_steps": 10, "n_seeds": 3}, tmp_path, seed=2)
-    assert read_manifest(tmp_path)["derived"]["rep000"]["first_selected"] == []
     with open(tmp_path / "rep000_selection.csv") as fh:
         assert next(csv.DictReader(fh))["selected"] == ""
     with open(tmp_path / "rep000_robustness.csv") as fh:

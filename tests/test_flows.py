@@ -290,6 +290,24 @@ def test_expm_matches_scipy_on_the_30_state_chain_to_t200():
         assert_expm_matches_scipy(t * G)
 
 
+@pytest.mark.parametrize("t_end, gaps, n_expm", [(8.0, {1}, 1), (10.25, {2, 1}, 2)], ids=["one-gap", "short-last-gap"])
+def test_closed_form_flow_takes_one_expm_per_step_gap(monkeypatch, t_end, gaps, n_expm):
+    """At dt = 0.01, t_end = 8 records 801 snapshots one step apart and takes one
+    exponential; t_end = 10.25 records every second step and then the last, so
+    its shorter last gap takes a second.  Differences of the float times would
+    round to several keys for one gap."""
+    P, R, V0, gamma = small_problem(28, n=2)
+    cfg = FlowConfig(gamma=gamma, t_end=t_end, dt=0.01)
+    assert set(np.diff(flows._recorded_steps(cfg)).tolist()) == gaps
+    seen = []
+    numpy_expm = flows.expm
+    monkeypatch.setattr(flows, "expm", lambda A: seen.append(A) or numpy_expm(A))
+    traj = td_value_flow(V0, P, R, cfg)
+    assert len(seen) == n_expm
+    Vpi = exact_value(P, R, gamma)
+    assert_allclose(traj.final, expm(t_end * (gamma * P - np.eye(2))) @ (V0 - Vpi) + Vpi, rtol=1e-12)
+
+
 def test_expm_of_zero_is_the_identity_and_non_finite_input_is_refused():
     assert np.array_equal(flows.expm(np.zeros((4, 4))), np.eye(4))
     for bad in (np.nan, np.inf, -np.inf):

@@ -57,6 +57,23 @@ def test_kernel_spec_validation():
         KernelSpec(lengthscale=0.0, embedding=line_embedding(4))
 
 
+def test_state_indices_out_of_range_are_refused():
+    """Negative indices would wrap to the last states, and ``n`` would raise IndexError."""
+    spec = KernelSpec(lengthscale=1.0, embedding=line_embedding(6))
+    mdp, P, train_idx = circle_problem()
+    K_all = split_kernel(KernelSpec(lengthscale=1.0, embedding=circle_embedding(50)), train_idx)
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match=r"states in \[0, 6\)"):
+            build_kernel(spec, [0, bad])
+        with pytest.raises(ValueError, match=r"train_idx must index states in \[0, 6\)"):
+            split_kernel(spec, [bad])
+    cfg = FlowConfig(gamma=0.5, t_end=1.0, dt=1.0, method="euler")
+    for bad in (-1, 50):
+        idx = np.append(train_idx[:-1], bad)
+        with pytest.raises(ValueError, match=r"train_idx must index states in \[0, 50\)"):
+            kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, idx, cfg)
+
+
 def test_circle_embedding_geometry():
     emb = circle_embedding(50, radius=800.0)
     assert emb.shape == (50, 2)

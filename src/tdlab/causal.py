@@ -31,10 +31,6 @@ _CF_STEPS = 1000
 _REWARD = "reward"
 
 
-class InsufficientEnvironments(ValueError):
-    """Invariance testing needs at least two environments."""
-
-
 class Environment(NamedTuple):
     inputs: np.ndarray       # (n_e, p) states x_t
     next_inputs: np.ndarray  # (n_e, p) states x_{t+1}
@@ -254,7 +250,7 @@ def _check_scan(n_candidates: int, data: EnvDataset, alpha: float) -> None:
     if n_candidates > _MAX_VARIABLES:
         raise ValueError(f"subset enumeration capped at {_MAX_VARIABLES} variables")
     if data.n_envs < 2:
-        raise InsufficientEnvironments("need at least two environments")
+        raise ValueError("need at least two environments")
 
 
 def icp_parents(target_by_env, candidates, data: EnvDataset, alpha: float) -> frozenset:
@@ -380,12 +376,12 @@ def fit_reward_weights(data: EnvDataset, subset=None) -> np.ndarray:
 
     Returns ``(1 + p)`` weights (intercept first); coefficients of variables
     outside ``subset`` are structurally zero.  Raises ``ValueError`` on a
-    variable index outside ``[0, p)``.
+    variable index outside ``[0, p)`` or a repeated one.
     """
     p = data.n_vars
     subset = tuple(range(p)) if subset is None else tuple(sorted(int(v) for v in subset))
-    if any(not 0 <= v < p for v in subset):
-        raise ValueError(f"subset indices must lie in [0, {p}), got {subset}")
+    if any(not 0 <= v < p for v in subset) or len(set(subset)) < len(subset):
+        raise ValueError(f"subset must hold distinct variable indices in [0, {p}), got {subset}")
     X = np.vstack([env.inputs for env in data.environments])
     y = np.concatenate([env.rewards for env in data.environments])
     design = np.column_stack([np.ones(len(y))] + [X[:, v] for v in subset])

@@ -37,10 +37,6 @@ SAMPLER_METHODS = ("gd", "exact")  # sample_then_optimize's and algorithm1_sumlo
 TASK_KINDS = ("feature_dimension", "prior_variance", "rff_frequency")  # model_selection_task's
 
 
-class DegenerateSample(RuntimeError):
-    """A sample-based variance estimate collapsed (k < 2 or nonpositive variance)."""
-
-
 @dataclass(frozen=True)
 class BlrModel:
     """Gaussian-prior linear regression model on transformed inputs.
@@ -130,11 +126,10 @@ def _sample_factors(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrderedDataset:
-    """Inputs/targets plus the presentation order used by prequential scores."""
+    """Inputs and targets, rows in presentation order (the order prequential scores walk)."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    order: np.ndarray | None = None
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -144,21 +139,16 @@ class OrderedDataset:
             raise ValueError("targets must have one entry per input row")
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
             raise ValueError("data must be finite")
-        order = np.arange(n) if self.order is None else np.asarray(self.order, dtype=int)
-        if sorted(order.tolist()) != list(range(n)):
-            raise ValueError("order must be a permutation of 0..n-1")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "order", order)
 
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def reordered(self, model: BlrModel) -> tuple[np.ndarray, np.ndarray]:
-        """(features, targets) arranged in presentation order."""
-        phi = model.features(self.inputs)
-        return phi[self.order], self.targets[self.order]
+    def features_and_targets(self, model: BlrModel) -> tuple[np.ndarray, np.ndarray]:
+        """``model``'s features of the inputs, and the targets."""
+        return model.features(self.inputs), self.targets
 
 
 def _posteriors(model: BlrModel, phi, y, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +165,7 @@ def blr_posterior(model: BlrModel, data: OrderedDataset, upto: int | None = None
     m = data.n if upto is None else int(upto)
     if not 0 <= m <= data.n:
         raise ValueError("upto must lie in [0, n]")
-    means, covs = _posteriors(model, *data.reordered(model), [m])
+    means, covs = _posteriors(model, *data.features_and_targets(model), [m])
     return GaussianPosterior(mean=means[0], covariance=covs[0])
 
 
@@ -191,7 +181,7 @@ def _innovations(model: BlrModel, phi, r) -> tuple[np.ndarray, np.ndarray]:
 
 def _exact_evidence(model: BlrModel, data: OrderedDataset) -> tuple[float, float]:
     """Exact log ML and KL gap, both read off one factor's innovations."""
-    e, s = _innovations(model, *data.reordered(model))
+    e, s = _innovations(model, *data.features_and_targets(model))
     x = s / model.noise_variance - 1.0
     return float(np.sum(_gaussian_logpdf(e, 0.0, s))), float(0.5 * np.sum(x - np.log1p(x) + e**2 * x / s))
 
@@ -349,7 +339,7 @@ class _Chain(NamedTuple):
     def ls_per_seed(self, k: int, seeds) -> np.ndarray:
         """Moment-matched scores from k draws per point, one per seed in ``seeds``."""
         if k < 2:
-            raise DegenerateSample("estimate_LS needs k >= 2 samples for a variance")
+            raise ValueError("estimate_LS needs k >= 2 samples for a variance")
         totals = []
         for pass_states in _spawn_states(seeds, [0] * len(seeds), len(self.y)):
             f = self.draws(pass_states, k)
@@ -359,7 +349,7 @@ class _Chain(NamedTuple):
 
 
 def _prequential_chain(model: BlrModel, data: OrderedDataset) -> _Chain:
-    phi, y = data.reordered(model)
+    phi, y = data.features_and_targets(model)
     means, covs = _posteriors(model, phi, y, range(data.n))
     m = np.einsum("id,id->i", means, phi)
     w = np.swapaxes(_sample_factors(covs), 1, 2) @ phi[:, :, None]
@@ -373,16 +363,11 @@ def estimate_Lk(model: BlrModel, data: OrderedDataset, ks, n_seeds: int = 1, see
     points and scores ``log mean_j N(y_i; phi_i theta_j, sN^2)``.  ``ks`` is a
     sequence of ints, and the list holds one estimate per entry, in order.
     All k reuse nested draws (the first samples of the largest k), which
-    couples the estimates across k and makes the k = 1 entry coincide
-    exactly with :func:`estimate_L`.
+    couples the estimates across k.  The k = 1 entry is the posterior-sample
+    estimator: one parameter draw per point.
     """
     per_seed = _prequential_chain(model, data).lk_per_seed(tuple(ks), n_seeds, seed)
     return [_estimate(row) for row in per_seed]
-
-
-def estimate_L(model: BlrModel, data: OrderedDataset, n_seeds: int = 1, seed: int = 0) -> EstimateResult:
-    """Posterior-sample estimator: one parameter draw per point (k = 1 case)."""
-    return estimate_Lk(model, data, (1,), n_seeds=n_seeds, seed=seed)[0]
 
 
 def estimate_LS(model: BlrModel, data: OrderedDataset, k: int, seed: int = 0) -> float:
@@ -441,7 +426,7 @@ def sample_then_optimize(
     m = data.n if upto is None else int(upto)
     if not 0 <= m <= data.n:
         raise ValueError(f"upto must lie in [0, {data.n}], got {m}")
-    phi, y = data.reordered(model)
+    phi, y = data.features_and_targets(model)
     theta0, y_tilde = _prior_draw(model, y, phi.shape[1], seed)
     phi, y_tilde = phi[:m], y_tilde[:m]
     if method == "exact":  # the posterior mean under prior mean theta0 and targets y~
@@ -458,18 +443,18 @@ def algorithm1_sumloss(
     Walks the data in presentation order, scoring the current parameters on
     each point (true targets) before re-optimizing on the noised prefix, warm
     started.  Each score is ``-sumLoss - (n/2) log(2 pi sN^2)``, directly
-    comparable to :func:`estimate_L`.  ``seeds`` is a sequence of ints, and
-    the array holds one score per seed, in order.  Exact mode predicts
-    ``y~ - e(y~ - Phi theta0)`` with innovations e; gd mode fits only the
-    prefixes that are scored (1..n-1 points), so a divergence that would
-    occur only when fitting the whole dataset does not raise.  A gd fit that
-    diverges raises :class:`FloatingPointError`.
+    comparable to :func:`estimate_Lk`'s k = 1 entry.  ``seeds`` is a
+    sequence of ints, and the array holds one score per seed, in order.
+    Exact mode predicts ``y~ - e(y~ - Phi theta0)`` with innovations e; gd
+    mode fits only the prefixes that are scored (1..n-1 points), so a
+    divergence that would occur only when fitting the whole dataset does not
+    raise.  A gd fit that diverges raises :class:`FloatingPointError`.
     """
     if lr <= 0 or steps_per_point < 0:
         raise ValueError("lr must be positive and steps nonnegative")
     if method not in SAMPLER_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    phi, y = data.reordered(model)
+    phi, y = data.features_and_targets(model)
     n, d = phi.shape
     nv, lam = model.noise_variance, model.noise_variance / model.prior_variance
     draws = [_prior_draw(model, y, d, int(s)) for s in seeds]
@@ -485,22 +470,6 @@ def algorithm1_sumloss(
                 thetas.append(_gd_minimize(phi[:i], y_tilde[:i], lam, thetas[-1], theta0, lr, steps_per_point))
             pred[:] = np.sum(phi * np.reshape(thetas[:n], (n, d)), axis=1)
     return -np.sum((preds - y) ** 2, axis=1) / (2.0 * nv) - 0.5 * n * np.log(2.0 * np.pi * nv)
-
-
-def sotl(loss_sequence) -> float:
-    """Sum of training losses."""
-    return float(np.sum(np.asarray(loss_sequence, dtype=float)))
-
-
-def sotl_decomposition(initial_losses, interference_terms) -> float:
-    """Initial empirical risk plus accumulated interference.
-
-    For one epoch of minibatch-1 SGD on a linear model this equals
-    :func:`sotl` of the pre-update per-point losses exactly: the loss of point
-    i at step i telescopes into its loss at the initial parameters plus the
-    changes caused by the i-1 earlier steps.
-    """
-    return float(np.sum(np.asarray(initial_losses, dtype=float)) + np.sum(np.asarray(interference_terms, dtype=float)))
 
 
 def model_selection_task(kind: str, seed: int = 0) -> tuple[list[BlrModel], OrderedDataset]:
@@ -566,7 +535,7 @@ def ensemble_weight_ranking(models, data: OrderedDataset, seed: int = 0) -> np.n
         raise ValueError("need at least one model")
     states = _spawn_states([seed] * len(models), range(len(models)), data.n)
     preds = np.column_stack([_prequential_chain(m, data).draws(s, 1)[:, 0] for m, s in zip(models, states)])
-    _, y = data.reordered(models[0])
+    _, y = data.features_and_targets(models[0])
     gram = preds.T @ preds + 1e-10 * np.eye(len(models))
     return np.linalg.solve(gram, preds.T @ y)
 

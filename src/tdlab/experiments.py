@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .capacity import LinearValueModel, Sgd, feature_rank, srank, update_matrix, update_rank
-from .causal import InsufficientEnvironments, build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
-from .evidence import SAMPLER_METHODS, TASK_KINDS, DegenerateSample, algorithm1_sumloss, ensemble_weight_ranking, evidence_report
+from .causal import build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
+from .evidence import SAMPLER_METHODS, TASK_KINDS, algorithm1_sumloss, ensemble_weight_ranking, evidence_report
 from .evidence import model_selection_task
 from .flows import (
     DivergenceDetected,
@@ -69,8 +69,6 @@ class ConfigError(ValueError):
 NUMERICAL_ERRORS = (
     DivergenceDetected,
     NonRealSpectrum,
-    DegenerateSample,
-    InsufficientEnvironments,
     np.linalg.LinAlgError,
     FloatingPointError,
 )
@@ -79,8 +77,6 @@ NUMERICAL_ERRORS = (
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
     return str(value)
@@ -97,6 +93,14 @@ def _format_column(column):
     return map(_format_cell, column)
 
 
+def _write_atomically(path: Path, chunks) -> None:
+    """Write ``chunks`` of text to a temp name beside ``path``, then rename it into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
 def write_csv(path: Path, header, rows) -> None:
     """Write a CSV atomically with deterministic float formatting.
 
@@ -105,11 +109,9 @@ def write_csv(path: Path, header, rows) -> None:
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path.name}: every row must have {len(header)} cells")
     columns = [_format_column(column) for column in zip(*rows)]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
-    os.replace(tmp, path)
+    lines = [",".join(header) + "\n"]
+    lines.extend(",".join(cells) + "\n" for cells in zip(*columns))
+    _write_atomically(path, lines)
 
 
 class ArtifactWriter:
@@ -362,11 +364,8 @@ def _run_smooth_kernel(cfg, S, rng, art):
 
 def _run_bms_select(cfg, _, rng, art):
     """Evidence estimators vs exact log ML across a model-selection sweep."""
-    task_seed = cfg["task_seed"]
-    if task_seed < 0:
-        task_seed = int(rng.integers(2**31))
     base = int(rng.integers(2**31))
-    models, data = model_selection_task(cfg["kind"], task_seed)
+    models, data = model_selection_task(cfg["kind"], cfg["task_seed"])
     k_values = cfg["k_values"]
     n_seeds = cfg["n_estimator_seeds"]
 
@@ -411,7 +410,6 @@ def _run_bms_select(cfg, _, rng, art):
     ]
     selection_rows.append(("stacking_weight", int(np.argmax(weights))))
     art.csv("selection", ("estimator", "argmax_model"), selection_rows)
-    return {"task_seed": task_seed}
 
 
 def _run_misa(cfg, _, rng, art):
@@ -566,7 +564,7 @@ class Range(NamedTuple):
 
 # An integer key (or list item) is a count unless its definition declares a range.
 _COUNT = Range(1)
-# An integer key that is not a count: an index or seed that its builder checks, if anything.
+# An integer key that is not a count: an index that its builder checks.
 _ANY_INTEGER = Range(-math.inf)
 
 
@@ -672,9 +670,9 @@ _DEFS = [
             "k_values": (1, 4, 16, 64), "ls_samples": 16, "alg1_method": "exact",
         },
         _run_bms_select,
-        # a negative task_seed draws one; the LS estimator refuses fewer than 2 draws
-        # per point (for a variance) only after the task is drawn
-        ranges={"task_seed": _ANY_INTEGER, "ls_samples": Range(2)},
+        # the LS estimator refuses fewer than 2 draws per point (for a variance)
+        # only after the task is drawn
+        ranges={"task_seed": Range(0), "ls_samples": Range(2)},
         names={"kind": TASK_KINDS, "alg1_method": SAMPLER_METHODS},
     ),
     ExperimentDef(
@@ -824,9 +822,5 @@ def run_experiment(
         "duration_seconds": time.monotonic() - started,
     }
     manifest_path = out_dir / "manifest.json"
-    tmp = manifest_path.with_name("manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    os.replace(tmp, manifest_path)
+    _write_atomically(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True, default=str), "\n"])
     return manifest_path

@@ -63,9 +63,9 @@ class FlowConfig:
     """Shared flow parameters.
 
     ``alpha``/``beta`` are the feature/weight learning rates of the coupled
-    flows; the value flows ignore them.  ``method`` selects closed-form
-    evaluation, RK4 integration, or (for the kernel flow) discrete
-    gradient steps ("euler", step size ``dt``).  ``dt``, ``t_end`` and
+    flows, each nonnegative and finite; the value flows ignore them.
+    ``method`` selects closed-form evaluation, RK4 integration, or (for the
+    kernel flow) discrete gradient steps ("euler", step size ``dt``).  ``dt``, ``t_end`` and
     ``t_end / dt`` must be finite, and RK4/Euler runs may take at most
     ``_MAX_STEPS`` steps, so an over-fine grid fails here rather than partway
     through a run.
@@ -81,6 +81,9 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
+        for name in ("alpha", "beta"):  # beta = 0 is the frozen-weight flow
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_end < np.inf:
@@ -538,17 +541,15 @@ def multi_task_limit_flow(phi0, tasks, t: float) -> np.ndarray:
 def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
     """Per-snapshot Grassmann distance of the snapshot span to a target.
 
-    Snapshots must be ``(n, K)`` matrices (or ``(n,)`` vectors, spans of
-    one column).  Rank-deficient snapshots yield a NaN entry instead of an
-    error.  All snapshots share one stacked QR and one stacked SVD.
+    Snapshots must be ``(n, K)`` matrices.  Rank-deficient snapshots yield a
+    NaN entry instead of an error.  All snapshots share one stacked QR and
+    one stacked SVD.
     """
     target_basis = _basis_of(target)
     K = target_basis.shape[1]
     states = np.asarray(traj.states, dtype=float)
-    if states.ndim == 2:
-        states = states[..., None]
-    if states.shape[-1] != K:
-        raise ValueError(f"snapshot has {states.shape[-1]} columns, target has {K}")
+    if states.ndim != 3 or states.shape[-1] != K:
+        raise ValueError(f"snapshots must be (n, {K}) matrices, with the target's columns, not {states.shape[1:]}")
     bases, full = _span_basis(states)
     # a rank-deficient snapshot still has an orthonormal Q; its distance is discarded
     return np.where(full, grassmann_distance(bases, target_basis), np.nan)

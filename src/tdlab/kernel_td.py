@@ -26,7 +26,8 @@ SMOOTH_TARGETS = ("value", "projected-top", "projected-bottom", "nstep")  # smoo
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """RBF kernel over an explicit embedding of the state indices."""
+    """RBF kernel over an explicit embedding: row i of the ``(n_states, dims)``
+    matrix ``embedding`` holds state i's coordinates."""
 
     lengthscale: float
     embedding: np.ndarray
@@ -35,10 +36,8 @@ class KernelSpec:
         if self.lengthscale <= 0:
             raise ValueError("lengthscale must be positive")
         emb = np.asarray(self.embedding, dtype=float)
-        if emb.ndim == 1:
-            emb = emb[:, None]
         if emb.ndim != 2:
-            raise ValueError("embedding must be a vector or matrix of coordinates")
+            raise ValueError("embedding must be an (n_states, dims) matrix of coordinates")
         if not np.all(np.isfinite(emb)):
             raise ValueError("embedding must be finite")
         object.__setattr__(self, "embedding", emb)
@@ -153,7 +152,8 @@ def smooth_kernel_generalization(
 ) -> np.ndarray:
     """Held-out MSEs of eigen-kernel regression ``K_S(x, y) = sum_{i in S} v_i(x) v_i(y)``.
 
-    ``S`` indexes eigenvectors in decreasing-real-part order (0 = smoothest).
+    ``S`` indexes eigenvectors in decreasing-real-part order (0 = smoothest),
+    each in ``[0, n)``.
     For each train fraction the training subset is the first
     ``floor(n * fraction)`` states; with a fraction of 1 the MSE is evaluated
     on all states instead of the (empty) held-out set.
@@ -179,10 +179,10 @@ def smooth_kernel_generalization(
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or not np.all((fractions > 0.0) & (fractions <= 1.0)):
         raise ValueError("fractions must be a sequence of values in (0, 1]")
+    S = _state_indices(S, n, "S")
     spectrum = eigendecompose(P)
     if not spectrum.is_real:
         raise NonRealSpectrum("smooth_kernel_generalization requires a real spectrum")
-    S = np.asarray(S, dtype=int)
     V = spectrum.right_eigenvectors
     basis = V[:, S]
 

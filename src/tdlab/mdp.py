@@ -13,7 +13,7 @@ leaves exactly 105 open cells and keeps the gridworld fully connected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,11 +200,8 @@ def exact_value(P: np.ndarray, R: np.ndarray, gamma: float) -> np.ndarray:
 class PolicyIterationPath:
     """Sequence of (deterministic policy, exact value) pairs until convergence."""
 
-    policies: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.policies)
+    policies: list
+    values: list
 
 
 def deterministic_policy(actions, n_actions: int) -> np.ndarray:

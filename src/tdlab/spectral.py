@@ -145,10 +145,6 @@ class Subspace:
             )
         object.__setattr__(self, "basis", basis)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
 
 def _span_basis(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the column spans of ``M``, and which have full rank.

@@ -30,7 +30,6 @@ from tdlab.evidence import (
     BlrModel,
     OrderedDataset,
     algorithm1_sumloss,
-    estimate_L,
     estimate_Lk,
     estimate_LS,
     exact_log_ml,
@@ -371,7 +370,7 @@ def nine_task():
 def test_09b_posterior_sample_bias_equals_kl_sum():
     started = time.monotonic()
     model, data = nine_task()
-    est = estimate_L(model, data, n_seeds=200, seed=9)
+    est = estimate_Lk(model, data, (1,), n_seeds=200, seed=9)[0]
     predicted = exact_log_ml(model, data) - kl_gap(model, data)
     diff = abs(est.value - predicted)
     print(f"[acceptance] 09b |bias - KL sum| {diff:.3f} vs 3 sigma {3 * est.stderr:.3f}")
@@ -394,7 +393,7 @@ def test_09d_iterated_optimization_agrees_with_posterior_sampling():
     started = time.monotonic()
     model, data = nine_task()
     alg1 = algorithm1_sumloss(model, data, seeds=range(100), method="exact")
-    direct = estimate_L(model, data, n_seeds=100, seed=321)
+    direct = estimate_Lk(model, data, (1,), n_seeds=100, seed=321)[0]
     pooled = np.sqrt(np.var(alg1, ddof=1) / len(alg1) + direct.stderr**2)
     diff = abs(float(np.mean(alg1)) - direct.value)
     print(f"[acceptance] 09d |alg1 - sampling| {diff:.3f} vs 3 pooled sigma {3 * pooled:.3f}")

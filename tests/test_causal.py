@@ -8,7 +8,6 @@ from scipy import special, stats
 from tdlab.causal import (
     EnvDataset,
     Environment,
-    InsufficientEnvironments,
     _f_upper_tail,
     _scan_subsets,
     _simulate_three_var,
@@ -92,9 +91,9 @@ def test_icp_validates_arguments():
 def test_single_environment_is_rejected():
     env = build_synthetic_family(seed=0, n_steps=100).environments[0]
     solo = EnvDataset(environments=(env,))
-    with pytest.raises(InsufficientEnvironments):
+    with pytest.raises(ValueError, match="two environments"):
         icp_parents([env.rewards], range(3), solo, alpha=0.05)
-    with pytest.raises(InsufficientEnvironments):
+    with pytest.raises(ValueError, match="two environments"):
         linear_misa(solo)
 
 
@@ -138,6 +137,12 @@ def test_fit_reward_weights_refuses_out_of_range_variables(subset):
     """A negative index would fit one variable and write its slope into another's slot."""
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
         fit_reward_weights(build_synthetic_family(seed=1, n_steps=50), subset=subset)
+
+
+def test_fit_reward_weights_refuses_a_repeated_variable():
+    """A duplicated design column would split its slope in two, and only one half was written."""
+    with pytest.raises(ValueError, match="distinct"):
+        fit_reward_weights(build_synthetic_family(seed=0, n_steps=50), subset=[0, 0, 1])
 
 
 def test_fit_reward_weights_matches_lstsq_oracle():

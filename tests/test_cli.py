@@ -103,7 +103,8 @@ _OUT_OF_RANGE = [
     ("misa-robustness", "n_seeds", "0"), ("misa-robustness", "n_envs", "1"),
     ("misa-robustness", "n_steps", "3"), ("bms-select", "n_estimator_seeds", "0"),
     ("bms-select", "k_values", "0"), ("bms-select", "k_values", "4,0"),
-    ("bms-select", "ls_samples", "1"), ("four-rooms-features", "k_features", "0"),
+    ("bms-select", "ls_samples", "1"), ("bms-select", "task_seed", "-1"),
+    ("four-rooms-features", "k_features", "0"),
     ("four-rooms-features", "k_features", "500"), ("capacity-ranks", "eps", "0"),
     ("capacity-ranks", "eps", "-1"), ("second-order", "alphas", "0"),
     ("second-order", "alphas", "0.1,-0.1"),
@@ -163,6 +164,8 @@ _REFUSED_BY_BUILDERS = [
     ("kernel-circle", "dt", "1e-9", "kernel-circle.t_end / dt asks for more than"),
     ("four-rooms-features", "m_heads", "0", "four-rooms-features.m_heads"),
     ("four-rooms-features", "m_heads", "1,0", "four-rooms-features.m_heads"),
+    ("four-rooms-features", "alpha", "-1", "four-rooms-features.alpha must be nonnegative and finite"),
+    ("four-rooms-features", "beta", "-5", "four-rooms-features.beta must be nonnegative and finite"),
     ("random-cumulants", "m_heads", "0", "random-cumulants.m_heads"),
     ("smooth-kernel-generalization", "smooth_k", "0", "smooth-kernel-generalization.smooth_k"),
     ("smooth-kernel-generalization", "smooth_k", "-3", "smooth-kernel-generalization.smooth_k"),

@@ -187,6 +187,16 @@ def test_flow_config_rejects_non_finite_times(field, value):
         FlowConfig(gamma=0.9, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [-1.0, -5.0, np.nan, np.inf])
+def test_flow_config_refuses_a_negative_or_non_finite_rate(field, value):
+    """A negative rate would integrate a flow that unlearns; zero stays allowed,
+    since ``beta = 0`` is the frozen-weight flow."""
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
+        FlowConfig(gamma=0.9, **{field: value})
+    assert getattr(FlowConfig(gamma=0.9, **{field: 0.0}), field) == 0.0
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_flow_config_rejects_step_budget_up_front(method):
     """A too-fine integrator grid fails when the config is built, before any step runs."""
@@ -816,6 +826,9 @@ def test_grassmann_metric_equals_per_snapshot_distances():
     assert np.array_equal(metric[full], expected)
     with pytest.raises(ValueError, match="columns"):
         grassmann_convergence_metric(traj, subspace_from_span(np.eye(7)[:, :2]))
+    vectors = FlowTrajectory(times=np.arange(6.0), states=states[:, :, 0])
+    with pytest.raises(ValueError, match=r"\(n, 1\) matrices"):
+        grassmann_convergence_metric(vectors, subspace_from_span(rng.standard_normal((7, 1))))
 
 
 def test_second_order_ratio_improves():

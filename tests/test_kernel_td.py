@@ -55,6 +55,8 @@ def test_build_kernel_subset_of_states():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(lengthscale=0.0, embedding=line_embedding(4))
+    with pytest.raises(ValueError, match=r"\(n_states, dims\) matrix"):
+        KernelSpec(lengthscale=1.0, embedding=np.arange(4.0))
 
 
 def test_state_indices_out_of_range_are_refused():
@@ -282,6 +284,13 @@ def test_smooth_kernel_rejects_rotation_spectrum():
     P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])  # 3-cycle
     with pytest.raises(NonRealSpectrum):
         smooth_kernel_generalization(P, np.ones(3), 0.9, np.array([0]), (0.5,), ("value",))
+
+
+@pytest.mark.parametrize("bad", [-1, 30])
+def test_smooth_kernel_refuses_eigenvector_indices_out_of_range(bad):
+    """``-1`` would wrap to the last eigenvector, and ``n`` would raise IndexError."""
+    with pytest.raises(ValueError, match=r"S must index states in \[0, 30\)"):
+        smooth_kernel_generalization(real_walk(3), np.ones(30), 0.9, [0, bad], (0.5,), ("value",))
 
 
 def test_smooth_kernel_validates_fraction():

@@ -142,7 +142,7 @@ def test_policy_iteration_monotone_improvement():
     mdp = build_chain_mdp(10)
     path = policy_iteration(mdp, 0.9)
     assert isinstance(path, PolicyIterationPath)
-    assert len(path) >= 2
+    assert len(path.policies) >= 2
     for v_prev, v_next in zip(path.values, path.values[1:]):
         assert np.all(v_next >= v_prev - 1e-10)
     # last policy is greedy-stable: one more improvement step changes nothing

@@ -4,7 +4,8 @@
 ``BENCHMARK.json``, so a renamed or deleted public function makes a traced
 run die with a ``KeyError``; the tracer binds a ``cfg`` argument of every
 flow in ``tracing.RK4_FLOWS`` to count RK4 steps.  The golden check runs the
-ten experiments as perfbench does and compares them with its stored outputs.
+ten experiments as perfbench does and compares them with its stored outputs,
+once per OpenBLAS kernel family with stored references that this CPU runs.
 perfbench's files are only read.
 """
 
@@ -21,14 +22,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def rk4_flows() -> tuple:
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+def perfbench_literal(module: str, name: str):
+    """The literal a perfbench module assigns to ``name``, read without importing the module."""
+    tree = ast.parse((ROOT / "perfbench" / f"{module}.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "RK4_FLOWS" for target in node.targets
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracing.py defines no RK4_FLOWS")
+    raise AssertionError(f"perfbench/{module}.py defines no {name}")
+
+
+def cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+KERNEL_FAMILIES = perfbench_literal("workloads", "KERNEL_FAMILIES")
 
 
 def public_function(qualified: str):
@@ -49,7 +62,7 @@ def test_per_layer_call_counts_name_public_functions():
 
 
 def test_rk4_flows_take_a_cfg_parameter():
-    flows = rk4_flows()
+    flows = perfbench_literal("tracing", "RK4_FLOWS")
     assert "kernel_td.kernel_td_flow" in flows
     for qualified in flows:
         assert "cfg" in inspect.signature(public_function(qualified)).parameters, qualified
@@ -59,10 +72,7 @@ _GOLDEN = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
 import workloads
-try:
-    kernel = workloads.blas_kernel()
-except RuntimeError as exc:
-    sys.exit(f"skip: {{exc}}")
+kernel = {kernel!r}
 workloads.pin_environment(kernel)  # before numpy loads its BLAS
 import reference
 from tdlab.experiments import EXPERIMENT_ORDER, run_experiment
@@ -75,14 +85,17 @@ for name in EXPERIMENT_ORDER:
 """
 
 
-def test_experiments_reproduce_the_perfbench_references(tmp_path):
+@pytest.mark.parametrize("kernel", KERNEL_FAMILIES)
+def test_experiments_reproduce_the_perfbench_references(tmp_path, kernel):
     """Seed 0 of every experiment, at perfbench's pinned configs, one BLAS thread
-    and this CPU's kernel family, matches the stored reference cell by cell
-    under ``reference.RULES``.  A fresh interpreter, because the environment
-    must be pinned before numpy loads; ``-B`` keeps perfbench free of bytecode."""
-    code = _GOLDEN.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"), out=str(tmp_path))
+    and one stored kernel family, matches that family's reference cell by cell
+    under ``reference.RULES``.  A family whose instructions this CPU lacks is
+    skipped.  A fresh interpreter per family, because the environment must be
+    pinned before numpy loads; ``-B`` keeps perfbench free of bytecode."""
+    missing = KERNEL_FAMILIES[kernel] - cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(sorted(missing))} for OpenBLAS {kernel}")
+    code = _GOLDEN.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"), out=str(tmp_path), kernel=kernel)
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
-    if proc.stderr.startswith("skip: "):
-        pytest.skip(proc.stderr.strip().removeprefix("skip: "))
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "", f"reference misses:\n{proc.stdout}"

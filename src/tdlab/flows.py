@@ -7,11 +7,15 @@ semi-gradient systems over a feature matrix and ensemble head weights,
 including the random-cumulant variant) integrate with RK4.  Every exact
 evaluation ``exp(t G)(x0 - x*) + x*`` goes through :func:`_closed_form_grid`,
 whose matrix exponential is :func:`expm` (Higham's scaling and squaring,
-in numpy), and every fixed-step run through :func:`_propagate`, which reports
+in numpy), and fixed-step runs through :func:`_propagate`, which reports
 divergence instead of overflowing.  Linear flows (every flow but the coupled
 one with ``beta != 0``) step there by composed affine maps: one RK4 or Euler
 step of ``x' = A x + c`` is exactly ``x <- M x + m``, so the recorded
-snapshots come from powers of that map rather than a step loop.
+snapshots come from powers of that map rather than a step loop.  The
+frozen-weight coupled flow with a symmetric ``P`` takes the same RK4 steps in
+the eigenbasis of ``gamma P - I`` (:func:`_eigenbasis_propagate`), where every
+mode is a scalar recurrence and each snapshot one broadcast, whenever a norm
+bound shows that no step can cross the divergence threshold.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -315,6 +319,52 @@ def _affine_strides(A, c, gaps: list, cfg: FlowConfig, floor: float):
     return (lambda x: M @ x + m), whole
 
 
+def _eigenbasis_propagate(B, scales, flow, x0, cfg: FlowConfig, record, floor: float):
+    """:func:`_propagate` for the RK4 stack ``x_j' = scales_j B x_j + c_j``
+    (``flow``, ``x0`` as there) with ``B`` symmetric, stepped in its eigenbasis.
+
+    With ``B = U diag(mu) U^T`` from one ``eigh``, mode ``k`` of system ``j``
+    is the scalar recurrence ``x <- r x + h S(z) d`` with ``z = h scales_j
+    mu_k``, ``r = R(z) = 1 + q`` and ``q = z S(z)``: :func:`_step_map`'s R
+    and S, so these are the same RK4 steps.  Step ``s`` is ``r^s x0 + h S d
+    (r^s - 1)/q``, through ``log1p`` and ``expm1``, with ``s`` for the
+    quotient where ``q = 0``.  No fixed point is divided out: rank-deficient
+    weights put ``z`` a hair either side of 0.  R is positive on the real
+    line, so every mode moves monotonically and its size at the last step
+    bounds every step before.  If that bound, mapped back through ``U`` and
+    summed over the stack as in :func:`_affine_strides`, or ``floor``
+    exceeds 1e8, the flow runs through :func:`_propagate` instead, which
+    raises a divergence at its step.  Snapshots are mapped back
+    ``_BLOCK_STEPS`` at a time.
+    """
+    steps = _recorded_steps(cfg)
+    mu, U = np.linalg.eigh(B)
+    # overflow here only means the bound fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = cfg.dt * scales[:, None] * mu
+        S = 1 + z / 2 + z**2 / 6 + z**3 / 24
+        q, x, d = z * S, x0[..., 0] @ U, cfg.dt * S * (flow[1][..., 0] @ U)
+        log_r = np.log1p(q)
+
+        def powers(s):  # r^s and (r^s - 1) / q
+            growth = s * log_r
+            quotient = np.broadcast_to(s, growth.shape).astype(float)
+            return np.exp(growth), np.divide(np.expm1(growth), q, out=quotient, where=q != 0)
+
+        power, total = powers(steps[-1])
+        sizes = np.abs(x) * np.maximum(power, 1) + np.abs(d) * total
+        bound = np.abs(U).sum(axis=1).max() * np.sum(np.max(sizes, axis=1))
+    if not (bound <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP):
+        return _propagate(flow, x0, cfg, record, floor)
+    first = record(x0)
+    snaps = np.empty((len(steps),) + first.shape)
+    snaps[0] = first
+    for i in range(1, len(steps), _BLOCK_STEPS):
+        power, total = powers(steps[i : i + _BLOCK_STEPS, None, None])
+        snaps[i : i + _BLOCK_STEPS] = record(((power * x + total * d) @ U.T)[..., None])
+    return cfg.dt * steps, snaps, {"steps": int(steps[-1]), "stepwise_strides": 0}
+
+
 def _linear_value_flow(
     V0: np.ndarray,
     P: np.ndarray,
@@ -390,7 +440,14 @@ def _coupled_flow(
     P: np.ndarray,
     cfg: FlowConfig,
 ) -> FlowTrajectory:
-    """Shared engine: ``dPhi = alpha (T + (gamma P - I) Phi W) W^T``, ``dW = beta Phi^T (...)``."""
+    """Shared engine: ``dPhi = alpha (T + (gamma P - I) Phi W) W^T``, ``dW = beta Phi^T (...)``.
+
+    With ``beta = 0`` the flow splits into one linear system per eigenvector
+    of ``W W^T``.  If ``gamma P - I`` is exactly symmetric, the stack runs
+    through :func:`_eigenbasis_propagate` (one ``eigh`` for every head, and
+    :func:`_propagate` if its norm bound fails); otherwise, and for ``beta !=
+    0``, through :func:`_propagate`.
+    """
     phi0 = np.asarray(phi0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -412,7 +469,8 @@ def _coupled_flow(
         # follows the linear flow psi' = alpha lam_j B psi + c_j, C = alpha T W^T Q.
         lam, Q = np.linalg.eigh(w0 @ w0.T)
         C = cfg.alpha * (targets @ w0.T) @ Q
-        flow = ((cfg.alpha * lam)[:, None, None] * B, C.T[:, :, None])
+        scales = cfg.alpha * lam
+        flow = (scales[:, None, None] * B, C.T[:, :, None])
         x0, floor = (phi0 @ Q).T[:, :, None], float(np.max(np.abs(w0), initial=0.0))
 
         def record(psi):
@@ -441,7 +499,10 @@ def _coupled_flow(
         return FlowTrajectory(times=times, states=phi, meta=dict(work, weights=weights))
 
     try:
-        times, states, work = _propagate(flow, x0, cfg, record, floor)
+        if cfg.beta == 0.0 and np.array_equal(B, B.T):
+            times, states, work = _eigenbasis_propagate(B, scales, flow, x0, cfg, record, floor)
+        else:
+            times, states, work = _propagate(flow, x0, cfg, record, floor)
     except DivergenceDetected as exc:
         partial = exc.trajectory
         exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
@@ -456,8 +517,11 @@ def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     ``R + (gamma P - I) Phi w_m``.  RK4 only.  With ``beta = 0`` the weights
     stay at their initialization (``meta["weights"]`` is a read-only view of
     ``w0``) and the flow is linear in ``Phi``, so it runs on composed affine
-    maps; otherwise it is nonlinear and every RK4 step (``h = dt``) is taken
-    one at a time, so ``meta["stepwise_strides"]`` counts every stride.
+    maps, or, when ``P`` is symmetric and no step can cross 1e8, as scalar
+    recurrences in the eigenbasis of ``gamma P - I`` (``meta["steps"]`` the
+    last step, ``meta["stepwise_strides"]`` 0); otherwise it is nonlinear and
+    every RK4 step (``h = dt``) is taken one at a time, so
+    ``meta["stepwise_strides"]`` counts every stride.
     Raises :class:`DivergenceDetected`, with the partial trajectory attached,
     when the sup norm of ``Phi`` and the weights crosses 1e8.
     """

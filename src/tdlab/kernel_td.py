@@ -63,18 +63,19 @@ def circle_embedding(n_states: int, radius: float = 800.0) -> np.ndarray:
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _state_indices(idx, n_states: int, name: str) -> np.ndarray:
-    """``idx`` as an int array, refused unless every entry lies in ``[0, n_states)``."""
+def _indices(idx, n: int, name: str, indexed: str) -> np.ndarray:
+    """``idx`` as an int array, refused unless every entry lies in ``[0, n)``;
+    the refusal names what ``idx`` indexes."""
     idx = np.asarray(idx, dtype=int)
-    if idx.size and not 0 <= idx.min() <= idx.max() < n_states:
-        raise ValueError(f"{name} must index states in [0, {n_states})")
+    if idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise ValueError(f"{name} must index {indexed} in [0, {n})")
     return idx
 
 
 def build_kernel(spec: KernelSpec, states) -> np.ndarray:
     """Gram matrix ``K[i, j] = exp(-||e_i - e_j||^2 / (2 l^2))`` over the given
     states, each an index in ``[0, spec.n_states)``."""
-    states = _state_indices(states, spec.n_states, "states")
+    states = _indices(states, spec.n_states, "states", "states")
     if states.size == 0:
         raise ValueError("states must be nonempty")
     E = spec.embedding[states]
@@ -84,7 +85,7 @@ def build_kernel(spec: KernelSpec, states) -> np.ndarray:
 
 def split_kernel(spec: KernelSpec, train_idx) -> np.ndarray:
     """The ``(n, m)`` kernel between every state and the ``m`` train states."""
-    train_idx = _state_indices(train_idx, spec.n_states, "train_idx")
+    train_idx = _indices(train_idx, spec.n_states, "train_idx", "states")
     return build_kernel(spec, np.arange(spec.n_states))[:, train_idx]
 
 
@@ -110,7 +111,7 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     P = np.asarray(P, dtype=float)
     R = np.asarray(R, dtype=float)
     n = P.shape[0]
-    train_idx = _state_indices(train_idx, n, "train_idx")
+    train_idx = _indices(train_idx, n, "train_idx", "states")
     m = train_idx.size
     if m == 0:
         raise ValueError("train_idx must be nonempty")
@@ -179,7 +180,7 @@ def smooth_kernel_generalization(
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or not np.all((fractions > 0.0) & (fractions <= 1.0)):
         raise ValueError("fractions must be a sequence of values in (0, 1]")
-    S = _state_indices(S, n, "S")
+    S = _indices(S, n, "S", "eigenvectors")
     spectrum = eigendecompose(P)
     if not spectrum.is_real:
         raise NonRealSpectrum("smooth_kernel_generalization requires a real spectrum")

@@ -555,6 +555,108 @@ def test_coupled_flow_divergence_matches_step_loop():
     assert_matches_step_loop(concatenated(partial), states, cfg.dt)
 
 
+def spy_on_routes(monkeypatch):
+    """Replace the eigenbasis route and the stride engine with call-counting wrappers."""
+    calls = {"_eigenbasis_propagate": 0, "_propagate": 0}
+    for name in calls:
+        real = getattr(flows, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(flows, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "chain, M, t_end",
+    [(four_rooms_walk, 1, 100.0), (four_rooms_walk, 20, 100.0), (four_rooms_walk, 200, 100.0),
+     (lambda: symmetric_walk(7), 3, 2.5)],
+    ids=["four-rooms-M1", "four-rooms-M20", "four-rooms-M200", "symmetric-chain"],
+)
+def test_symmetric_frozen_flow_in_the_eigenbasis_matches_the_stride_engine(monkeypatch, chain, M, t_end):
+    """A symmetric ``P`` with frozen weights steps in ``gamma P - I``'s
+    eigenbasis, without the stride engine, and every snapshot agrees with the
+    stride engine's to 1e-12 of max |Phi|.  With ``M = 1`` and ``K = 10``
+    nine of ``W W^T``'s eigenvalues are rounding noise either side of 0; the
+    zero row of ``w0`` makes one exactly 0, where ``q = 0``."""
+    P = chain()
+    n, K = P.shape[0], min(10, P.shape[0] - 2)
+    rng = np.random.default_rng(34)
+    phi0, w0, R = rng.standard_normal((n, K)), rng.standard_normal((K, M)), rng.standard_normal(n)
+    w0[0] = 0.0
+    cfg = FlowConfig(gamma=0.99, alpha=1.0 / M, t_end=t_end, dt=0.01, method="rk4")
+    calls = spy_on_routes(monkeypatch)
+    traj = coupled_feature_flow(phi0, w0, P, R, cfg)
+    assert calls == {"_eigenbasis_propagate": 1, "_propagate": 0}
+    monkeypatch.setattr(flows, "_eigenbasis_propagate", lambda B, scales, flow, *args: flows._propagate(flow, *args))
+    want = coupled_feature_flow(phi0, w0, P, R, cfg)
+    assert calls["_propagate"] == 1
+    assert np.array_equal(traj.times, want.times)
+    assert np.max(np.abs(traj.states - want.states)) <= 1e-12 * np.max(np.abs(want.states))
+    assert np.array_equal(traj.states[0], want.states[0])
+    assert traj.meta["steps"] == want.meta["steps"] == int(round(t_end / cfg.dt))
+    assert traj.meta["stepwise_strides"] == 0
+    assert np.array_equal(traj.meta["weights"], want.meta["weights"])
+
+
+_SYMMETRIC_DIVERGENCES = {
+    # the fastest mode steps outside RK4's stability region (R(-3.3) = 2.07)
+    "growing-mode": (35.0, 1.0, 20.0, 28),
+    # every mode decays, but the features start above 1e8
+    "starts-above-threshold": (1.0, 1e8, 100.0, 1),
+}
+
+
+def symmetric_divergence_config(kind):
+    """A symmetric chain with frozen weights whose norm bound fails and which
+    crosses 1e8; returns its inputs and the step of the crossing."""
+    alpha, scale, t_end, crossing = _SYMMETRIC_DIVERGENCES[kind]
+    rng = np.random.default_rng(33)
+    P, R = symmetric_walk(6), np.arange(6.0) - 2
+    cfg = FlowConfig(gamma=0.9, alpha=alpha, t_end=t_end, dt=0.1, method="rk4")
+    return P, R, scale * rng.standard_normal((6, 2)), np.eye(2), cfg, crossing
+
+
+def test_frozen_flows_outside_the_eigenbasis_route_use_the_stride_engine(monkeypatch):
+    """A non-symmetric ``P`` never reaches the eigenbasis route, and a symmetric
+    flow whose norm bound fails, or whose weights exceed 1e8, leaves it for the
+    stride engine."""
+    calls = spy_on_routes(monkeypatch)
+    rng = np.random.default_rng(35)
+    P, R = random_walk_matrix(rng, 8), rng.standard_normal(8)
+    assert not np.array_equal(P, P.T)
+    cfg = FlowConfig(gamma=0.9, alpha=0.5, t_end=1.0, dt=0.01, method="rk4")
+    coupled_feature_flow(rng.standard_normal((8, 3)), rng.standard_normal((3, 4)), P, R, cfg)
+    random_cumulant_flow(rng.standard_normal((8, 3)), np.eye(3), rng.standard_normal((8, 3)), P, cfg)
+    assert calls == {"_eigenbasis_propagate": 0, "_propagate": 2}
+    P, R, phi0, w0, cfg, _ = symmetric_divergence_config("growing-mode")
+    with pytest.raises(DivergenceDetected):
+        coupled_feature_flow(phi0, w0, P, R, cfg)
+    assert calls == {"_eigenbasis_propagate": 1, "_propagate": 3}
+    slow = FlowConfig(gamma=0.9, alpha=1e-20, t_end=1.0, dt=0.1, method="rk4")
+    with pytest.raises(DivergenceDetected) as info:
+        coupled_feature_flow(phi0, 2e8 * w0, P, R, slow)
+    assert info.value.trajectory.meta["steps"] == 1 and info.value.sup_norm == 2e8
+    assert calls == {"_eigenbasis_propagate": 2, "_propagate": 4}
+
+
+@pytest.mark.parametrize("kind", _SYMMETRIC_DIVERGENCES)
+def test_symmetric_frozen_flow_divergence_matches_step_loop(kind):
+    """A bound-failing symmetric flow raises where the loop crosses 1e8, with the loop's states."""
+    P, R, phi0, w0, cfg, crossing = symmetric_divergence_config(kind)
+    with pytest.raises(DivergenceDetected) as info:
+        coupled_feature_flow(phi0, w0, P, R, cfg)
+    B, T = cfg.gamma * P - np.eye(6), np.tile(R[:, None], (1, 2))
+    states, crossed = step_loop(lambda phi: cfg.alpha * (T + B @ phi @ w0) @ w0.T, phi0, cfg)
+    partial = info.value.trajectory
+    assert crossed == partial.meta["steps"] == crossing
+    assert partial.times[-1] == info.value.time == crossed * cfg.dt
+    assert info.value.sup_norm == pytest.approx(np.max(np.abs(states[crossed])), rel=1e-12)
+    assert_matches_step_loop(partial, states, cfg.dt)
+
+
 def test_random_cumulant_flow_matches_step_loop():
     P, _, _, gamma = small_problem(30, n=8)
     rng = np.random.default_rng(30)

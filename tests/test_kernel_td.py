@@ -289,7 +289,7 @@ def test_smooth_kernel_rejects_rotation_spectrum():
 @pytest.mark.parametrize("bad", [-1, 30])
 def test_smooth_kernel_refuses_eigenvector_indices_out_of_range(bad):
     """``-1`` would wrap to the last eigenvector, and ``n`` would raise IndexError."""
-    with pytest.raises(ValueError, match=r"S must index states in \[0, 30\)"):
+    with pytest.raises(ValueError, match=r"S must index eigenvectors in \[0, 30\)"):
         smooth_kernel_generalization(real_walk(3), np.ones(30), 0.9, [0, bad], (0.5,), ("value",))
 
 

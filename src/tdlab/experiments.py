@@ -218,6 +218,8 @@ def _run_four_rooms(cfg, inputs, rng, art):
         traj = coupled_feature_flow(phi0, w0, P, mdp.rewards, flow_cfg)
         metric = grassmann_convergence_metric(traj, target)
         rows.extend((M, t, d) for t, d in zip(traj.times, metric))
+        # the rows hold scalars, so the snapshot stack can go before the next flow makes its own
+        del traj
     art.csv("feature_convergence", ("m_heads", "t", "grassmann_distance"), rows)
 
 

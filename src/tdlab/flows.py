@@ -34,7 +34,9 @@ _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
 _MAX_STEPS = 10**7
 # a block of stacked powers spans at most this many steps and holds at most
-# this many floats, so composing its powers never costs more than it saves
+# this many floats, so composing its powers never costs more than it saves;
+# snapshot stacks are also mapped and measured this many snapshots at a time,
+# so no temporary grows with the trajectory
 _BLOCK_STEPS = 64
 _BLOCK_ENTRIES = 2**16
 # Higham (2005), Table 2.3 and eq. (2.5): theta_13, and the [13/13] Pade
@@ -319,9 +321,10 @@ def _affine_strides(A, c, gaps: list, cfg: FlowConfig, floor: float):
     return (lambda x: M @ x + m), whole
 
 
-def _eigenbasis_propagate(B, scales, flow, x0, cfg: FlowConfig, record, floor: float):
+def _eigenbasis_propagate(B, scales, c, x0, cfg: FlowConfig, record, floor: float):
     """:func:`_propagate` for the RK4 stack ``x_j' = scales_j B x_j + c_j``
-    (``flow``, ``x0`` as there) with ``B`` symmetric, stepped in its eigenbasis.
+    (``c`` and ``x0`` stacked ``(J, n, 1)``) with ``B`` symmetric, stepped in
+    its eigenbasis.
 
     With ``B = U diag(mu) U^T`` from one ``eigh``, mode ``k`` of system ``j``
     is the scalar recurrence ``x <- r x + h S(z) d`` with ``z = h scales_j
@@ -333,9 +336,9 @@ def _eigenbasis_propagate(B, scales, flow, x0, cfg: FlowConfig, record, floor: f
     line, so every mode moves monotonically and its size at the last step
     bounds every step before.  If that bound, mapped back through ``U`` and
     summed over the stack as in :func:`_affine_strides`, or ``floor``
-    exceeds 1e8, the flow runs through :func:`_propagate` instead, which
-    raises a divergence at its step.  Snapshots are mapped back
-    ``_BLOCK_STEPS`` at a time.
+    exceeds 1e8, the flow runs through :func:`_propagate` instead, on the
+    stacked generator ``scales_j B`` built only then, and raises a divergence
+    at its step.  Snapshots are mapped back ``_BLOCK_STEPS`` at a time.
     """
     steps = _recorded_steps(cfg)
     mu, U = np.linalg.eigh(B)
@@ -343,25 +346,30 @@ def _eigenbasis_propagate(B, scales, flow, x0, cfg: FlowConfig, record, floor: f
     with np.errstate(over="ignore", invalid="ignore"):
         z = cfg.dt * scales[:, None] * mu
         S = 1 + z / 2 + z**2 / 6 + z**3 / 24
-        q, x, d = z * S, x0[..., 0] @ U, cfg.dt * S * (flow[1][..., 0] @ U)
+        q, x, d = z * S, x0[..., 0] @ U, cfg.dt * S * (c[..., 0] @ U)
         log_r = np.log1p(q)
 
-        def powers(s):  # r^s and (r^s - 1) / q
+        def powers(s):  # r^s and (r^s - 1) / q, in two arrays of the block's shape
             growth = s * log_r
-            quotient = np.broadcast_to(s, growth.shape).astype(float)
-            return np.exp(growth), np.divide(np.expm1(growth), q, out=quotient, where=q != 0)
+            total = np.expm1(growth)
+            np.divide(total, q, out=total, where=q != 0)
+            np.copyto(total, s, where=q == 0)
+            return np.exp(growth, out=growth), total
 
         power, total = powers(steps[-1])
         sizes = np.abs(x) * np.maximum(power, 1) + np.abs(d) * total
         bound = np.abs(U).sum(axis=1).max() * np.sum(np.max(sizes, axis=1))
     if not (bound <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP):
-        return _propagate(flow, x0, cfg, record, floor)
+        return _propagate((scales[:, None, None] * B, c), x0, cfg, record, floor)
     first = record(x0)
     snaps = np.empty((len(steps),) + first.shape)
     snaps[0] = first
     for i in range(1, len(steps), _BLOCK_STEPS):
         power, total = powers(steps[i : i + _BLOCK_STEPS, None, None])
-        snaps[i : i + _BLOCK_STEPS] = record(((power * x + total * d) @ U.T)[..., None])
+        power *= x
+        total *= d
+        power += total
+        snaps[i : i + _BLOCK_STEPS] = record((power @ U.T)[..., None])
     return cfg.dt * steps, snaps, {"steps": int(steps[-1]), "stepwise_strides": 0}
 
 
@@ -469,8 +477,7 @@ def _coupled_flow(
         # follows the linear flow psi' = alpha lam_j B psi + c_j, C = alpha T W^T Q.
         lam, Q = np.linalg.eigh(w0 @ w0.T)
         C = cfg.alpha * (targets @ w0.T) @ Q
-        scales = cfg.alpha * lam
-        flow = (scales[:, None, None] * B, C.T[:, :, None])
+        scales, offsets = cfg.alpha * lam, C.T[:, :, None]
         x0, floor = (phi0 @ Q).T[:, :, None], float(np.max(np.abs(w0), initial=0.0))
 
         def record(psi):
@@ -499,10 +506,12 @@ def _coupled_flow(
         return FlowTrajectory(times=times, states=phi, meta=dict(work, weights=weights))
 
     try:
-        if cfg.beta == 0.0 and np.array_equal(B, B.T):
-            times, states, work = _eigenbasis_propagate(B, scales, flow, x0, cfg, record, floor)
-        else:
+        if cfg.beta != 0.0:
             times, states, work = _propagate(flow, x0, cfg, record, floor)
+        elif np.array_equal(B, B.T):
+            times, states, work = _eigenbasis_propagate(B, scales, offsets, x0, cfg, record, floor)
+        else:
+            times, states, work = _propagate((scales[:, None, None] * B, offsets), x0, cfg, record, floor)
     except DivergenceDetected as exc:
         partial = exc.trajectory
         exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
@@ -606,17 +615,22 @@ def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
     """Per-snapshot Grassmann distance of the snapshot span to a target.
 
     Snapshots must be ``(n, K)`` matrices.  Rank-deficient snapshots yield a
-    NaN entry instead of an error.  All snapshots share one stacked QR and
-    one stacked SVD.
+    NaN entry instead of an error.  Snapshots go through a stacked QR and a
+    stacked SVD ``_BLOCK_STEPS`` at a time, so the temporaries stay a block's
+    size; both factor matrix by matrix, so every distance is the one a
+    single-snapshot call gives.
     """
     target_basis = _basis_of(target)
     K = target_basis.shape[1]
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 3 or states.shape[-1] != K:
         raise ValueError(f"snapshots must be (n, {K}) matrices, with the target's columns, not {states.shape[1:]}")
-    bases, full = _span_basis(states)
-    # a rank-deficient snapshot still has an orthonormal Q; its distance is discarded
-    return np.where(full, grassmann_distance(bases, target_basis), np.nan)
+    metric = np.empty(len(states))
+    for i in range(0, len(states), _BLOCK_STEPS):
+        bases, full = _span_basis(states[i : i + _BLOCK_STEPS])
+        # a rank-deficient snapshot still has an orthonormal Q; its distance is discarded
+        metric[i : i + _BLOCK_STEPS] = np.where(full, grassmann_distance(bases, target_basis), np.nan)
+    return metric
 
 
 def second_order_check(V0, P, R, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

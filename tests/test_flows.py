@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -590,7 +591,9 @@ def test_symmetric_frozen_flow_in_the_eigenbasis_matches_the_stride_engine(monke
     calls = spy_on_routes(monkeypatch)
     traj = coupled_feature_flow(phi0, w0, P, R, cfg)
     assert calls == {"_eigenbasis_propagate": 1, "_propagate": 0}
-    monkeypatch.setattr(flows, "_eigenbasis_propagate", lambda B, scales, flow, *args: flows._propagate(flow, *args))
+    monkeypatch.setattr(
+        flows, "_eigenbasis_propagate", lambda B, scales, c, *args: flows._propagate((scales[:, None, None] * B, c), *args)
+    )
     want = coupled_feature_flow(phi0, w0, P, R, cfg)
     assert calls["_propagate"] == 1
     assert np.array_equal(traj.times, want.times)
@@ -914,23 +917,44 @@ def test_grassmann_metric_nan_for_collapsed_snapshot():
 
 
 def test_grassmann_metric_equals_per_snapshot_distances():
-    """One stacked QR and SVD give each snapshot's own distance, NaN where the span collapses."""
-    rng = np.random.default_rng(33)
-    states = rng.standard_normal((6, 7, 3))
-    states[2] = 0.0
-    states[4, :, 2] = states[4, :, 0]  # rank 2
-    traj = FlowTrajectory(times=np.arange(6.0), states=states)
-    target = subspace_from_span(rng.standard_normal((7, 3)))
-    metric = grassmann_convergence_metric(traj, target)
-    full = [0, 1, 3, 5]
-    assert np.isnan(metric[[2, 4]]).all()
-    expected = [grassmann_distance(subspace_from_span(states[i]), target) for i in full]
-    assert np.array_equal(metric[full], expected)
+    """The blocked QR and SVD give each snapshot its own single-snapshot distance,
+    bit for bit on both sides of every block edge, and NaN where the span collapses."""
+    block = flows._BLOCK_STEPS
+    # one block, then three: deficient snapshots end the first block, start the second, and end the stack
+    for n_snaps, zero, repeated in [(6, [2], [4]), (2 * block + 22, [block], [block - 1, 2 * block + 21])]:
+        rng = np.random.default_rng(33)
+        states = rng.standard_normal((n_snaps, 7, 3))
+        states[zero] = 0.0
+        states[repeated, :, 2] = states[repeated, :, 0]  # rank 2
+        traj = FlowTrajectory(times=np.arange(float(n_snaps)), states=states)
+        target = subspace_from_span(rng.standard_normal((7, 3)))
+        metric = grassmann_convergence_metric(traj, target)
+        full = np.setdiff1d(np.arange(n_snaps), zero + repeated)
+        assert metric.shape == (n_snaps,)
+        assert np.isnan(metric[zero + repeated]).all()
+        expected = [grassmann_distance(subspace_from_span(states[i]), target) for i in full]
+        assert np.array_equal(metric[full], expected)
     with pytest.raises(ValueError, match="columns"):
         grassmann_convergence_metric(traj, subspace_from_span(np.eye(7)[:, :2]))
-    vectors = FlowTrajectory(times=np.arange(6.0), states=states[:, :, 0])
+    vectors = FlowTrajectory(times=np.arange(float(n_snaps)), states=states[:, :, 0])
     with pytest.raises(ValueError, match=r"\(n, 1\) matrices"):
         grassmann_convergence_metric(vectors, subspace_from_span(rng.standard_normal((7, 1))))
+
+
+def test_grassmann_metric_temporaries_stay_a_few_blocks_in_size():
+    """On a four-rooms-sized stack (1001 snapshots of 105 x 10), the metric's
+    temporaries peak under a quarter of the stack: no copy of it, nor its QR
+    factor, is ever made whole."""
+    rng = np.random.default_rng(36)
+    traj = FlowTrajectory(times=np.arange(1001.0), states=rng.standard_normal((1001, 105, 10)))
+    target = subspace_from_span(rng.standard_normal((105, 10)))
+    tracemalloc.start()
+    try:
+        grassmann_convergence_metric(traj, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.states.nbytes / 4
 
 
 def test_second_order_ratio_improves():

@@ -1,4 +1,5 @@
-"""The names perfbench reads off tdlab stay defined, and its references still hold.
+"""The names perfbench reads off tdlab stay defined, its references still hold,
+and its feature-flow workload keeps one snapshot stack alive at a time.
 
 ``perfbench/run.py`` reports ``values[name]`` for every per-layer metric in
 ``BENCHMARK.json``, so a renamed or deleted public function makes a traced
@@ -15,9 +16,12 @@ import inspect
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from tdlab.experiments import run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,3 +103,18 @@ def test_experiments_reproduce_the_perfbench_references(tmp_path, kernel):
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "", f"reference misses:\n{proc.stdout}"
+
+
+def test_a_four_rooms_run_keeps_one_snapshot_stack_alive(tmp_path):
+    """At perfbench's config, a ``four-rooms-features`` run's traced peak stays
+    under 16 MB: one flow's snapshot stack (1001 x 105 x 10 floats, 8.4 MB)
+    plus temporaries of a few 64-snapshot blocks.  A second stack, kept alive
+    from the previous flow or made as a temporary, crosses it."""
+    cfg = perfbench_literal("workloads", "CONFIGS")["four-rooms-features"]
+    tracemalloc.start()
+    try:
+        run_experiment("four-rooms-features", cfg, tmp_path, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -83,14 +83,15 @@ def _format_cell(value) -> str:
 
 
 def _format_column(column):
-    """``_format_cell`` of every cell, with one ``map`` for a column of floats
-    or of ints and strings (bools and other types go cell by cell)."""
+    """A column's ``%`` conversion and the cells it converts: ``%.17g`` for a
+    column of floats, ``%s`` for one of ints and strings, and ``%s`` of
+    ``_format_cell``'s text for bools and mixed columns."""
     kinds = set(map(type, column))
     if kinds <= {float, np.float64}:
-        return map("%.17g".__mod__, column)
+        return "%.17g", column
     if kinds <= {int, np.int64, str}:
-        return map(str, column)
-    return map(_format_cell, column)
+        return "%s", column
+    return "%s", [_format_cell(cell) for cell in column]
 
 
 def _write_atomically(path: Path, chunks) -> None:
@@ -108,9 +109,12 @@ def write_csv(path: Path, header, rows) -> None:
     rows = list(rows)
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path.name}: every row must have {len(header)} cells")
-    columns = [_format_column(column) for column in zip(*rows)]
+    formatted = [_format_column(column) for column in zip(*rows)]
+    row_spec = ",".join(spec for spec, _ in formatted) + "\n"
     lines = [",".join(header) + "\n"]
-    lines.extend(",".join(cells) + "\n" for cells in zip(*columns))
+    # one % per row: a whole file's text in one string, with its cell tuple,
+    # raised perfbench's peak RSS by up to 0.9 MB
+    lines.extend(map(row_spec.__mod__, zip(*(column for _, column in formatted))))
     _write_atomically(path, lines)
 
 
@@ -192,7 +196,9 @@ def _run_chain_transfer(cfg, inputs, rng, art):
 
 def _four_rooms_setup(cfg):
     """One flow config per ``m_heads`` entry M (feature rate ``alpha / M``),
-    the four-rooms walk, its transition matrix and its top ``k_features`` EBFs."""
+    the four-rooms walk, its transition matrix and the orthonormal span of its
+    top ``k_features`` EBFs (for K in [69, 105] they span fewer than K
+    dimensions: a numerical failure, so ``validate`` exits 3 as ``run`` does)."""
     shared = dict(gamma=cfg["gamma"], beta=cfg["beta"], t_end=cfg["t_end"], dt=cfg["dt"], method="rk4")
     flow_cfgs = [FlowConfig(alpha=cfg["alpha"] / M, **shared) for M in cfg["m_heads"]]
     mdp = build_four_rooms()
@@ -202,15 +208,13 @@ def _four_rooms_setup(cfg):
         ebfs = real_invariant_basis(spectrum, cfg["k_features"])
     except ValueError as exc:
         raise ConfigError(f"four-rooms-features.k_features: {exc}") from exc
-    return flow_cfgs, mdp, P, ebfs
+    return flow_cfgs, mdp, P, subspace_from_span(ebfs)
 
 
 def _run_four_rooms(cfg, inputs, rng, art):
     """Coupled feature flows on the four-rooms walk, tracked against the top EBFs."""
-    flow_cfgs, mdp, P, ebfs = inputs
+    flow_cfgs, mdp, P, target = inputs
     K = cfg["k_features"]
-    # the top EBFs span fewer than K dimensions for K in [69, 105]: a numerical failure, hence here
-    target = subspace_from_span(ebfs)
     rows = []
     for M, flow_cfg in zip(cfg["m_heads"], flow_cfgs):
         phi0 = rng.standard_normal((mdp.n_states, K))
@@ -233,6 +237,30 @@ def _random_cumulants_setup(cfg) -> FlowConfig:
     return FlowConfig(gamma=cfg["gamma"], alpha=1.0 / cfg["m_heads"], t_end=cfg["t_end"], dt=cfg["dt"], method="rk4")
 
 
+# rows of pooled cumulant draws per Gram update: random-cumulants' working set is
+# O(n_states**2 + _POOL_CHUNK * n_states), whatever n_seeds * m_heads is
+_POOL_CHUNK = 1024
+
+
+def _pooled_covariances(rng, psi, checkpoints):
+    """Yield ``(c, psi (C[:c]^T C[:c] / c) psi^T)`` for each ascending checkpoint c,
+    where C is one ``(checkpoints[-1], n)`` standard-normal draw from ``rng``.
+
+    C is drawn in consecutive chunks of at most ``_POOL_CHUNK`` rows that end on
+    each checkpoint, the same numbers as the one draw, leaving ``rng`` where it
+    would; only their running Gram is kept.  Each covariance is symmetrized, so
+    its ``(i, j)`` and ``(j, i)`` cells are equal."""
+    n = psi.shape[0]
+    gram, drawn = np.zeros((n, n)), 0
+    for c in checkpoints:
+        while drawn < c:
+            draw = rng.standard_normal((min(_POOL_CHUNK, c - drawn), n))
+            gram += draw.T @ draw
+            drawn += len(draw)
+        cov = psi @ (gram / c) @ psi.T
+        yield c, (cov + cov.T) / 2
+
+
 def _run_random_cumulants(cfg, flow_cfg, rng, art):
     """Random-cumulant feature covariance against the resolvent formula."""
     n, gamma, M = cfg["n_states"], cfg["gamma"], cfg["m_heads"]
@@ -242,21 +270,18 @@ def _run_random_cumulants(cfg, flow_cfg, rng, art):
     sigma = np.eye(n)
     theo = limiting_cumulant_covariance(P, gamma, sigma)
 
+    # the pooled rows C (n_seeds * m_heads of them) give limiting feature columns C psi^T
     total = cfg["n_seeds"] * M
-    C = rng.standard_normal((total, n))
-    X = C @ psi.T  # rows are limiting feature columns
     checkpoints = sorted({min(c, total) for c in (100, 500, 1000, total)})
     err_rows = []
-    for c in checkpoints:
-        emp = X[:c].T @ X[:c] / c
+    for c, emp in _pooled_covariances(rng, psi, checkpoints):
         err_rows.append((c, float(np.linalg.norm(emp - theo) / np.linalg.norm(theo))))
     art.csv("covariance_error", ("n_pooled_columns", "rel_frobenius_error"), err_rows)
-
-    emp_full = X.T @ X / total
+    # emp is the last checkpoint's: the whole pool's
     art.csv(
         "covariance",
         ("i", "j", "empirical", "theoretical"),
-        [(i, j, emp_full[i, j], theo[i, j]) for i in range(n) for j in range(n)],
+        [(i, j, emp[i, j], theo[i, j]) for i in range(n) for j in range(n)],
     )
 
     K = M

@@ -213,13 +213,14 @@ def smooth_kernel_generalization(
         n_train = int(np.floor(n * fraction))
         if n_train < 1:
             raise ValueError("train_fraction keeps no training states")
-        train = np.arange(n_train)
-        test = np.arange(n_train, n) if n_train < n else np.arange(n)
-        K_train = K[np.ix_(train, train)] + _JITTER * np.eye(n_train)
-        K_cross = K[np.ix_(test, train)]
+        # train is the first n_train states and test the rest (all of them at
+        # fraction 1), so both are contiguous blocks of K and y
+        test = slice(n_train, None) if n_train < n else slice(None)
+        K_train = K[:n_train, :n_train] + _JITTER * np.eye(n_train)
+        K_cross = K[test, :n_train]
         # one single-right-hand-side solve per target: a stacked solve moves
         # the MSEs by rounding, since K_train has rank |S| under a tiny ridge
         for i, y in enumerate(ys):
-            pred = K_cross @ np.linalg.solve(K_train, y[train])
+            pred = K_cross @ np.linalg.solve(K_train, y[:n_train])
             mses[i, j] = np.mean((pred - y[test]) ** 2)
     return mses

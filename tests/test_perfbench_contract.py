@@ -118,3 +118,22 @@ def test_a_four_rooms_run_keeps_one_snapshot_stack_alive(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_random_cumulants_memory_does_not_grow_with_the_pool(tmp_path):
+    """At perfbench's config a ``random-cumulants`` run's traced peak stays
+    under 1.5 MB, and ten times the seeds (250,000 pooled draws, 20 MB as one
+    array) raise it by under 10%: the pooled draws are kept as their Gram.
+    A warm-up run first takes the lazy imports out of the trace."""
+    cfg = perfbench_literal("workloads", "CONFIGS")["random-cumulants"]
+    run_experiment("random-cumulants", dict(cfg, n_seeds=10), tmp_path / "warm-up", 0)
+    peaks = {}
+    for n_seeds in (5000, 50000):
+        tracemalloc.start()
+        try:
+            run_experiment("random-cumulants", dict(cfg, n_seeds=n_seeds), tmp_path / str(n_seeds), 0)
+            peaks[n_seeds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5000] <= 1.5e6, f"traced peak {peaks[5000] / 1e6:.2f} MB"
+    assert peaks[50000] < 1.1 * peaks[5000], {n: f"{p / 1e6:.2f} MB" for n, p in peaks.items()}

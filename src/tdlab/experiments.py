@@ -84,12 +84,13 @@ def _format_cell(value) -> str:
 
 def _format_column(column):
     """A column's ``%`` conversion and the cells it converts: ``%.17g`` for a
-    column of floats, ``%s`` for one of ints and strings, and ``%s`` of
-    ``_format_cell``'s text for bools and mixed columns."""
+    column of floats, ``%s`` for one of ints or one of strings, and ``%s`` of
+    ``_format_cell``'s text for bools and mixed columns, so a column that
+    holds text holds only text."""
     kinds = set(map(type, column))
     if kinds <= {float, np.float64}:
         return "%.17g", column
-    if kinds <= {int, np.int64, str}:
+    if kinds <= {int, np.int64} or kinds == {str}:
         return "%s", column
     return "%s", [_format_cell(cell) for cell in column]
 
@@ -105,11 +106,18 @@ def _write_atomically(path: Path, chunks) -> None:
 def write_csv(path: Path, header, rows) -> None:
     """Write a CSV atomically with deterministic float formatting.
 
-    Every row must have one cell per header column."""
+    Every row must have one cell per header column.  Cells are written
+    unquoted, so a column whose name or text cells hold a comma, a double
+    quote or a line break is refused before anything is written."""
     rows = list(rows)
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path.name}: every row must have {len(header)} cells")
     formatted = [_format_column(column) for column in zip(*rows)]
+    for i, name in enumerate(header):
+        cells = formatted[i][1] if rows else ()
+        text = name + ("".join(cells) if cells and isinstance(cells[0], str) else "")
+        if any(mark in text for mark in ',"\n\r'):
+            raise ValueError(f"{path.name}: column {name!r} holds a comma, a double quote or a line break")
     row_spec = ",".join(spec for spec, _ in formatted) + "\n"
     lines = [",".join(header) + "\n"]
     # one % per row: a whole file's text in one string, with its cell tuple,
@@ -316,7 +324,8 @@ def _kernel_circle_setup(cfg):
 def _run_kernel_circle(cfg, inputs, rng, art):
     """Stability/generalization sweep of kernel TD on the circle MDP."""
     mdp, P, train_idx, flow_cfgs, kernels = inputs
-    test_idx = np.setdiff1d(np.arange(cfg["n_states"]), train_idx)
+    held_out = np.ones(cfg["n_states"], dtype=bool)
+    held_out[train_idx] = False
     sweep_rows = []
     value_header = ("t", "diverged") + tuple(f"v_{s}" for s in range(cfg["n_states"]))
     for gamma, flow_cfg in zip(cfg["gammas"], flow_cfgs):
@@ -330,7 +339,7 @@ def _run_kernel_circle(cfg, inputs, rng, art):
                 sweep_rows.append((gamma, ell, "diverged", exc.time, exc.sup_norm, "", ""))
             else:
                 resid = float(traj.meta["train_residual_sup"][-1])
-                test_sup = float(np.max(np.abs(traj.final[test_idx]))) if len(test_idx) else 0.0
+                test_sup = float(np.max(np.abs(traj.final[held_out]))) if held_out.any() else 0.0
                 sweep_rows.append((gamma, ell, "converged", "", "", resid, test_sup))
             last = len(traj.times) - 1
             rows = [
@@ -402,7 +411,6 @@ def _run_bms_select(cfg, _, rng, art):
         + ("LS_hat", "LS_stderr", "kl_gap", "alg1_mean", "alg1_stderr")
     )
     rows = []
-    score_columns = {"exact": [], "L": [], "Lk_max": [], "LS": [], "alg1": []}
     for j, model in enumerate(models):
         rep = evidence_report(
             model, data, k_values=k_values, n_seeds=n_seeds,
@@ -422,18 +430,17 @@ def _run_bms_select(cfg, _, rng, art):
                 float(np.std(alg1, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
             )
         )
-        score_columns["exact"].append(rep.exact_log_ml)
-        score_columns["L"].append(rep.L_hat.value)
-        score_columns["Lk_max"].append(rep.Lk_hat[max(k_values)].value)
-        score_columns["LS"].append(rep.LS_hat.value)
-        score_columns["alg1"].append(float(np.mean(alg1)))
     art.csv("evidence", header, rows)
 
     weights = ensemble_weight_ranking(models, data, seed=base + 104729)
     art.csv("stacking_weights", ("model", "weight"), list(enumerate(weights)))
 
     selection_rows = [
-        (name, int(np.argmax(scores))) for name, scores in score_columns.items()
+        (name, int(np.argmax([row[header.index(column)] for row in rows])))
+        for name, column in (
+            ("exact", "exact_log_ml"), ("L", "L_hat"), ("Lk_max", f"Lk_{max(k_values)}"),
+            ("LS", "LS_hat"), ("alg1", "alg1_mean"),
+        )
     ]
     selection_rows.append(("stacking_weight", int(np.argmax(weights))))
     art.csv("selection", ("estimator", "argmax_model"), selection_rows)

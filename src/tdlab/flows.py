@@ -7,15 +7,18 @@ semi-gradient systems over a feature matrix and ensemble head weights,
 including the random-cumulant variant) integrate with RK4.  Every exact
 evaluation ``exp(t G)(x0 - x*) + x*`` goes through :func:`_closed_form_grid`,
 whose matrix exponential is :func:`expm` (Higham's scaling and squaring,
-in numpy), and fixed-step runs through :func:`_propagate`, which reports
-divergence instead of overflowing.  Linear flows (every flow but the coupled
-one with ``beta != 0``) step there by composed affine maps: one RK4 or Euler
-step of ``x' = A x + c`` is exactly ``x <- M x + m``, so the recorded
-snapshots come from powers of that map rather than a step loop.  The
-frozen-weight coupled flow with a symmetric ``P`` takes the same RK4 steps in
-the eigenbasis of ``gamma P - I`` (:func:`_eigenbasis_propagate`), where every
-mode is a scalar recurrence and each snapshot one broadcast, whenever a norm
-bound shows that no step can cross the divergence threshold.
+in numpy).  Every fixed-step run goes through one engine, :func:`_propagate`,
+which walks the step grid, fills the snapshot stack, reports divergence
+instead of overflowing and builds the trajectory, partial or complete.  It
+takes one of three routes, all taking the same steps as a step loop: the
+frozen-weight coupled flow with a symmetric ``P`` steps in the eigenbasis of
+``gamma P - I`` (:func:`_eigenbasis_strides`), where every mode is a scalar
+recurrence and each block of snapshots one broadcast, whenever a norm bound
+shows that no step can cross the divergence threshold; the other linear flows
+(every flow but the coupled one with ``beta != 0``) step by composed affine
+maps (:func:`_affine_strides`): one RK4 or Euler step of ``x' = A x + c`` is
+exactly ``x <- M x + m``, so the recorded snapshots come from powers of that
+map rather than a step loop; and the nonlinear flow takes every RK4 step.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -202,46 +205,46 @@ def _step_map(A: np.ndarray, c: np.ndarray, h: float, method: str):
     return M, h * (S @ c)
 
 
-def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0):
+def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0, build=FlowTrajectory):
     """Fixed-step integration of ``flow`` from ``x0``: the one stepping engine.
 
     ``flow`` is a pair ``(A, c)`` for the linear flow ``dx/dt = A x + c``,
-    stepped by RK4 or Euler (``cfg.method``), or a callable ``f`` for the
-    nonlinear flow ``dx/dt = f(x)``, stepped by RK4 with ``h = cfg.dt``.  A
-    linear flow takes the same steps as a step loop, with the arithmetic
-    reordered: ``i`` steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so
-    the power of one stride is composed once and each recorded snapshot (or
-    block of close snapshots spanning up to ``_BLOCK_STEPS`` steps) costs
-    one product.  ``A`` is ``(n, n)`` acting on ``x0`` of shape ``(n,)`` or
+    stepped by RK4 or Euler (``cfg.method``); a triple ``(B, scales, c)``
+    for the RK4 stack ``x_j' = scales_j B x_j + c_j``; or a callable ``f``
+    for the nonlinear flow ``dx/dt = f(x)``, stepped by RK4 with ``h =
+    cfg.dt``.  ``A`` is ``(n, n)`` acting on ``x0`` of shape ``(n,)`` or
     ``(n, K)``, or a stack ``(J, n, n)`` of independent systems acting on
-    ``x0`` of shape ``(J, n, 1)``.  ``record`` maps states (stacked too) to
-    the recorded snapshots; the divergence check reads the larger of their
-    sup norm and ``floor``.
+    ``x0`` of shape ``(J, n, 1)``, as ``c`` and ``x0`` are for a triple.
+    ``record`` maps states (stacked too) to the recorded snapshots; the
+    divergence check reads the larger of their sup norm and ``floor``.
 
-    A linear stretch is taken whole only if ``||M^i|| ||x|| + ||m_i||``
-    (infinity norms, summed over a stack; a bound on ``record``'s sup norm
-    when that multiplies by entries of modulus at most one) stays within 1e8
-    at every step ``i`` inside it.  Other stretches, and every stride of a
-    nonlinear flow, are stepped one step at a time and checked after each
-    step, so divergence is raised at the step where it happens, with the
-    trajectory recorded up to it attached.  Returns the recorded times, the
-    snapshots and the work done: ``steps`` taken and ``stepwise_strides``.
+    Each flow takes one of three routes, which all take the same steps as a
+    step loop: the eigenbasis of ``B`` (:func:`_eigenbasis_strides`, which
+    falls back to the next), composed affine maps
+    (:func:`_affine_strides`), or every step of a nonlinear flow.  A route's
+    ``whole(x, j)`` returns ``b`` snapshots from ``j`` on, computed together,
+    or ``None`` where those ``b`` strides must be stepped one step at a time
+    and checked after each step, so divergence is raised at the step where
+    it happens, with the trajectory recorded up to it attached.  Returns
+    ``build(times, snapshots, work)`` (a :class:`FlowTrajectory` by
+    default), where ``work`` counts the ``steps`` taken and the
+    ``stepwise_strides``; the partial trajectory is built the same way.
     """
-    steps = _recorded_steps(cfg)
-    times = cfg.dt * steps
-    steps = steps.tolist()
-    gaps = np.diff(steps).tolist()
+    grid = _recorded_steps(cfg)
+    times, steps = cfg.dt * grid, grid.tolist()
     first = record(x0)
     snaps = np.empty((len(steps),) + first.shape)
     snaps[0] = first
-    if not gaps:
-        return times, snaps, {"steps": 0, "stepwise_strides": 0}
-    # overflow inside a step just means the divergence check fires
+    if len(steps) == 1:
+        return build(times, snaps, {"steps": 0, "stepwise_strides": 0})
+    # overflow in a route's norm bound just fails it, and inside a step the divergence check fires
     with np.errstate(over="ignore", invalid="ignore"):
         if callable(flow):
             step, whole = (lambda x: _rk4(flow, x, cfg.dt)), (lambda x, j: (1, None))
+        elif len(flow) == 2:
+            step, whole = _affine_strides(*flow, grid, cfg, floor)
         else:
-            step, whole = _affine_strides(*flow, gaps, cfg, floor)
+            step, whole = _eigenbasis_strides(*flow, x0, grid, cfg, floor)
         x, j, stepwise = x0, 1, 0
         while j < len(steps):
             b, X = whole(x, j)
@@ -257,14 +260,13 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
                 if not now <= _DIVERGENCE_SUP:
                     exc = DivergenceDetected(k * cfg.dt, now)
                     snaps[j] = rec
-                    exc.trajectory = FlowTrajectory(
-                        np.append(times[:j], exc.time), snaps[: j + 1], {"steps": k, "stepwise_strides": stepwise}
-                    )
+                    work = {"steps": k, "stepwise_strides": stepwise}
+                    exc.trajectory = build(np.append(times[:j], exc.time), snaps[: j + 1], work)
                     raise exc
                 if k == steps[j]:
                     snaps[j] = rec
                     j += 1
-    return times, snaps, {"steps": steps[-1], "stepwise_strides": stepwise}
+    return build(times, snaps, {"steps": steps[-1], "stepwise_strides": stepwise})
 
 
 def _rk4(f, x, h: float):
@@ -276,11 +278,21 @@ def _rk4(f, x, h: float):
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _affine_strides(A, c, gaps: list, cfg: FlowConfig, floor: float):
-    """One step of ``x' = A x + c``, and ``whole(x, j)``: the number ``b`` of
-    snapshots from ``j`` on that one product takes, and their states, or
-    ``None`` if the norm bound fails and those ``b`` strides must be stepped.
+def _affine_strides(A, c, steps: np.ndarray, cfg: FlowConfig, floor: float):
+    """The composed-affine-map route of ``x' = A x + c`` on the recorded step grid.
+
+    ``i`` steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so the power of
+    one stride is composed once and each recorded snapshot (or block of close
+    snapshots spanning up to ``_BLOCK_STEPS`` steps) costs one product.
+    Returns one step, and ``whole(x, j)``: the number ``b`` of snapshots from
+    ``j`` on that one product takes, and their states, or ``None`` if the
+    norm bound fails and those ``b`` strides must be stepped.  A stretch is
+    taken whole only if ``||M^i|| ||x|| + ||m_i||`` (infinity norms, summed
+    over a stack; a bound on ``record``'s sup norm when that multiplies by
+    entries of modulus at most one) and ``floor`` stay within 1e8 at every
+    step ``i`` inside it.
     """
+    gaps = np.diff(steps).tolist()
     M, m = _step_map(A, c, cfg.dt, cfg.method)
     J, n = (M.shape[0] if M.ndim == 3 else 1), M.shape[-1]
 
@@ -321,29 +333,26 @@ def _affine_strides(A, c, gaps: list, cfg: FlowConfig, floor: float):
     return (lambda x: M @ x + m), whole
 
 
-def _eigenbasis_propagate(B, scales, c, x0, cfg: FlowConfig, record, floor: float):
-    """:func:`_propagate` for the RK4 stack ``x_j' = scales_j B x_j + c_j``
-    (``c`` and ``x0`` stacked ``(J, n, 1)``) with ``B`` symmetric, stepped in
-    its eigenbasis.
+def _eigenbasis_strides(B, scales, c, x0, steps: np.ndarray, cfg: FlowConfig, floor: float):
+    """The route of the RK4 stack ``x_j' = scales_j B x_j + c_j`` from ``x0``:
+    in the eigenbasis of ``B`` when that is safe, else :func:`_affine_strides`
+    on the stacked generator ``scales_j B``, built only then.
 
-    With ``B = U diag(mu) U^T`` from one ``eigh``, mode ``k`` of system ``j``
-    is the scalar recurrence ``x <- r x + h S(z) d`` with ``z = h scales_j
-    mu_k``, ``r = R(z) = 1 + q`` and ``q = z S(z)``: :func:`_step_map`'s R
-    and S, so these are the same RK4 steps.  Step ``s`` is ``r^s x0 + h S d
-    (r^s - 1)/q``, through ``log1p`` and ``expm1``, with ``s`` for the
-    quotient where ``q = 0``.  No fixed point is divided out: rank-deficient
-    weights put ``z`` a hair either side of 0.  R is positive on the real
-    line, so every mode moves monotonically and its size at the last step
-    bounds every step before.  If that bound, mapped back through ``U`` and
-    summed over the stack as in :func:`_affine_strides`, or ``floor``
-    exceeds 1e8, the flow runs through :func:`_propagate` instead, on the
-    stacked generator ``scales_j B`` built only then, and raises a divergence
-    at its step.  Snapshots are mapped back ``_BLOCK_STEPS`` at a time.
+    With a symmetric ``B = U diag(mu) U^T`` from one ``eigh``, mode ``k`` of
+    system ``j`` is the scalar recurrence ``x <- r x + h S(z) d`` with ``z =
+    h scales_j mu_k``, ``r = R(z) = 1 + q`` and ``q = z S(z)``:
+    :func:`_step_map`'s R and S, so these are the same RK4 steps.  Step ``s``
+    is ``r^s x0 + h S d (r^s - 1)/q``, through ``log1p`` and ``expm1``, with
+    ``s`` for the quotient where ``q = 0``.  No fixed point is divided out:
+    rank-deficient weights put ``z`` a hair either side of 0.  R is positive
+    on the real line, so every mode moves monotonically and its size at the
+    last step bounds every step before.  The eigenbasis is taken only if
+    ``B`` is exactly symmetric and that bound, mapped back through ``U`` and
+    summed over the stack as in :func:`_affine_strides`, and ``floor`` stay
+    within 1e8; its ``whole`` returns ``_BLOCK_STEPS`` snapshots at a time.
     """
-    steps = _recorded_steps(cfg)
-    mu, U = np.linalg.eigh(B)
-    # overflow here only means the bound fails
-    with np.errstate(over="ignore", invalid="ignore"):
+    if np.array_equal(B, B.T) and floor <= _DIVERGENCE_SUP:
+        mu, U = np.linalg.eigh(B)
         z = cfg.dt * scales[:, None] * mu
         S = 1 + z / 2 + z**2 / 6 + z**3 / 24
         q, x, d = z * S, x0[..., 0] @ U, cfg.dt * S * (c[..., 0] @ U)
@@ -358,19 +367,17 @@ def _eigenbasis_propagate(B, scales, c, x0, cfg: FlowConfig, record, floor: floa
 
         power, total = powers(steps[-1])
         sizes = np.abs(x) * np.maximum(power, 1) + np.abs(d) * total
-        bound = np.abs(U).sum(axis=1).max() * np.sum(np.max(sizes, axis=1))
-    if not (bound <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP):
-        return _propagate((scales[:, None, None] * B, c), x0, cfg, record, floor)
-    first = record(x0)
-    snaps = np.empty((len(steps),) + first.shape)
-    snaps[0] = first
-    for i in range(1, len(steps), _BLOCK_STEPS):
-        power, total = powers(steps[i : i + _BLOCK_STEPS, None, None])
-        power *= x
-        total *= d
-        power += total
-        snaps[i : i + _BLOCK_STEPS] = record((power @ U.T)[..., None])
-    return cfg.dt * steps, snaps, {"steps": int(steps[-1]), "stepwise_strides": 0}
+        if np.abs(U).sum(axis=1).max() * np.sum(np.max(sizes, axis=1)) <= _DIVERGENCE_SUP:
+
+            def whole(_, j):
+                power, total = powers(steps[j : j + _BLOCK_STEPS, None, None])
+                power *= x
+                total *= d
+                power += total
+                return len(power), (power @ U.T)[..., None]
+
+            return None, whole
+    return _affine_strides(scales[:, None, None] * B, c, steps, cfg, floor)
 
 
 def _linear_value_flow(
@@ -392,11 +399,11 @@ def _linear_value_flow(
     offset = Vpi if V0.ndim == 1 else Vpi[:, None]
 
     if cfg.method == "closed_form":
-        steps, work = _recorded_steps(cfg), {}
-        times, states = cfg.dt * steps, _closed_form_grid(generator, offset, V0, steps, cfg.dt)
+        steps = _recorded_steps(cfg)
+        traj = FlowTrajectory(cfg.dt * steps, _closed_form_grid(generator, offset, V0, steps, cfg.dt))
     else:
-        times, states, work = _propagate((generator, -generator @ offset), V0, cfg)
-    return FlowTrajectory(times=times, states=states, meta={"fixed_point": Vpi, **work})
+        traj = _propagate((generator, -generator @ offset), V0, cfg)
+    return FlowTrajectory(traj.times, traj.states, {"fixed_point": Vpi, **traj.meta})
 
 
 def td_value_flow(V0, P, R, cfg: FlowConfig) -> FlowTrajectory:
@@ -451,10 +458,11 @@ def _coupled_flow(
     """Shared engine: ``dPhi = alpha (T + (gamma P - I) Phi W) W^T``, ``dW = beta Phi^T (...)``.
 
     With ``beta = 0`` the flow splits into one linear system per eigenvector
-    of ``W W^T``.  If ``gamma P - I`` is exactly symmetric, the stack runs
-    through :func:`_eigenbasis_propagate` (one ``eigh`` for every head, and
-    :func:`_propagate` if its norm bound fails); otherwise, and for ``beta !=
-    0``, through :func:`_propagate`.
+    of ``W W^T``, the stack ``psi_j' = alpha lam_j B psi_j + c_j`` that
+    :func:`_propagate` steps in the eigenbasis of ``B = gamma P - I`` or by
+    composed affine maps (:func:`_eigenbasis_strides` chooses); with ``beta
+    != 0`` it steps the nonlinear flow.  One builder makes the complete and
+    the partial trajectory.
     """
     phi0 = np.asarray(phi0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -477,8 +485,8 @@ def _coupled_flow(
         # follows the linear flow psi' = alpha lam_j B psi + c_j, C = alpha T W^T Q.
         lam, Q = np.linalg.eigh(w0 @ w0.T)
         C = cfg.alpha * (targets @ w0.T) @ Q
-        scales, offsets = cfg.alpha * lam, C.T[:, :, None]
-        x0, floor = (phi0 @ Q).T[:, :, None], float(np.max(np.abs(w0), initial=0.0))
+        flow, x0 = (B, cfg.alpha * lam, C.T[:, :, None]), (phi0 @ Q).T[:, :, None]
+        floor = float(np.max(np.abs(w0), initial=0.0))
 
         def record(psi):
             return np.swapaxes(psi[..., 0], -1, -2) @ Q.T
@@ -505,18 +513,7 @@ def _coupled_flow(
         phi, weights = unpack(states)
         return FlowTrajectory(times=times, states=phi, meta=dict(work, weights=weights))
 
-    try:
-        if cfg.beta != 0.0:
-            times, states, work = _propagate(flow, x0, cfg, record, floor)
-        elif np.array_equal(B, B.T):
-            times, states, work = _eigenbasis_propagate(B, scales, offsets, x0, cfg, record, floor)
-        else:
-            times, states, work = _propagate((scales[:, None, None] * B, offsets), x0, cfg, record, floor)
-    except DivergenceDetected as exc:
-        partial = exc.trajectory
-        exc.trajectory = trajectory(partial.times, partial.states, partial.meta)
-        raise
-    return trajectory(times, states, work)
+    return _propagate(flow, x0, cfg, record, floor, trajectory)
 
 
 def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
@@ -525,12 +522,13 @@ def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     Every head regresses the same reward: the per-head TD error is
     ``R + (gamma P - I) Phi w_m``.  RK4 only.  With ``beta = 0`` the weights
     stay at their initialization (``meta["weights"]`` is a read-only view of
-    ``w0``) and the flow is linear in ``Phi``, so it runs on composed affine
-    maps, or, when ``P`` is symmetric and no step can cross 1e8, as scalar
-    recurrences in the eigenbasis of ``gamma P - I`` (``meta["steps"]`` the
-    last step, ``meta["stepwise_strides"]`` 0); otherwise it is nonlinear and
-    every RK4 step (``h = dt``) is taken one at a time, so
-    ``meta["stepwise_strides"]`` counts every stride.
+    ``w0``) and the flow is linear in ``Phi``, so the one stepping engine
+    runs it as scalar recurrences in the eigenbasis of ``gamma P - I`` when
+    ``P`` is symmetric and no step can cross 1e8 (``meta["steps"]`` the last
+    step, ``meta["stepwise_strides"]`` 0), and on composed affine maps
+    otherwise; with ``beta != 0`` it is nonlinear and every RK4 step (``h =
+    dt``) is taken one at a time, so ``meta["stepwise_strides"]`` counts
+    every stride.
     Raises :class:`DivergenceDetected`, with the partial trajectory attached,
     when the sup norm of ``Phi`` and the weights crosses 1e8.
     """
@@ -651,11 +649,11 @@ def second_order_check(V0, P, R, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarra
     R = np.asarray(R, dtype=float)
     A = np.eye(P.shape[0]) - cfg.gamma * P
     Vpi = exact_value(P, R, cfg.gamma)
-    times, snaps, _ = _propagate((-A, R), V0, cfg)
-    t = times[-1]
+    traj = _propagate((-A, R), V0, cfg)
+    t = traj.times[-1]
     first = _closed_form_grid(-A, Vpi, V0, [0, 1], t)[-1]
     corrected = _closed_form_grid(-(A + 0.5 * cfg.dt * (A @ A)), Vpi, V0, [0, 1], t)[-1]
-    return snaps[-1], first, corrected
+    return traj.final, first, corrected
 
 
 def td_error_norm(V, P, R, gamma: float) -> float:

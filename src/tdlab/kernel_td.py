@@ -130,11 +130,10 @@ def kernel_td_flow(V0, K_all, P, R, train_idx, cfg: FlowConfig) -> FlowTrajector
     gamma = cfg.gamma
     # linear in V: dV/dt = K_all (gamma P - I)[train] V + K_all R[train]
     A = K_all @ (gamma * P - np.eye(n))[train_idx]
-    times, states, work = _propagate((A, K_all @ R[train_idx]), V0, cfg)
-    residual = np.max(
-        np.abs((R[None, :] + gamma * states @ P.T - states)[:, train_idx]), axis=1
-    )
-    return FlowTrajectory(times=times, states=states, meta={"train_residual_sup": residual, **work})
+    traj = _propagate((A, K_all @ R[train_idx]), V0, cfg)
+    V = traj.states
+    residual = np.max(np.abs((R + gamma * V @ P.T - V)[:, train_idx]), axis=1)
+    return FlowTrajectory(traj.times, V, {"train_residual_sup": residual, **traj.meta})
 
 
 def _orthogonal_projection(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -195,7 +194,8 @@ def smooth_kernel_generalization(
         elif name == "projected-top":
             y = _orthogonal_projection(Vpi, basis)
         elif name == "projected-bottom":
-            complement = np.setdiff1d(np.arange(n), S)
+            complement = np.ones(n, dtype=bool)
+            complement[S] = False
             y = _orthogonal_projection(Vpi, V[:, complement])
         else:  # "nstep"
             if nstep_n is None or nstep_n < 1:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -238,7 +239,7 @@ def test_write_csv_body_matches_the_cell_by_cell_format(tmp_path):
     header = ("s", "i", "ni", "f", "nf", "b", "nb", "blank_or_float", "int_and_float")
     rows = [
         ("a", 1, np.int64(-2), 0.1, np.float64(1 / 3), True, np.bool_(False), "", 1),
-        ("b,c", -5, np.int64(7), -1e-300, np.float64(2e20), False, np.bool_(True), 2.5, 0.5),
+        ("b", -5, np.int64(7), -1e-300, np.float64(2e20), False, np.bool_(True), 2.5, 0.5),
         ("", 0, np.int64(0), float("inf"), np.float64(-0.0), True, np.bool_(True), np.float64(-3.0), 2),
     ]
     for name, table in (("rows", rows), ("empty", [])):
@@ -246,6 +247,31 @@ def test_write_csv_body_matches_the_cell_by_cell_format(tmp_path):
         write_csv(path, header, table)
         lines = [",".join(header)] + [",".join(map(_format_cell, row)) for row in table]
         assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize(
+    "header, rows, column",
+    [
+        (("label", "value"), [("x,y", 1.5)], "label"),
+        (("s", "i"), [("a", 1), ("b,c", 2)], "s"),
+        (("i", "s"), [(1, 'say "hi"')], "s"),
+        (("s", "f"), [("one\ntwo", 1.0)], "s"),
+        (("s", "f"), [("one\rtwo", 1.0)], "s"),
+        (("f", "blank_or_float"), [(1.0, ""), (2.0, "3,5")], "blank_or_float"),
+        (("f", "a,b"), [(1.0, 2.0)], "a,b"),
+        (("f", "a\nb"), [], "a\nb"),
+    ],
+    ids=["comma", "comma-in-a-later-row", "quote", "newline", "carriage-return", "mixed-column",
+         "header", "header-of-no-rows"],
+)
+def test_write_csv_refuses_text_that_csv_would_split_or_quote(tmp_path, header, rows, column):
+    """Cells are written unquoted, so a comma, a double quote or a line break
+    in a column's name or text cells would change what a CSV reader reads
+    back: the write is refused, naming the file and the column, and no file
+    or temp file is made."""
+    with pytest.raises(ValueError, match=re.escape(f"bad.csv: column {column!r}")):
+        write_csv(tmp_path / "bad.csv", header, rows)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("total", [700, 3 * 1024 + 313], ids=["under-1000", "not-a-chunk-multiple"])

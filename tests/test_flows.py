@@ -556,10 +556,12 @@ def test_coupled_flow_divergence_matches_step_loop():
     assert_matches_step_loop(concatenated(partial), states, cfg.dt)
 
 
-def spy_on_routes(monkeypatch):
-    """Replace the eigenbasis route and the stride engine with call-counting wrappers."""
-    calls = {"_eigenbasis_propagate": 0, "_propagate": 0}
-    for name in calls:
+def spy_on_routes(monkeypatch, n):
+    """Wrap the eigenbasis route and the affine route in call counters, and
+    count the ``eigh`` calls on an ``n x n`` matrix: the eigenbasis of
+    ``gamma P - I`` (the frozen weights' ``W W^T`` is smaller)."""
+    calls = {"_eigenbasis_strides": 0, "_affine_strides": 0, "eigh": 0}
+    for name in ("_eigenbasis_strides", "_affine_strides"):
         real = getattr(flows, name)
 
         def spy(*args, real=real, name=name):
@@ -567,6 +569,13 @@ def spy_on_routes(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(flows, name, spy)
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        calls["eigh"] += a.shape == (n, n)
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     return calls
 
 
@@ -588,14 +597,14 @@ def test_symmetric_frozen_flow_in_the_eigenbasis_matches_the_stride_engine(monke
     phi0, w0, R = rng.standard_normal((n, K)), rng.standard_normal((K, M)), rng.standard_normal(n)
     w0[0] = 0.0
     cfg = FlowConfig(gamma=0.99, alpha=1.0 / M, t_end=t_end, dt=0.01, method="rk4")
-    calls = spy_on_routes(monkeypatch)
+    calls = spy_on_routes(monkeypatch, n)
     traj = coupled_feature_flow(phi0, w0, P, R, cfg)
-    assert calls == {"_eigenbasis_propagate": 1, "_propagate": 0}
+    assert calls == {"_eigenbasis_strides": 1, "_affine_strides": 0, "eigh": 1}
     monkeypatch.setattr(
-        flows, "_eigenbasis_propagate", lambda B, scales, c, *args: flows._propagate((scales[:, None, None] * B, c), *args)
+        flows, "_eigenbasis_strides", lambda B, scales, c, x0, *args: flows._affine_strides(scales[:, None, None] * B, c, *args)
     )
     want = coupled_feature_flow(phi0, w0, P, R, cfg)
-    assert calls["_propagate"] == 1
+    assert calls["_affine_strides"] == 1
     assert np.array_equal(traj.times, want.times)
     assert np.max(np.abs(traj.states - want.states)) <= 1e-12 * np.max(np.abs(want.states))
     assert np.array_equal(traj.states[0], want.states[0])
@@ -623,26 +632,28 @@ def symmetric_divergence_config(kind):
 
 
 def test_frozen_flows_outside_the_eigenbasis_route_use_the_stride_engine(monkeypatch):
-    """A non-symmetric ``P`` never reaches the eigenbasis route, and a symmetric
-    flow whose norm bound fails, or whose weights exceed 1e8, leaves it for the
-    stride engine."""
-    calls = spy_on_routes(monkeypatch)
+    """A non-symmetric ``P`` never computes the eigenbasis, and a symmetric
+    flow whose norm bound fails, or whose weights exceed 1e8, takes the
+    affine route."""
     rng = np.random.default_rng(35)
     P, R = random_walk_matrix(rng, 8), rng.standard_normal(8)
     assert not np.array_equal(P, P.T)
     cfg = FlowConfig(gamma=0.9, alpha=0.5, t_end=1.0, dt=0.01, method="rk4")
-    coupled_feature_flow(rng.standard_normal((8, 3)), rng.standard_normal((3, 4)), P, R, cfg)
-    random_cumulant_flow(rng.standard_normal((8, 3)), np.eye(3), rng.standard_normal((8, 3)), P, cfg)
-    assert calls == {"_eigenbasis_propagate": 0, "_propagate": 2}
+    with monkeypatch.context() as patch:
+        calls = spy_on_routes(patch, 8)
+        coupled_feature_flow(rng.standard_normal((8, 3)), rng.standard_normal((3, 4)), P, R, cfg)
+        random_cumulant_flow(rng.standard_normal((8, 3)), np.eye(3), rng.standard_normal((8, 3)), P, cfg)
+    assert calls == {"_eigenbasis_strides": 2, "_affine_strides": 2, "eigh": 0}
     P, R, phi0, w0, cfg, _ = symmetric_divergence_config("growing-mode")
+    calls = spy_on_routes(monkeypatch, 6)
     with pytest.raises(DivergenceDetected):
         coupled_feature_flow(phi0, w0, P, R, cfg)
-    assert calls == {"_eigenbasis_propagate": 1, "_propagate": 3}
+    assert calls == {"_eigenbasis_strides": 1, "_affine_strides": 1, "eigh": 1}
     slow = FlowConfig(gamma=0.9, alpha=1e-20, t_end=1.0, dt=0.1, method="rk4")
     with pytest.raises(DivergenceDetected) as info:
         coupled_feature_flow(phi0, 2e8 * w0, P, R, slow)
     assert info.value.trajectory.meta["steps"] == 1 and info.value.sup_norm == 2e8
-    assert calls == {"_eigenbasis_propagate": 2, "_propagate": 4}
+    assert calls == {"_eigenbasis_strides": 2, "_affine_strides": 2, "eigh": 1}
 
 
 @pytest.mark.parametrize("kind", _SYMMETRIC_DIVERGENCES)
@@ -701,17 +712,23 @@ def test_recorded_steps_equal_the_unique_grid():
             np.testing.assert_array_equal(got, expected, err_msg=f"t_end={t_end}, dt={dt}")
 
 
-def test_closed_form_flow_leaves_numpy_ma_unloaded():
-    """The first closed-form flow of a process imports no ``numpy.ma``, which
-    ``np.unique`` would load on its first call."""
-    code = (
-        "import sys; import numpy as np; from tdlab.flows import FlowConfig, td_value_flow; "
-        "td_value_flow(np.zeros(2), np.full((2, 2), 0.5), np.ones(2), FlowConfig(gamma=0.9, t_end=3.0)); "
-        "print('numpy.ma' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+def test_closed_form_flow_leaves_numpy_ma_unloaded(tmp_path):
+    """The first closed-form flow of a process, the first ``kernel-circle``
+    run and the first ``projected-bottom`` smooth-kernel target import no
+    ``numpy.ma``, which ``np.unique`` (and ``np.setdiff1d`` through it) would
+    load on its first call.  Each runs in a fresh interpreter."""
+    chain = "np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])"
+    for call in (
+        "from tdlab.flows import FlowConfig, td_value_flow; "
+        "td_value_flow(np.zeros(2), np.full((2, 2), 0.5), np.ones(2), FlowConfig(gamma=0.9, t_end=3.0))",
+        f"from tdlab.experiments import run_experiment; run_experiment('kernel-circle', {{}}, {str(tmp_path)!r}, 0)",
+        "from tdlab.kernel_td import smooth_kernel_generalization; "
+        f"smooth_kernel_generalization({chain}, np.arange(3.0), 0.9, [0], [0.5], ['projected-bottom'])",
+    ):
+        code = f"import sys; import numpy as np; {call}; print('numpy.ma' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"], call
 
 
 def test_transient_growth_falls_back_to_steps_and_still_matches():

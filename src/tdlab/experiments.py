@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -398,6 +399,67 @@ def _run_smooth_kernel(cfg, S, rng, art):
     art.csv("generalization", ("target", "train_fraction", "mean_mse", "stderr_mse"), rows)
 
 
+def _fork_map(fn, n: int) -> list:
+    """``[fn(i) for i in range(n)]``, split over one forked worker per usable CPU.
+
+    With W = min(n, usable CPUs), this process computes items 0, W, 2W, …
+    and forked child w computes items w, w + W, … and sends them back over a
+    one-way pipe, so ``fn`` may be a closure and only its results are
+    pickled.  Each item must depend on its index alone; the list then equals
+    the serial one.  A child's exception is raised here as itself, a child
+    that exits without a result raises ``RuntimeError``, and no child
+    outlives the call.  W < 2, or a platform other than Linux, runs the list
+    serially in this process.
+
+    Processes, not threads: the items are Python code that holds the GIL.
+    ``fork``, not ``spawn``: a spawned worker would import numpy afresh
+    (~0.15 s) and could not receive a closure.
+    """
+    workers = min(n, len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
+    if workers < 2:
+        return [fn(i) for i in range(n)]
+    import multiprocessing  # here, so startup does not pay for it
+
+    context = multiprocessing.get_context("fork")
+
+    def send_share(w, sender):
+        try:
+            sender.send((True, [fn(i) for i in range(w, n, workers)]))
+        except Exception as exc:
+            sender.send((False, exc))
+
+    children = []  # (process, receiving end), each started
+    try:
+        for w in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            proc = context.Process(target=send_share, args=(w, sender))
+            proc.start()
+            children.append((proc, receiver))
+            sender.close()  # so a child's exit without a result reads as EOF here
+        results = [None] * n
+        results[::workers] = [fn(i) for i in range(0, n, workers)]
+        for w, (proc, receiver) in enumerate(children, 1):
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"forked worker {w} of {workers} exited with code {proc.exitcode} and no result"
+                ) from None
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+    except BaseException:
+        for proc, _ in children:
+            proc.kill()
+        raise
+    finally:
+        for proc, receiver in children:
+            proc.join()
+            receiver.close()
+
+
 def _run_bms_select(cfg, _, rng, art):
     """Evidence estimators vs exact log ML across a model-selection sweep."""
     base = int(rng.integers(2**31))
@@ -410,8 +472,9 @@ def _run_bms_select(cfg, _, rng, art):
         + tuple(f"Lk_{k}" for k in k_values)
         + ("LS_hat", "LS_stderr", "kl_gap", "alg1_mean", "alg1_stderr")
     )
-    rows = []
-    for j, model in enumerate(models):
+
+    def row(j):
+        model = models[j]
         rep = evidence_report(
             model, data, k_values=k_values, n_seeds=n_seeds,
             ls_samples=cfg["ls_samples"], seed=base + j,
@@ -419,7 +482,7 @@ def _run_bms_select(cfg, _, rng, art):
         alg1 = algorithm1_sumloss(
             model, data, seeds=base + 7919 * (j + 1) + np.arange(n_seeds), method=cfg["alg1_method"]
         )
-        rows.append(
+        return (
             (j, rep.exact_log_ml, rep.L_hat.value, rep.L_hat.stderr)
             + tuple(rep.Lk_hat[k].value for k in k_values)
             + (
@@ -430,6 +493,8 @@ def _run_bms_select(cfg, _, rng, art):
                 float(np.std(alg1, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
             )
         )
+
+    rows = _fork_map(row, len(models))
     art.csv("evidence", header, rows)
 
     weights = ensemble_weight_ranking(models, data, seed=base + 104729)
@@ -450,20 +515,23 @@ def _run_misa(cfg, _, rng, art):
     """Selection-rate sweep of linear MISA plus the intervention-robustness curve."""
     base = int(rng.integers(2**31))
     scales = (cfg["intervention_scale"],) * 3
-    n_correct = 0
-    selection_rows = []
-    for s in range(cfg["n_seeds"]):
+    first_data = first_report = None
+
+    def selected(s):
+        nonlocal first_data, first_report
         data = build_synthetic_family(
             cfg["n_envs"], cfg["n_steps"], seed=base + s, intervention_scales=scales
         )
         report = linear_misa(data, alpha=cfg["alpha"])
-        if s == 0:
+        if s == 0:  # always this process's item: the robustness curve reads it
             first_report, first_data = report, data
-        correct = report.selected == frozenset({0, 1})
-        n_correct += int(correct)
-        selection_rows.append(
-            (s, " ".join(str(v) for v in sorted(report.selected)), correct)
-        )
+        return report.selected
+
+    selection_rows = [
+        (s, " ".join(str(v) for v in sorted(chosen)), chosen == frozenset({0, 1}))
+        for s, chosen in enumerate(_fork_map(selected, cfg["n_seeds"]))
+    ]
+    n_correct = sum(correct for _, _, correct in selection_rows)
     art.csv("selection", ("seed_index", "selected", "correct"), selection_rows)
     art.csv(
         "selection_summary",

@@ -498,10 +498,12 @@ def test_import_leaves_scipy_stats_unloaded():
     assert _modules_after("import tdlab.experiments, tdlab.cli") == []
 
 
-def test_import_leaves_numpy_random_unloaded():
-    """The sampled estimators import ``numpy.random`` on their first draw, so
-    startup (every CLI call, and perfbench's ``setup_s``) does not pay for it."""
-    assert _modules_after("import tdlab.experiments, tdlab.cli", "numpy.random") == []
+@pytest.mark.parametrize("package", ["numpy.random", "multiprocessing"])
+def test_import_leaves_lazily_imported_modules_unloaded(package):
+    """The sampled estimators import ``numpy.random`` on their first draw, and
+    ``experiments._fork_map`` imports ``multiprocessing`` on its first split,
+    so startup (every CLI call, and perfbench's ``setup_s``) pays for neither."""
+    assert _modules_after("import tdlab.experiments, tdlab.cli", package) == []
 
 
 def test_package_namespace_holds_only_submodules_and_dunders():

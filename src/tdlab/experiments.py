@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -221,18 +223,29 @@ def _four_rooms_setup(cfg):
 
 
 def _run_four_rooms(cfg, inputs, rng, art):
-    """Coupled feature flows on the four-rooms walk, tracked against the top EBFs."""
+    """Coupled feature flows on the four-rooms walk, tracked against the top EBFs.
+
+    Every head's ``phi0`` and ``w0`` are drawn first, in ``m_heads`` order, so
+    the flows are independent and ``_fork_map`` splits them over forked
+    workers.  A flow returns only its snapshot times and distances: its
+    snapshot stack goes before the next flow in the same process makes its
+    own, and the rows are built once every flow is done."""
     flow_cfgs, mdp, P, target = inputs
     K = cfg["k_features"]
-    rows = []
-    for M, flow_cfg in zip(cfg["m_heads"], flow_cfgs):
-        phi0 = rng.standard_normal((mdp.n_states, K))
-        w0 = cfg["weight_scale"] * rng.standard_normal((K, M))
-        traj = coupled_feature_flow(phi0, w0, P, mdp.rewards, flow_cfg)
-        metric = grassmann_convergence_metric(traj, target)
-        rows.extend((M, t, d) for t, d in zip(traj.times, metric))
-        # the rows hold scalars, so the snapshot stack can go before the next flow makes its own
-        del traj
+    starts = [
+        (rng.standard_normal((mdp.n_states, K)), cfg["weight_scale"] * rng.standard_normal((K, M)))
+        for M in cfg["m_heads"]
+    ]
+
+    def convergence(h):
+        traj = coupled_feature_flow(*starts[h], P, mdp.rewards, flow_cfgs[h])
+        return traj.times, grassmann_convergence_metric(traj, target)
+
+    rows = [
+        (M, t, d)
+        for M, (times, metric) in zip(cfg["m_heads"], _fork_map(convergence, len(flow_cfgs)))
+        for t, d in zip(times, metric)
+    ]
     art.csv("feature_convergence", ("m_heads", "t", "grassmann_distance"), rows)
 
 
@@ -406,58 +419,70 @@ def _fork_map(fn, n: int) -> list:
     and forked child w computes items w, w + W, … and sends them back over a
     one-way pipe, so ``fn`` may be a closure and only its results are
     pickled.  Each item must depend on its index alone; the list then equals
-    the serial one.  A child's exception is raised here as itself, a child
-    that exits without a result raises ``RuntimeError``, and no child
-    outlives the call.  W < 2, or a platform other than Linux, runs the list
-    serially in this process.
+    the serial one.  A child's exception is raised here as itself (one whose
+    ``__init__`` does not take its ``args`` needs a ``__reduce__`` to
+    unpickle, as ``DivergenceDetected`` has), and a child that exits without
+    a result raises ``RuntimeError``.  On any
+    failure the children still working are killed; every child is reaped
+    before the call returns.  W < 2, or a platform other than Linux, runs
+    the list serially in this process.
 
     Processes, not threads: the items are Python code that holds the GIL.
-    ``fork``, not ``spawn``: a spawned worker would import numpy afresh
-    (~0.15 s) and could not receive a closure.
+    ``os.fork``, not ``multiprocessing``: importing that package costs
+    ~0.8 MB of RSS, and a spawned worker would import numpy afresh (~0.15 s)
+    and could not receive a closure.
     """
     workers = min(n, len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     if workers < 2:
         return [fn(i) for i in range(n)]
-    import multiprocessing  # here, so startup does not pay for it
-
-    context = multiprocessing.get_context("fork")
-
-    def send_share(w, sender):
-        try:
-            sender.send((True, [fn(i) for i in range(w, n, workers)]))
-        except Exception as exc:
-            sender.send((False, exc))
-
-    children = []  # (process, receiving end), each started
+    children = []  # (w, pid, read end) of each forked child not yet reaped
     try:
         for w in range(1, workers):
-            receiver, sender = context.Pipe(duplex=False)
-            proc = context.Process(target=send_share, args=(w, sender))
-            proc.start()
-            children.append((proc, receiver))
-            sender.close()  # so a child's exit without a result reads as EOF here
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child: send its share and exit, whatever happens
+                code = 1
+                try:
+                    os.close(read_end)
+                    # pickled whole before anything is written, so an unpicklable
+                    # result is sent as a failure, not as a truncated stream
+                    try:
+                        payload = pickle.dumps((True, [fn(i) for i in range(w, n, workers)]))
+                    except Exception as exc:
+                        payload = pickle.dumps((False, exc))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)  # so the child's exit reads as EOF here
+            children.append((w, pid, read_end))
         results = [None] * n
         results[::workers] = [fn(i) for i in range(0, n, workers)]
-        for w, (proc, receiver) in enumerate(children, 1):
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"forked worker {w} of {workers} exited with code {proc.exitcode} and no result"
-                ) from None
+        while children:
+            w, pid, read_end = children[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(read_end)
+            del children[0]
+            if code != 0:  # the child writes its whole payload before exiting 0
+                raise RuntimeError(f"forked worker {w} of {workers} exited with code {code} and no result")
+            ok, value = pickle.loads(payload)
             if not ok:
                 raise value
             results[w::workers] = value
         return results
-    except BaseException:
-        for proc, _ in children:
-            proc.kill()
-        raise
     finally:
-        for proc, receiver in children:
-            proc.join()
-            receiver.close()
+        for _, pid, read_end in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
 
 
 def _run_bms_select(cfg, _, rng, art):

@@ -66,6 +66,10 @@ class DivergenceDetected(RuntimeError):
             f"flow diverged at t={time:.6g} (sup norm {sup_norm:.3e} > {_DIVERGENCE_SUP:.0e})"
         )
 
+    def __reduce__(self):
+        # rebuilt from its own arguments, so a forked worker's divergence unpickles as itself
+        return type(self), (self.time, self.sup_norm), self.__dict__
+
 
 @dataclass(frozen=True)
 class FlowConfig:

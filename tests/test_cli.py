@@ -500,9 +500,9 @@ def test_import_leaves_scipy_stats_unloaded():
 
 @pytest.mark.parametrize("package", ["numpy.random", "multiprocessing"])
 def test_import_leaves_lazily_imported_modules_unloaded(package):
-    """The sampled estimators import ``numpy.random`` on their first draw, and
-    ``experiments._fork_map`` imports ``multiprocessing`` on its first split,
-    so startup (every CLI call, and perfbench's ``setup_s``) pays for neither."""
+    """The sampled estimators import ``numpy.random`` on their first draw, so
+    startup (every CLI call, and perfbench's ``setup_s``) does not pay for
+    it; ``multiprocessing`` is imported by no tdlab module."""
     assert _modules_after("import tdlab.experiments, tdlab.cli", package) == []
 
 

@@ -1,8 +1,8 @@
-"""``experiments._fork_map`` splits bms-select's models and misa-robustness's
-seeds over forked workers: the same list as the serial loop, the same CSV
-bytes, a child's failure raised in the parent, and no child left running."""
+"""``experiments._fork_map`` splits bms-select's models, misa-robustness's
+seeds and four-rooms-features' heads over forked workers: the same list as
+the serial loop, the same CSV bytes, a child's failure raised in the parent,
+and no child left running or unreaped."""
 
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -12,7 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from tdlab.cli import main
 from tdlab.experiments import _fork_map, run_experiment
+from tdlab.flows import DivergenceDetected
+from tdlab.spectral import NonRealSpectrum
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="_fork_map forks only on Linux")
 
@@ -22,9 +25,21 @@ def force_workers(monkeypatch, workers):
 
 
 @pytest.fixture(autouse=True)
-def no_child_outlives_the_test():
+def no_child_outlives_the_test(monkeypatch):
+    """Every child the test forked with ``os.fork`` has been reaped by the end."""
+    real_fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
     yield
-    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor left to reap
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -44,8 +59,12 @@ def test_fork_map_equals_the_serial_list(monkeypatch, n, workers):
 @pytest.mark.parametrize("error", [
     ValueError("model 3: covariance is not positive semidefinite"),
     FloatingPointError("gd diverged at step 7: loss inf"),
+    DivergenceDetected(0.31, 1.377e8),
+    NonRealSpectrum("eigenvalue 2 has imaginary part 0.5"),
+    np.linalg.LinAlgError("Singular matrix"),
 ])
 def test_a_childs_exception_is_raised_in_the_parent_as_itself(monkeypatch, error):
+    """The numerical errors a runner lets through (``NUMERICAL_ERRORS``) among them."""
     force_workers(monkeypatch, 2)
 
     def fn(i):
@@ -64,6 +83,17 @@ def test_a_child_that_exits_without_a_result_raises_promptly(monkeypatch):
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="forked worker 1 of 2 exited with code 1 and no result"):
         _fork_map(lambda i: os._exit(1) if i == 1 else i, 4)
+    assert time.monotonic() - start < 10
+
+
+def test_a_result_that_cannot_be_pickled_fails_promptly(monkeypatch):
+    """The child pickles its whole share before it writes: an unpicklable
+    result comes back as the pickling error, not as a truncated stream.
+    This process's own share is not pickled."""
+    force_workers(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(TypeError, match="cannot pickle 'generator' object"):
+        _fork_map(lambda i: (j for j in range(i)), 2)
     assert time.monotonic() - start < 10
 
 
@@ -90,7 +120,8 @@ def test_a_failure_kills_the_children_still_working(monkeypatch, failing):
     ("bms-select", {"kind": "feature_dimension", "n_estimator_seeds": 2, "k_values": (2,), "ls_samples": 2}),
     ("bms-select", {"kind": "rff_frequency", "n_estimator_seeds": 3, "k_values": (1, 2), "ls_samples": 2}),
     ("misa-robustness", {"n_seeds": 7, "n_steps": 60, "do_values": (0.0, 2.0)}),
-], ids=["feature_dimension", "rff_frequency", "misa-robustness"])
+    ("four-rooms-features", {"m_heads": (1, 20, 200), "t_end": 2.0}),
+], ids=["feature_dimension", "rff_frequency", "misa-robustness", "four-rooms-features"])
 def test_runners_write_the_serial_bytes_with_forked_workers(monkeypatch, tmp_path, name, overrides):
     """rff_frequency's feature maps are closures: a forked worker inherits them."""
     real_fork, forks = os.fork, []
@@ -103,6 +134,43 @@ def test_runners_write_the_serial_bytes_with_forked_workers(monkeypatch, tmp_pat
         outputs[workers] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
     assert len(forks) == 1  # W = 1 forked nothing, W = 2 one child
     assert outputs[1] == outputs[2] and outputs[1]
+
+
+def test_a_forked_heads_divergence_is_raised_as_itself(monkeypatch, tmp_path, capsys):
+    """At alpha 50 only the M = 1 head diverges.  With two workers it runs in
+    the child, and its ``DivergenceDetected`` comes back as the serial run's,
+    partial trajectory included; the CLI exits 3 and names it."""
+    overrides = {"m_heads": (200, 1), "alpha": 50.0, "t_end": 2.0}
+    raised = {}
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        with pytest.raises(DivergenceDetected) as raised[workers]:
+            run_experiment("four-rooms-features", overrides, tmp_path / str(workers), seed=0)
+    serial, forked = raised[1].value, raised[2].value
+    assert str(forked) == str(serial) and (forked.time, forked.sup_norm) == (serial.time, serial.sup_norm)
+    assert forked.trajectory.times.tobytes() == serial.trajectory.times.tobytes()
+    cfg = tmp_path / "diverging.ini"
+    cfg.write_text("[four-rooms-features]\nm_heads = 200, 1\nalpha = 50\nt_end = 2\n")
+    assert main(["run", "four-rooms-features", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 3
+    assert f"DivergenceDetected: {serial}" in capsys.readouterr().err
+
+
+_FORKED_RUNS = """
+import os, sys
+from tdlab.experiments import run_experiment
+os.sched_getaffinity = lambda pid: {0, 1}
+run_experiment("four-rooms-features", {"t_end": 2.0}, sys.argv[1] + "/four-rooms", 0)
+run_experiment("bms-select", {"n_estimator_seeds": 2, "k_values": (2,), "ls_samples": 2}, sys.argv[1] + "/bms", 0)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "multiprocessing"))
+"""
+
+
+def test_forked_runs_leave_multiprocessing_unloaded(tmp_path):
+    """``_fork_map`` forks with ``os.fork`` and a pipe: importing
+    ``multiprocessing`` would add ~0.8 MB to a forked run's peak RSS."""
+    proc = subprocess.run([sys.executable, "-c", _FORKED_RUNS, str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["[]"]
 
 
 _FORK_AFTER_BLAS_THREADS = """

@@ -57,19 +57,6 @@ class Sgd:
 
 
 @dataclass(frozen=True)
-class AdamLike(Sgd):
-    """Adam's first step from a fresh state, which is the only step
-    :func:`update_matrix` takes: bias correction makes the moment estimates
-    ``g`` and ``g^2``, so the step is ``lr g / (|g| + eps)`` elementwise
-    (Kingma & Ba, 2015).  ``lr`` is checked as :class:`Sgd` checks it."""
-
-    eps: float = 1e-8
-
-    def step(self, grads: np.ndarray) -> np.ndarray:
-        return self.lr * grads / (np.abs(grads) + self.eps)
-
-
-@dataclass(frozen=True)
 class LinearValueModel:
     """Fixed features with a learned linear head: ``V(x) = features[x] @ weights``."""
 

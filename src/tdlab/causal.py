@@ -253,27 +253,6 @@ def _check_scan(n_candidates: int, data: EnvDataset, alpha: float) -> None:
         raise ValueError("need at least two environments")
 
 
-def icp_parents(target_by_env, candidates, data: EnvDataset, alpha: float) -> frozenset:
-    """Invariant-causal-prediction parent set for a target across environments.
-
-    Regresses the target on every subset of the candidates (pooled across
-    environments, with intercept) and tests residual invariance: equal means
-    (one-way F) and equal variances (Levene), Bonferroni-combined at level
-    ``alpha``.  Returns the intersection of all accepted subsets — the set of
-    variables no invariant explanation can do without.  ``candidates`` are
-    distinct variable indices in ``[0, data.n_vars)``.
-    """
-    candidates = tuple(int(v) for v in candidates)
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    if len(set(candidates)) < len(candidates) or not all(0 <= v < data.n_vars for v in candidates):
-        raise ValueError(f"candidates must be distinct variable indices in [0, {data.n_vars})")
-    _check_scan(len(candidates), data, alpha)
-    if len(target_by_env) != data.n_envs:
-        raise ValueError("target must provide one vector per environment")
-    return _accepted_parents(_scan_subsets(target_by_env, _subset_fits(candidates, data)), alpha)[0]
-
-
 def linear_misa(data: EnvDataset, alpha: float = 0.05) -> CausalReport:
     """Ancestor closure of the reward under invariant causal prediction.
 

@@ -548,11 +548,6 @@ class EvidenceReport:
     LS_hat: EstimateResult
     kl_gap: float
 
-    def lower_bounds_hold(self) -> bool:
-        """Whether every estimate lies at most 3 standard errors above the exact log ML."""
-        bounds = [self.L_hat] + list(self.Lk_hat.values()) + [self.LS_hat]
-        return all(est.value <= self.exact_log_ml + 3.0 * max(est.stderr, 1e-12) for est in bounds)
-
 
 def evidence_report(
     model: BlrModel,

@@ -540,21 +540,14 @@ def _run_misa(cfg, _, rng, art):
     """Selection-rate sweep of linear MISA plus the intervention-robustness curve."""
     base = int(rng.integers(2**31))
     scales = (cfg["intervention_scale"],) * 3
-    first_data = first_report = None
 
-    def selected(s):
-        nonlocal first_data, first_report
-        data = build_synthetic_family(
-            cfg["n_envs"], cfg["n_steps"], seed=base + s, intervention_scales=scales
-        )
-        report = linear_misa(data, alpha=cfg["alpha"])
-        if s == 0:  # always this process's item: the robustness curve reads it
-            first_report, first_data = report, data
-        return report.selected
+    def dataset(s):
+        return build_synthetic_family(cfg["n_envs"], cfg["n_steps"], seed=base + s, intervention_scales=scales)
 
+    chosen = _fork_map(lambda s: linear_misa(dataset(s), alpha=cfg["alpha"]).selected, cfg["n_seeds"])
     selection_rows = [
-        (s, " ".join(str(v) for v in sorted(chosen)), chosen == frozenset({0, 1}))
-        for s, chosen in enumerate(_fork_map(selected, cfg["n_seeds"]))
+        (s, " ".join(str(v) for v in sorted(subset)), subset == frozenset({0, 1}))
+        for s, subset in enumerate(chosen)
     ]
     n_correct = sum(correct for _, _, correct in selection_rows)
     art.csv("selection", ("seed_index", "selected", "correct"), selection_rows)
@@ -564,9 +557,10 @@ def _run_misa(cfg, _, rng, art):
         [(cfg["n_seeds"], n_correct, n_correct / cfg["n_seeds"])],
     )
 
+    first_data = dataset(0)  # the map returns only each seed's selection
     curve = intervention_robustness(
         fit_reward_weights(first_data),
-        fit_reward_weights(first_data, subset=first_report.selected),
+        fit_reward_weights(first_data, subset=chosen[0]),
         cfg["do_values"],
         seed=base,
         n_steps=cfg["n_steps"],

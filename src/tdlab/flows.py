@@ -563,21 +563,18 @@ def limiting_ensemble_flow(
     R = np.asarray(R, dtype=float)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    if noise is None:
-        return _limit_at(phi0, gamma * P, t)
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != (phi0.shape[1],):
-        raise ValueError(f"noise must have one entry per feature, shape ({phi0.shape[1]},)")
-    return _limit_at(phi0, gamma * P, t, np.outer(resolvent(P, gamma) @ R, noise))
-
-
-def _limit_at(phi0: np.ndarray, gamma_P: np.ndarray, t: float, offset=0.0) -> np.ndarray:
-    """``exp(-t(I - gamma_P))(Phi0 - offset) + offset`` at the finite time ``t``."""
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if gamma_P.shape != (phi0.shape[0], phi0.shape[0]):
+    n = phi0.shape[0]
+    if P.shape != (n, n):
         raise ValueError("P dimension does not match phi0")
-    return _closed_form_grid(gamma_P - np.eye(phi0.shape[0]), offset, phi0, [0, 1], t)[-1]
+    offset = 0.0
+    if noise is not None:
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != (phi0.shape[1],):
+            raise ValueError(f"noise must have one entry per feature, shape ({phi0.shape[1]},)")
+        offset = np.outer(resolvent(P, gamma) @ R, noise)
+    return _closed_form_grid(gamma * P - np.eye(n), offset, phi0, [0, 1], t)[-1]
 
 
 def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
@@ -594,23 +591,6 @@ def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
     if min_eig < -1e-9:
         raise np.linalg.LinAlgError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
     return cov
-
-
-def multi_task_limit_flow(phi0, tasks, t: float) -> np.ndarray:
-    """Zero-reward multi-task limit ``exp(-t(I - mean_i gamma_i P_i)) Phi0``.
-
-    ``tasks`` is a nonempty sequence of ``(gamma_i, P_i)`` pairs, each
-    ``gamma_i`` in [0, 1).  Tasks that share a discount average their
-    policies' transition matrices, tasks that share a transition matrix
-    average their discounts, and mixed tasks average the products.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        raise ValueError("task list must be nonempty")
-    if not all(0.0 <= gamma < 1.0 for gamma, _ in tasks):
-        raise ValueError("every gamma must lie in [0, 1)")
-    gamma_P = np.mean([gamma * np.asarray(P, dtype=float) for gamma, P in tasks], axis=0)
-    return _limit_at(np.asarray(phi0, dtype=float), gamma_P, t)
 
 
 def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:

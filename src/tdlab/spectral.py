@@ -1,8 +1,8 @@
 """Eigen/SVD machinery for transition matrices and resolvents.
 
 Provides ordered eigendecompositions (basis functions of the transition
-matrix), resolvent singular bases, Grassmann and vector-to-subspace
-distances, and the expected-variation smoothness measure.
+matrix), resolvent singular bases, and Grassmann and vector-to-subspace
+distances.
 """
 
 from __future__ import annotations
@@ -204,19 +204,6 @@ def vector_subspace_distance(v: np.ndarray, S) -> float:
         raise ValueError("v must be nonzero")
     ratio = np.linalg.norm(basis.T @ v) / norm
     return float(np.arccos(np.clip(ratio, 0.0, 1.0)))
-
-
-def expected_variation(V: np.ndarray, P: np.ndarray) -> float:
-    """Smoothness measure ``sum_x |V(x) - E[V(x') | x]|``.
-
-    For a unit eigenvector ``v_i`` this equals ``|1 - lambda_i| * sum |v_i|``,
-    so the eigenvalue of an eigenvector determines its smoothness.
-    """
-    V = np.asarray(V, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if P.shape != (V.shape[0], V.shape[0]):
-        raise ValueError("P must be square with the same dimension as V")
-    return float(np.sum(np.abs(V - P @ V)))
 
 
 def eigenbasis_coefficients(V: np.ndarray, spectrum: Spectrum) -> np.ndarray:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tdlab.capacity import (
-    AdamLike,
     LinearValueModel,
     Sgd,
     feature_rank,
@@ -127,23 +126,6 @@ def test_update_matrix_grad_step_matches_hand_rollout():
         np.testing.assert_allclose(U[i], expected, atol=1e-12)
 
 
-def test_adamlike_update_matrix_rows_take_the_first_step_from_a_fresh_state():
-    """From a fresh state Adam's bias correction gives m-hat = g and v-hat = g^2,
-    so every row's step is lr g / (|g| + eps)."""
-    rng = np.random.default_rng(0)
-    features = rng.standard_normal((5, 3))
-    opt = AdamLike(lr=0.1)
-    model = LinearValueModel(features=features, weights=rng.standard_normal(3), optimizer=opt)
-    transitions = [(0, 1.0, 1), (1, 0.0, 2), (3, 1.0, 4), (4, -1.0, 0)]
-    U = update_matrix(model, transitions, gamma=0.9)
-    base = features @ model.weights
-    starts = [x for x, _, _ in transitions]
-    for i, (x, r, x_next) in enumerate(transitions):
-        g = (r + 0.9 * base[x_next] - base[x]) * features[x]
-        step = opt.lr * g / (np.abs(g) + opt.eps)
-        np.testing.assert_allclose(U[i], np.abs(features[starts] @ step), rtol=1e-12, atol=1e-15)
-
-
 def test_update_matrix_validates_transitions():
     model = LinearValueModel(features=np.eye(3), weights=np.zeros(3))
     with pytest.raises(ValueError):
@@ -156,7 +138,7 @@ def test_update_matrix_validates_transitions():
             update_matrix(model, [(0, 0.0, 1), (1, 0.0, bad_next)], gamma=0.9)
 
 
-@pytest.mark.parametrize("optimizer", [Sgd, AdamLike])
+@pytest.mark.parametrize("optimizer", [Sgd])
 def test_optimizers_refuse_a_nonpositive_learning_rate(optimizer):
     for lr in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="lr must be positive"):

@@ -8,13 +8,13 @@ from scipy import special, stats
 from tdlab.causal import (
     EnvDataset,
     Environment,
+    _accepted_parents,
     _f_upper_tail,
     _scan_subsets,
     _simulate_three_var,
     _subset_fits,
     build_synthetic_family,
     fit_reward_weights,
-    icp_parents,
     intervention_robustness,
     linear_misa,
 )
@@ -24,14 +24,18 @@ def reward_targets(data):
     return [env.rewards for env in data.environments]
 
 
+def scan_parents(target, candidates, data, alpha=0.05):
+    """The ICP parent set: the intersection of the subsets the scan accepts."""
+    return _accepted_parents(_scan_subsets(target, _subset_fits(candidates, data)), alpha)[0]
+
+
 def test_intervened_family_recovers_reward_parents():
     """x3 shadows x2 but never drives the reward; intervention diversity lets
     the invariance test drop it in almost every replication."""
     hits = 0
     for seed in range(100):
         data = build_synthetic_family(n_envs=3, n_steps=1000, seed=seed)
-        parents = icp_parents(reward_targets(data), range(3), data, alpha=0.05)
-        hits += parents == frozenset({0, 1})
+        hits += scan_parents(reward_targets(data), (0, 1, 2), data) == frozenset({0, 1})
     assert hits >= 90
 
 
@@ -65,34 +69,21 @@ def test_report_carries_scan_details():
 
 def test_icp_validates_arguments():
     data = build_synthetic_family(seed=0, n_steps=100)
-    targets = reward_targets(data)
-    with pytest.raises(ValueError):
-        icp_parents(targets, range(3), data, alpha=1.5)
-    with pytest.raises(ValueError):
-        icp_parents(targets, [], data, alpha=0.05)
+    for alpha in (0.0, 1.5, 5.0):
+        with pytest.raises(ValueError, match="alpha"):
+            linear_misa(data, alpha=alpha)
     rng = np.random.default_rng(0)
     wide = EnvDataset(environments=tuple(
         Environment(rng.standard_normal((20, 13)), rng.standard_normal((20, 13)), rng.standard_normal(20))
         for _ in range(2)
     ))
     with pytest.raises(ValueError, match="capped"):
-        icp_parents([env.rewards for env in wide.environments], range(13), wide, alpha=0.05)
-    with pytest.raises(ValueError):
-        icp_parents(targets[:1], range(3), data, alpha=0.05)
-    # negative (read from the end), out-of-range and repeated indices
-    for bad in ([-2, 0, 1], [0, 1, 5], [0, 1, 1]):
-        with pytest.raises(ValueError, match="distinct variable indices"):
-            icp_parents(targets, bad, data, alpha=0.05)
-    for bad in ({"alpha": 0.0}, {"alpha": 5.0}):
-        with pytest.raises(ValueError):
-            linear_misa(data, **bad)
+        linear_misa(wide)
 
 
 def test_single_environment_is_rejected():
     env = build_synthetic_family(seed=0, n_steps=100).environments[0]
     solo = EnvDataset(environments=(env,))
-    with pytest.raises(ValueError, match="two environments"):
-        icp_parents([env.rewards], range(3), solo, alpha=0.05)
     with pytest.raises(ValueError, match="two environments"):
         linear_misa(solo)
 
@@ -327,7 +318,7 @@ def test_scan_of_constant_residuals_matches_scipy(sizes):
             assert reference_scan(target, data)[()] == want
         assert _scan_subsets(target, _subset_fits((), data)) == {(): want}
         assert _scan_subsets(target, _subset_fits((0, 1), data))[()] == want
-    assert icp_parents(steps, range(2), data, alpha=0.05) == frozenset()
+    assert scan_parents(steps, (0, 1), data) == frozenset()
 
 
 def test_twelve_variable_scan_matches_per_subset_oracle():
@@ -350,9 +341,7 @@ def test_twelve_variable_scan_matches_per_subset_oracle():
     assert list(table) == all_subsets(12)
     sampled = all_subsets(12)[::7]
     assert_same_table({s: table[s] for s in sampled}, reference_scan(target, data, sampled))
-    accepted = [frozenset(s) for s, p in table.items() if p is not None and p > 0.05]
-    assert frozenset.intersection(*accepted) == frozenset({0, 1})
-    assert icp_parents(target, range(12), data, alpha=0.05) == frozenset({0, 1})
+    assert _accepted_parents(table, 0.05)[0] == frozenset({0, 1})
 
 
 def test_linear_misa_factors_each_dataset_once(monkeypatch):

@@ -18,7 +18,6 @@ from tdlab.flows import (
     limiting_cumulant_covariance,
     limiting_ensemble_flow,
     mc_value_flow,
-    multi_task_limit_flow,
     nstep_value_flow,
     random_cumulant_flow,
     second_order_check,
@@ -861,8 +860,6 @@ def test_limiting_flows_refuse_a_non_finite_time():
     for t in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="t must be finite"):
             limiting_ensemble_flow(phi0, P, R, gamma, t=t)
-        with pytest.raises(ValueError, match="t must be finite"):
-            multi_task_limit_flow(phi0, [(gamma, P)], t)
 
 
 def test_limiting_cumulant_covariance_formula():
@@ -880,30 +877,6 @@ def test_limiting_cumulant_covariance_rejects_asymmetric():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         limiting_cumulant_covariance(P, gamma, bad)
-
-
-def test_multi_task_limit_reductions():
-    rng = np.random.default_rng(20)
-    Ps = [random_walk_matrix(rng, 6) for _ in range(3)]
-    phi0 = rng.standard_normal((6, 2))
-    # several copies of one task collapse to the single-task flow
-    same = multi_task_limit_flow(phi0, [(0.9, Ps[0])] * 3, 2.0)
-    single = limiting_ensemble_flow(phi0, Ps[0], np.zeros(6), 0.9, t=2.0)
-    assert_allclose(same, single, atol=1e-10)
-    # policies under one discount average the transition kernel
-    policies = multi_task_limit_flow(phi0, [(0.9, P) for P in Ps], 2.0)
-    Pbar = sum(Ps) / 3
-    assert_allclose(policies, expm(-2.0 * (np.eye(6) - 0.9 * Pbar)) @ phi0, atol=1e-10)
-    # discounts under one policy average the rate
-    d = multi_task_limit_flow(phi0, [(0.5, Ps[0]), (0.9, Ps[0])], 2.0)
-    assert_allclose(d, expm(-2.0 * (np.eye(6) - 0.7 * Ps[0])) @ phi0, atol=1e-10)
-    # tasks that differ in both average the products gamma_i P_i
-    mixed = multi_task_limit_flow(phi0, [(0.5, Ps[1]), (0.9, Ps[2])], 2.0)
-    gamma_P = (0.5 * Ps[1] + 0.9 * Ps[2]) / 2
-    assert_allclose(mixed, expm(-2.0 * (np.eye(6) - gamma_P)) @ phi0, atol=1e-10)
-    for tasks in ([], [(1.0, Ps[0])], [(0.9, Ps[0]), (-0.1, Ps[1])]):
-        with pytest.raises(ValueError):
-            multi_task_limit_flow(phi0, tasks, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from tdlab.spectral import (
     Subspace,
     eigenbasis_coefficients,
     eigendecompose,
-    expected_variation,
     grassmann_distance,
     real_invariant_basis,
     resolvent,
@@ -203,22 +202,7 @@ def test_vector_subspace_distance_cases():
 
 
 # ---------------------------------------------------------------------------
-# smoothness and eigen-coordinates
-
-
-def test_expected_variation_of_eigenvectors():
-    """For a unit eigenvector the measure reduces to |1 - lambda| * ||v||_1."""
-    rng = np.random.default_rng(5)
-    P = random_walk_matrix(rng, 10)
-    spec = eigendecompose(P)
-    for i in (0, 3, 9):
-        v = spec.right_eigenvectors[:, i]
-        expected = abs(1.0 - spec.eigenvalues[i]) * np.sum(np.abs(v))
-        assert expected_variation(v, P) == pytest.approx(expected, abs=1e-10)
-    # smoother eigenvectors (larger eigenvalue) vary less
-    assert expected_variation(spec.right_eigenvectors[:, 0], P) < expected_variation(
-        spec.right_eigenvectors[:, 9], P
-    )
+# eigen-coordinates
 
 
 def test_eigenbasis_coefficients_roundtrip():

@@ -3,13 +3,13 @@
 Feature rank counts singular values of the sample-scaled feature matrix above
 an absolute threshold; srank uses a threshold relative to the top singular
 value and is therefore scale-invariant.  Update ranks measure how many
-directions a single optimizer step can move a model's predictions in,
+directions a single SGD step can move a model's predictions in,
 estimated from a batch of one-step TD updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,26 +43,11 @@ def srank(phi, eps: float = 0.01) -> RankReport:
 
 
 @dataclass(frozen=True)
-class Sgd:
-    """Plain SGD: one step moves parameters by ``lr * gradient``."""
-
-    lr: float = 0.1
-
-    def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
-
-    def step(self, grads: np.ndarray) -> np.ndarray:
-        return self.lr * grads
-
-
-@dataclass(frozen=True)
 class LinearValueModel:
     """Fixed features with a learned linear head: ``V(x) = features[x] @ weights``."""
 
     features: np.ndarray
     weights: np.ndarray
-    optimizer: object = field(default_factory=Sgd)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -76,18 +61,20 @@ class LinearValueModel:
         return self.features @ self.weights
 
 
-def update_matrix(model: LinearValueModel, transitions, gamma: float) -> np.ndarray:
+def update_matrix(model: LinearValueModel, transitions, gamma: float, lr: float = 0.1) -> np.ndarray:
     """One-step TD update interference matrix over a transition batch.
 
-    For each transition ``(x, r, x')`` a single semi-gradient step
-    ``w <- w + step(delta * features[x])`` with ``delta = r + gamma V(x') - V(x)``
-    is taken from the *same* starting weights and a fresh optimizer state,
-    so the optimizer steps every row's gradient at once.  Returns the
-    ``(n, n)`` array, ``n`` the number of transitions, whose entry ``(i, j)``
-    is the absolute change that step ``i`` causes in the value of transition
-    ``j``'s start state.  Raises ``ValueError`` on a start or next state
-    outside ``[0, n_states)``.
+    For each transition ``(x, r, x')`` a single semi-gradient SGD step
+    ``w <- w + lr * delta * features[x]`` with ``delta = r + gamma V(x') - V(x)``
+    is taken from the *same* starting weights.  Returns the ``(n, n)``
+    array, ``n`` the number of transitions, whose entry ``(i, j)`` is the
+    absolute change that step ``i`` causes in the value of transition
+    ``j``'s start state.  Raises ``ValueError`` on a learning rate that is
+    not positive and finite, and on a start or next state outside
+    ``[0, n_states)``.
     """
+    if not 0 < lr < np.inf:
+        raise ValueError("lr must be positive and finite")
     transitions = list(transitions)
     if not transitions:
         raise ValueError("transitions must be nonempty")
@@ -98,7 +85,7 @@ def update_matrix(model: LinearValueModel, transitions, gamma: float) -> np.ndar
         raise ValueError("transition state index out of range")
     base, phi_starts = model.values(), phi[starts]
     deltas = np.array([t[1] for t in transitions], dtype=float) + gamma * base[nexts] - base[starts]
-    return np.abs(model.optimizer.step(deltas[:, None] * phi_starts) @ phi_starts.T)
+    return np.abs(lr * (deltas[:, None] * phi_starts) @ phi_starts.T)
 
 
 def update_rank(U) -> RankReport:

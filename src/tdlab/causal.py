@@ -9,10 +9,13 @@ its ancestors.  Every subset's design is a column subset of one pooled design
 is the projection onto the span of its columns of the small ``R``, and one
 QR serves all 2^p subsets of every target the closure expands.  Mean-centred
 Levene is by definition the one-way F-test of the absolute deviations from
-each environment's mean, so one numpy ANOVA serves both tests, with p-values
-from the F distribution's tail in numpy (:func:`_f_upper_tail`).  The synthetic
-three-variable family reproduces the classic trap where a non-causal variable
-mirrors a causal one.
+each environment's mean, so one group-sum ANOVA (:func:`_one_way_f`) serves
+both tests: per-environment sums from one ``np.add.reduceat``, the deviations
+it writes in place for the two-pass within-group SS (and, made absolute, for
+Levene), and the exact constant-row test only where that SS is rounding
+noise; p-values come from the F distribution's tail in numpy
+(:func:`_f_upper_tail`).  The synthetic three-variable family reproduces the
+classic trap where a non-causal variable mirrors a causal one.
 """
 
 from __future__ import annotations
@@ -139,28 +142,55 @@ def _f_upper_tail(d1: int, d2: int, f: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _anova_pvalues(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """One-way ANOVA p-value of every row, grouping its entries at ``edges``.
+def _one_way_f(values: np.ndarray, out: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """One-way ANOVA F of every row, grouping its entries from each of ``starts``.
 
-    The arithmetic of ``scipy.stats.f_oneway``: sums of squares about the
-    grand mean; F is inf where every group is constant and NaN where the
-    whole row is.  Rows keep each sample contiguous, which makes the
-    reductions several times faster than over columns.
+    Writes each entry less its group's mean into ``out``.  The group sums
+    come from one ``np.add.reduceat``; the between-group SS from the
+    centred sums, the raw sums less size x grand mean; the within-group SS
+    two-pass, from ``out``.  F is inf where every group is constant and NaN
+    where the whole row is.  Both are tested exactly, on the rows whose
+    within-group SS is within rounding of zero: at most ``(n eps)^2`` times
+    the row's raw sum of squares (within SS plus sum^2 / size per group).
+    A mean of equal values is off by at most ~``n eps`` of them, so that
+    catches every constant group, and its scale, unlike the total SS, is not
+    itself rounding noise on a constant row.
     """
-    n, k = values.shape[1], len(edges) + 1
-    centred = values - values.mean(axis=1, keepdims=True)
-    normalized_ss = centred.sum(axis=1) ** 2 / n
-    ss_total = np.einsum("ij,ij->i", centred, centred) - normalized_ss
-    ss_between = sum(g.sum(axis=1) ** 2 / g.shape[1] for g in np.split(centred, edges, axis=1))
-    ss_between -= normalized_ss
+    n, k = values.shape[1], len(starts)
+    sizes = np.diff(starts, append=n)
+    sums = np.add.reduceat(values, starts, axis=1)
+    for a, size, total in zip(starts, sizes, sums.T):
+        np.subtract(values[:, a:a + size], (total / size)[:, None], out=out[:, a:a + size])
+    ss_within = np.einsum("ij,ij->i", out, out)
+    ss_between = np.sum((sums - sizes * (sums.sum(axis=1, keepdims=True) / n)) ** 2 / sizes, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = (ss_between / (k - 1)) / ((ss_total - ss_between) / (n - k))
-    same = np.diff(values, axis=1) == 0
-    row_constant = same.all(axis=1)
-    same[:, edges - 1] = True  # a step from one group into the next never breaks a group
-    f[same.all(axis=1)] = np.inf
-    f[row_constant] = np.nan
-    return _f_upper_tail(k - 1, n - k, f)
+        f = (ss_between / (k - 1)) / (ss_within / (n - k))
+    sum_sq = ss_within + np.sum(sums**2 / sizes, axis=1)
+    near_constant = np.flatnonzero(ss_within <= (n * np.finfo(float).eps) ** 2 * sum_sq)
+    if near_constant.size:
+        same = np.diff(values[near_constant], axis=1) == 0
+        row_constant = same.all(axis=1)
+        same[:, starts[1:] - 1] = True  # a step from one group into the next never breaks a group
+        f[near_constant[same.all(axis=1)]] = np.inf
+        f[near_constant[row_constant]] = np.nan
+    return f
+
+
+def _invariance_pvalues(residuals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Bonferroni-combined p-value of the two invariance F-tests of every row.
+
+    The residuals by environment (equal means) and their absolute deviations
+    from the environment means (mean-centred Levene: equal variances), in two
+    passes of :func:`_one_way_f` that reuse the two arrays in place, so
+    ``residuals`` is overwritten.  A constant row, which neither test can
+    judge, maps to 1.0.
+    """
+    n, k = residuals.shape[1], len(starts)
+    deviations = np.empty_like(residuals)
+    f_means = _one_way_f(residuals, deviations, starts)
+    f_variances = _one_way_f(np.abs(deviations, out=deviations), residuals, starts)
+    p_min = np.fmin(_f_upper_tail(k - 1, n - k, f_means), _f_upper_tail(k - 1, n - k, f_variances))
+    return np.where(np.isnan(f_means), 1.0, np.minimum(1.0, 2.0 * p_min))
 
 
 class _SubsetFits(NamedTuple):
@@ -176,7 +206,7 @@ class _SubsetFits(NamedTuple):
     subsets: list            # every subset of the candidates, by size
     projectors: np.ndarray   # (2^c, c + 1, c + 1)
     full_rank: np.ndarray    # (2^c,) bool, lstsq's rank rule
-    edges: np.ndarray        # environment boundaries in the pooled rows
+    starts: np.ndarray       # each environment's first row in the pooled rows
 
 
 def _subset_fits(candidates, data: EnvDataset) -> _SubsetFits:
@@ -204,32 +234,25 @@ def _subset_fits(candidates, data: EnvDataset) -> _SubsetFits:
         subsets += [tuple(candidates[a] for a in s) for s in positions]
         projectors.append(u @ u.transpose(0, 2, 1))
         full_rank.append(kept.all(axis=1))
-    edges = np.cumsum([env.inputs.shape[0] for env in data.environments])[:-1]
-    return _SubsetFits(q, subsets, np.concatenate(projectors), np.concatenate(full_rank), edges)
+    starts = np.cumsum([0] + [env.inputs.shape[0] for env in data.environments[:-1]])
+    return _SubsetFits(q, subsets, np.concatenate(projectors), np.concatenate(full_rank), starts)
 
 
 def _scan_subsets(target_by_env, fits: _SubsetFits) -> dict:
     """P-value for every subset in ``fits``; rank-deficient fits map to None.
 
-    Each subset's pooled residuals are one matrix row, and two F-tests
-    judge up to ``_SCAN_BLOCK`` rows at once (bounding memory at 12
-    variables): on the residuals by environment (equal means) and on their
-    absolute deviations from the environment means (Levene: equal variances).
-    They are Bonferroni-combined; constant residuals, which neither test can
-    judge, map to 1.0.
+    Each subset's pooled residuals are one matrix row, computed in place
+    over the fitted values, and :func:`_invariance_pvalues` judges up to
+    ``_SCAN_BLOCK`` rows at once (bounding memory at 12 variables): both
+    F-tests read group sums, so a block takes a few passes over two arrays.
     """
     y = np.concatenate([np.asarray(t, dtype=float) for t in target_by_env])
     b = fits.q.T @ y
-    edges = fits.edges
     table = {}
     for start in range(0, len(fits.subsets), _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
-        residuals = y - (fits.projectors[block] @ b) @ fits.q.T
-        deviations = np.hstack(
-            [np.abs(r - r.mean(axis=1, keepdims=True)) for r in np.split(residuals, edges, axis=1)]
-        )
-        p_min = np.fmin(_anova_pvalues(residuals, edges), _anova_pvalues(deviations, edges))
-        pvalues = np.where(np.isnan(p_min), 1.0, np.minimum(1.0, 2.0 * p_min))
+        residuals = (fits.projectors[block] @ b) @ fits.q.T
+        pvalues = _invariance_pvalues(np.subtract(y, residuals, out=residuals), fits.starts)
         table.update(
             (s, float(pv) if ok else None)
             for s, pv, ok in zip(fits.subsets[block], pvalues, fits.full_rank[block])

@@ -13,8 +13,11 @@ prequential chain from one stacked normal-equations solve and one stacked ``eigh
 Each sampled pass gives point i its own PCG64 stream, the stream of
 ``default_rng(child_i)`` for child i of the pass's ``SeedSequence``: pass p of
 L and L_k is ``SeedSequence(seed).spawn(n_seeds)[p]``, L_S pass s is
-``SeedSequence(seed + 1 + s).spawn(1)[0]`` and stacking model j is
-``SeedSequence(seed).spawn(len(models))[j]``.  A vectorized copy of
+``SeedSequence(seed + 1 + s).spawn(1)[0]`` and stacking column j is
+``SeedSequence(seed).spawn(M)[j]``.  A report's chain makes its model's
+stacking draw (:meth:`EvidenceReport.stacking_draw`), so ``bms-select``'s
+worker for model j returns column j beside its row and the stacking fit
+(:func:`ensemble_weight_ranking`) is only the ridge solve.  A vectorized copy of
 ``SeedSequence``'s hash computes the seed words of a call's points at once,
 bit-identical to ``spawn``, so every seed, derived ones included, must lie in
 [0, 2^128).  Known overlap, kept because mending it moves pinned outputs: L_S
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -522,22 +525,20 @@ def model_selection_task(kind: str, seed: int = 0) -> tuple[list[BlrModel], Orde
     return models, OrderedDataset(inputs=x, targets=y)
 
 
-def ensemble_weight_ranking(models, data: OrderedDataset, seed: int = 0) -> np.ndarray:
+def ensemble_weight_ranking(predictions, targets) -> np.ndarray:
     """Least-squares stacking weights over prequential sampled predictions.
 
-    Builds the matrix of one-draw posterior predictions (model j's sampled
-    prediction for point i given the preceding points) and regresses the
-    targets on it with a 1e-10 ridge; higher weight indicates the model whose
-    prequential predictions carry the most evidence.
+    ``predictions`` is the (n, M) matrix whose column j holds model j's
+    one-draw prediction for each point given the preceding points
+    (:meth:`EvidenceReport.stacking_draw`); regresses the targets on it with
+    a 1e-10 ridge.  Higher weight indicates the model whose prequential
+    predictions carry the most evidence.
     """
-    models = list(models)
-    if not models:
-        raise ValueError("need at least one model")
-    states = _spawn_states([seed] * len(models), range(len(models)), data.n)
-    preds = np.column_stack([_prequential_chain(m, data).draws(s, 1)[:, 0] for m, s in zip(models, states)])
-    _, y = data.features_and_targets(models[0])
-    gram = preds.T @ preds + 1e-10 * np.eye(len(models))
-    return np.linalg.solve(gram, preds.T @ y)
+    preds = np.asarray(predictions, dtype=float)
+    if preds.ndim != 2 or preds.shape[1] == 0:
+        raise ValueError("need an (n, M) prediction matrix with at least one model")
+    gram = preds.T @ preds + 1e-10 * np.eye(preds.shape[1])
+    return np.linalg.solve(gram, preds.T @ np.asarray(targets, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -547,6 +548,16 @@ class EvidenceReport:
     Lk_hat: dict
     LS_hat: EstimateResult
     kl_gap: float
+    _chain: _Chain = field(repr=False, compare=False)
+
+    def stacking_draw(self, seed: int, index: int) -> np.ndarray:
+        """The model's (n,) one-draw prequential predictions as stacking column ``index``.
+
+        Point i draws from ``SeedSequence(seed, spawn_key=(index,)).spawn(n)[i]``,
+        which is child i of ``SeedSequence(seed).spawn(M)[index]``, on the chain
+        the report's estimators read.
+        """
+        return self._chain.draws(_spawn_states([seed], [index], len(self._chain.y))[0], 1)[:, 0]
 
 
 def evidence_report(
@@ -572,4 +583,5 @@ def evidence_report(
         Lk_hat=dict(zip(k_values, lk[1:])),
         LS_hat=_estimate(ls_vals),
         kl_gap=gap,
+        _chain=chain,
     )

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .capacity import LinearValueModel, Sgd, feature_rank, srank, update_matrix, update_rank
+from .capacity import LinearValueModel, feature_rank, srank, update_matrix, update_rank
 from .causal import build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
 from .evidence import SAMPLER_METHODS, TASK_KINDS, algorithm1_sumloss, ensemble_weight_ranking, evidence_report
 from .evidence import model_selection_task
@@ -507,7 +507,7 @@ def _run_bms_select(cfg, _, rng, art):
         alg1 = algorithm1_sumloss(
             model, data, seeds=base + 7919 * (j + 1) + np.arange(n_seeds), method=cfg["alg1_method"]
         )
-        return (
+        return rep.stacking_draw(base + 104729, j), (
             (j, rep.exact_log_ml, rep.L_hat.value, rep.L_hat.stderr)
             + tuple(rep.Lk_hat[k].value for k in k_values)
             + (
@@ -519,10 +519,10 @@ def _run_bms_select(cfg, _, rng, art):
             )
         )
 
-    rows = _fork_map(row, len(models))
+    draws, rows = zip(*_fork_map(row, len(models)))
     art.csv("evidence", header, rows)
 
-    weights = ensemble_weight_ranking(models, data, seed=base + 104729)
+    weights = ensemble_weight_ranking(np.column_stack(draws), data.targets)
     art.csv("stacking_weights", ("model", "weight"), list(enumerate(weights)))
 
     selection_rows = [
@@ -573,8 +573,8 @@ def _run_misa(cfg, _, rng, art):
 
 
 def _capacity_setup(cfg):
-    """The chain's one-step transitions, the SGD optimizer and one RBF feature
-    matrix per ``lengthscales`` entry."""
+    """The chain's one-step transitions and one RBF feature matrix per
+    ``lengthscales`` entry."""
     n = cfg["n_states"]
     mdp = build_chain_mdp(n)
     transitions = [(s, float(mdp.rewards[s]), min(s + 1, n - 1)) for s in range(n)]
@@ -582,13 +582,13 @@ def _capacity_setup(cfg):
         build_kernel(KernelSpec(lengthscale=ell, embedding=line_embedding(n)), np.arange(n))
         for ell in cfg["lengthscales"]
     ]
-    return transitions, Sgd(cfg["sgd_lr"]), rbf_features
+    return transitions, rbf_features
 
 
 def _run_capacity(cfg, inputs, rng, art):
     """Rank-estimator battery: constructed ranks, tabular updates, RBF lengthscales."""
-    transitions, sgd, rbf_features = inputs
-    n, gamma = cfg["n_states"], cfg["gamma"]
+    transitions, rbf_features = inputs
+    n, gamma, lr = cfg["n_states"], cfg["gamma"], cfg["sgd_lr"]
     d = cfg["d_features"]
     rank_rows = []
     for r in cfg["constructed_ranks"]:
@@ -608,8 +608,8 @@ def _run_capacity(cfg, inputs, rng, art):
     )
 
     weights = rng.standard_normal(n)
-    tab_model = LinearValueModel(np.eye(n), weights, sgd)
-    U_tab = update_matrix(tab_model, transitions, gamma)
+    tab_model = LinearValueModel(np.eye(n), weights)
+    U_tab = update_matrix(tab_model, transitions, gamma, lr)
     off_diag = float(np.max(np.abs(U_tab - np.diag(np.diag(U_tab)))))
     art.csv(
         "tabular_update",
@@ -620,8 +620,8 @@ def _run_capacity(cfg, inputs, rng, art):
     rbf_rows = []
     rbf_weights = rng.standard_normal(n)
     for ell, phi in zip(cfg["lengthscales"], rbf_features):
-        model = LinearValueModel(phi, rbf_weights, sgd)
-        U = update_matrix(model, transitions, gamma)
+        model = LinearValueModel(phi, rbf_weights)
+        U = update_matrix(model, transitions, gamma, lr)
         rbf_rows.append((ell, update_rank(U).rank))
     art.csv("rbf_update_ranks", ("lengthscale", "update_rank"), rbf_rows)
 
@@ -820,8 +820,10 @@ _DEFS = [
         },
         _run_capacity,
         # each rank sizes a random factor (rank 0 runs); feature_rank checks eps only
-        # on the drawn features
-        ranges={"constructed_ranks": Range(0), "eps": Range(0.0, lo_open=True)},
+        # on the drawn features, and update_matrix checks sgd_lr only in the run
+        ranges={
+            "constructed_ranks": Range(0), "eps": Range(0.0, lo_open=True), "sgd_lr": Range(0.0, lo_open=True),
+        },
         setup=_capacity_setup,
     ),
     ExperimentDef(

@@ -3,7 +3,6 @@ import pytest
 
 from tdlab.capacity import (
     LinearValueModel,
-    Sgd,
     feature_rank,
     srank,
     update_matrix,
@@ -115,9 +114,9 @@ def test_update_rank_grows_as_kernel_sharpens():
 
 def test_update_matrix_grad_step_matches_hand_rollout():
     features = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    model = LinearValueModel(features=features, weights=np.array([1.0, -1.0]), optimizer=Sgd(lr=0.2))
+    model = LinearValueModel(features=features, weights=np.array([1.0, -1.0]))
     transitions = [(0, 1.0, 1), (2, 0.0, 0)]
-    U = update_matrix(model, transitions, gamma=0.5)
+    U = update_matrix(model, transitions, gamma=0.5, lr=0.2)
     base = features @ model.weights
     for i, (x, r, x_next) in enumerate(transitions):
         delta = r + 0.5 * base[x_next] - base[x]
@@ -138,11 +137,11 @@ def test_update_matrix_validates_transitions():
             update_matrix(model, [(0, 0.0, 1), (1, 0.0, bad_next)], gamma=0.9)
 
 
-@pytest.mark.parametrize("optimizer", [Sgd])
-def test_optimizers_refuse_a_nonpositive_learning_rate(optimizer):
-    for lr in (0.0, -0.1, float("nan")):
-        with pytest.raises(ValueError, match="lr must be positive"):
-            optimizer(lr=lr)
+def test_update_matrix_refuses_a_learning_rate_that_is_not_positive_and_finite():
+    model = LinearValueModel(features=np.eye(3), weights=np.zeros(3))
+    for lr in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            update_matrix(model, [(0, 0.0, 1)], gamma=0.9, lr=lr)
 
 
 def test_linear_model_validates_shapes():

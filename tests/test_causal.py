@@ -10,6 +10,7 @@ from tdlab.causal import (
     Environment,
     _accepted_parents,
     _f_upper_tail,
+    _invariance_pvalues,
     _scan_subsets,
     _simulate_three_var,
     _subset_fits,
@@ -342,6 +343,121 @@ def test_twelve_variable_scan_matches_per_subset_oracle():
     sampled = all_subsets(12)[::7]
     assert_same_table({s: table[s] for s in sampled}, reference_scan(target, data, sampled))
     assert _accepted_parents(table, 0.05)[0] == frozenset({0, 1})
+
+
+def centred_sum_pvalues(residuals, starts):
+    """The scan's arithmetic before it read group sums, kept as the oracle.
+
+    ``scipy.stats.f_oneway``'s: both tests centre each row on its grand mean,
+    take the total and between-group sums of squares and the within-group SS
+    as their difference; the Levene deviations are taken from each
+    environment's ``np.mean``; the exact constant tests run on every row.
+    """
+    edges = starts[1:]
+
+    def anova(values):
+        n, k = values.shape[1], len(edges) + 1
+        centred = values - values.mean(axis=1, keepdims=True)
+        normalized_ss = centred.sum(axis=1) ** 2 / n
+        ss_total = np.einsum("ij,ij->i", centred, centred) - normalized_ss
+        ss_between = sum(g.sum(axis=1) ** 2 / g.shape[1] for g in np.split(centred, edges, axis=1))
+        ss_between -= normalized_ss
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = (ss_between / (k - 1)) / ((ss_total - ss_between) / (n - k))
+        same = np.diff(values, axis=1) == 0
+        row_constant = same.all(axis=1)
+        same[:, edges - 1] = True
+        f[same.all(axis=1)] = np.inf
+        f[row_constant] = np.nan
+        return _f_upper_tail(k - 1, n - k, f)
+
+    deviations = np.hstack(
+        [np.abs(r - r.mean(axis=1, keepdims=True)) for r in np.split(residuals, edges, axis=1)]
+    )
+    p_min = np.fmin(anova(residuals), anova(deviations))
+    return np.where(np.isnan(p_min), 1.0, np.minimum(1.0, 2.0 * p_min))
+
+
+def assert_same_pvalues(got, want):
+    """Zeros agree exactly and p >= 1e-100 within relative 1e-12.  Below that,
+    p's relative error is about |dlog p / dlog F| ~ |log p| times F's, so the
+    far tail is compared as log p, within relative 1e-13 (the largest gaps
+    seen over 600 families were 8.2e-13 and 2.2e-14)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got == 0, want == 0)
+    body, tail = want >= 1e-100, (want > 0) & (want < 1e-100)
+    assert_allclose(got[body], want[body], rtol=1e-12, atol=0)
+    assert_allclose(np.log(got[tail]), np.log(want[tail]), rtol=1e-13, atol=0)
+
+
+def scan_residuals(target_by_env, fits):
+    """Every subset's pooled residual row, computed as the scan computes it."""
+    y = np.concatenate(target_by_env)
+    return y - (fits.projectors @ (fits.q.T @ y)) @ fits.q.T
+
+
+_INEXACT_MEANS = (0.1, 1 / 3, np.pi, 1e6 + 0.1)
+_UNEQUAL_SIZES = [(7, 12), (5, 9, 6, 11, 8), (100, 200), (999, 1000, 1001)]
+
+
+@pytest.mark.parametrize("sizes", _UNEQUAL_SIZES)
+def test_scan_of_flat_and_stepped_targets_matches_the_centred_sum_oracle(sizes):
+    """Targets constant in each environment, whose means are inexact in
+    binary, scanned from the intercept-only fit and from a wider one: a flat
+    target maps to 1.0 and constants 1 ulp or 1e-10 apart map to 0.0, as the
+    oracle gives on the same residual row.  The wider subsets' residuals are
+    rounding noise; scanning them warns of nothing, where the oracle's
+    ``ss_total - ss_between`` went negative for 1e6 + 0.1 over (100, 200)."""
+    data = random_dataset(sizes, seed=len(sizes))
+    for c in _INEXACT_MEANS:
+        flat = [np.full(n, c) for n in sizes]
+        ulp = [np.full(n, np.nextafter(c, np.inf) if e % 2 else c) for e, n in enumerate(sizes)]
+        apart = [np.full(n, c + 1e-10 * (e % 2)) for e, n in enumerate(sizes)]
+        for target, want in ((flat, 1.0), (ulp, 0.0), (apart, 0.0)):
+            for fits in (_subset_fits((), data), _subset_fits((0, 1), data)):
+                table = _scan_subsets(target, fits)
+                oracle = centred_sum_pvalues(scan_residuals(target, fits)[:1], fits.starts)
+                assert table[()] == oracle[0] == want, (c, want)
+                assert all(0.0 <= p <= 1.0 for p in table.values()), c
+
+
+@pytest.mark.parametrize("sizes", _UNEQUAL_SIZES)
+def test_constant_rows_are_judged_exactly(sizes):
+    """Residual rows fed straight to the tests: a flat row maps to 1.0 and
+    rows constant in each environment but 1 ulp or 1e-10 apart map to 0.0.
+    The within-group SS of such a row is rounding noise, which a guard scaled
+    by the total SS (itself noise there) would not catch; the guard reads the
+    raw sum of squares."""
+    starts = np.cumsum((0,) + sizes[:-1])
+    rows = []
+    for c in _INEXACT_MEANS + (-0.7, 2.5, 0.0):
+        rows.append(np.full(sum(sizes), c))
+        for step in (np.nextafter(c, np.inf) - c, 1e-10):
+            rows.append(np.concatenate([np.full(n, c + step * (e % 2)) for e, n in enumerate(sizes)]))
+    rows = np.array(rows)
+    want = np.tile([1.0, 0.0, 0.0], len(rows) // 3)
+    assert np.array_equal(_invariance_pvalues(rows.copy(), starts), want)
+    exact_means = np.all([[row[a] == row[a:b].mean() for a, b in zip(starts, np.append(starts[1:], row.size))]
+                          for row in rows], axis=1)
+    oracle = centred_sum_pvalues(rows, starts)
+    assert np.array_equal(oracle[exact_means], want[exact_means])
+
+
+def test_scan_matches_the_centred_sum_oracle_on_intervened_and_iid_families():
+    """Every p-value of every target's scan on 25 intervened and 25 i.i.d.
+    families, by :func:`assert_same_pvalues`."""
+    checked = 0
+    for seed in range(25):
+        for scale in (3.0, 1.0):
+            data = build_synthetic_family(seed=seed, intervention_scales=(scale,) * 3)
+            fits = _subset_fits((0, 1, 2), data)
+            targets = [reward_targets(data)] + [[env.next_inputs[:, v] for env in data.environments] for v in range(3)]
+            for target in targets:
+                table = _scan_subsets(target, fits)
+                want = centred_sum_pvalues(scan_residuals(target, fits), fits.starts)
+                assert_same_pvalues([table[s] for s in fits.subsets], want)
+                checked += len(table)
+    assert checked == 50 * 4 * 8
 
 
 def test_linear_misa_factors_each_dataset_once(monkeypatch):

@@ -123,6 +123,7 @@ _OUT_OF_RANGE = [
     ("random-cumulants", "n_seeds", "-1"), ("kernel-circle", "n_states", "-1"),
     ("capacity-ranks", "n_samples", "0"), ("capacity-ranks", "d_features", "-1"),
     ("second-order", "n_states", "-3"), ("capacity-ranks", "constructed_ranks", "2,-1"),
+    ("capacity-ranks", "sgd_lr", "-0.1"),
 ]
 
 
@@ -187,7 +188,7 @@ _REFUSED_BY_BUILDERS = [
     ("bms-select", "alg1_method", "sgd", "bms-select.alg1_method: 'sgd' is not one of gd, exact"),
     ("capacity-ranks", "n_states", "1", "capacity-ranks.n_states must be at least 2"),
     ("capacity-ranks", "lengthscales", "1,-1", "capacity-ranks.lengthscale must be positive"),
-    ("capacity-ranks", "sgd_lr", "0", "capacity-ranks.lr must be positive"),
+    ("capacity-ranks", "sgd_lr", "0", "capacity-ranks.sgd_lr: '0' is not > 0"),
     ("second-order", "gamma", "1", r"second-order.gamma must lie in \[0, 1\)"),
     ("second-order", "alphas", "1e-320", r"second-order.t_end / dt overflows"),
 ]
@@ -200,8 +201,9 @@ _REFUSED_BY_BUILDERS = [
 def test_values_the_flow_builders_refuse_are_config_errors(tmp_path, section, key, value, match):
     """Each of these ran to a traceback (or to all-zero predictions, for
     smooth_k) before; validate and run now refuse them, through the count
-    default, the names the library exports, or the inputs (FlowConfig,
-    KernelSpec, MDP, basis, optimizer) the experiment's setup builds."""
+    default, a declared range (sgd_lr), the names the library exports, or
+    the inputs (FlowConfig, KernelSpec, MDP, basis) the experiment's setup
+    builds."""
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{key} = {value}\n")
     assert run_cli(["validate", "--config", str(cfg)]) == 2

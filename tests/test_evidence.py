@@ -196,7 +196,7 @@ def test_every_entry_point_on_zero_and_one_points(n):
         "report_sampled": [rep.L_hat.per_seed] + [rep.Lk_hat[k].per_seed for k in ks] + [rep.LS_hat.per_seed],
         "alg1": algorithm1_sumloss(model, data, seeds=[0, 7], method="exact"),
     }
-    weights = ensemble_weight_ranking([model], data, seed=seed)
+    weights = ensemble_weight_ranking(rep.stacking_draw(seed, 0)[:, None], data.targets)
     if n == 0:
         for name, value in scores.items():
             assert np.array_equal(value, np.zeros_like(value)), name
@@ -449,7 +449,7 @@ def test_stacking_weights_prefer_the_predictive_model():
     data = OrderedDataset(inputs=X, targets=y)
     good = BlrModel(feature_map=None, prior_variance=1.0, noise_variance=0.1)
     blind = BlrModel(feature_map=lambda Z: np.ones((Z.shape[0], 1)), prior_variance=1.0, noise_variance=0.1)
-    w = ensemble_weight_ranking([good, blind], data, seed=0)
+    w = ensemble_weight_ranking(stacking_columns([good, blind], data, seed=0), data.targets)
     assert w.shape == (2,)
     assert w[0] > w[1]
 
@@ -522,6 +522,45 @@ def per_point_reference(model, data, ks, n_seeds, seed, ls_samples):
     return log_ml, gap, lk, ls
 
 
+def stacking_columns(models, data, seed):
+    """Model j's stacking draw at ``seed`` in column j, each from its model's report."""
+    reports = [evidence_report(m, data, k_values=(2,), n_seeds=2, ls_samples=2, seed=7) for m in models]
+    return np.column_stack([rep.stacking_draw(seed, j) for j, rep in enumerate(reports)])
+
+
+def rebuilt_chain_stacking(models, data, seed):
+    """The stacking fit as it was made before the reports carried their
+    chains: every model's chain rebuilt, all seeded in one call, then the ridge
+    solve.  Returns the prediction matrix and the weights."""
+    states = evidence._spawn_states([seed] * len(models), range(len(models)), data.n)
+    preds = np.column_stack(
+        [evidence._prequential_chain(m, data).draws(s, 1)[:, 0] for m, s in zip(models, states)]
+    )
+    _, y = data.features_and_targets(models[0])
+    gram = preds.T @ preds + 1e-10 * np.eye(len(models))
+    return preds, np.linalg.solve(gram, preds.T @ y)
+
+
+@pytest.mark.parametrize("kind", ["feature_dimension", "rff_frequency"])
+def test_stacking_draws_equal_the_rebuilt_chains_draws(kind):
+    """Each report's ``stacking_draw(seed, j)`` is bit for bit model j's
+    column of the rebuilt chains' draws, and the weights over those columns
+    are the rebuilt fit's.  The seed is above 2^32, so it hashes two words."""
+    models, data = model_selection_task(kind, seed=0)
+    seed = 2**40 + 104729
+    preds, weights = rebuilt_chain_stacking(models, data, seed)
+    columns = stacking_columns(models, data, seed)
+    assert len(models) > 1 and columns.shape == (data.n, len(models))
+    assert columns.tobytes() == preds.tobytes()
+    assert ensemble_weight_ranking(columns, data.targets).tobytes() == weights.tobytes()
+
+
+def test_stacking_fit_refuses_a_matrix_without_models():
+    for predictions in (np.zeros((5, 0)), np.zeros(5)):
+        with pytest.raises(ValueError, match="at least one model"):
+            ensemble_weight_ranking(predictions, np.zeros(5))
+
+
 def reference_stacking_weights(models, data, seed):
     preds = np.zeros((data.n, len(models)))
     for j, model_seed in enumerate(np.random.SeedSequence(seed).spawn(len(models))):
@@ -568,7 +607,7 @@ def test_shared_chain_reproduces_per_point_loops():
         assert_allclose(rep.LS_hat.stderr, np.std(ls, ddof=1) / np.sqrt(n_seeds), **close)
     for models, data in chosen:
         assert_allclose(
-            ensemble_weight_ranking(models, data, seed=seed),
+            ensemble_weight_ranking(stacking_columns(models, data, seed), data.targets),
             reference_stacking_weights(models, data, seed),
             **close,
         )
@@ -600,7 +639,7 @@ def test_sampled_estimators_refuse_a_seed_outside_128_bits(seed):
         lambda: estimate_Lk(model, data, (1, 4), seed=seed),
         lambda: estimate_LS(model, data, 4, seed=seed),
         lambda: evidence_report(model, data, n_seeds=2, seed=seed),
-        lambda: ensemble_weight_ranking([model], data, seed=seed),
+        lambda: evidence_report(model, data, n_seeds=2).stacking_draw(seed, 0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\*\*128\)"):

@@ -134,6 +134,8 @@ def test_runners_write_the_serial_bytes_with_forked_workers(monkeypatch, tmp_pat
         outputs[workers] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
     assert len(forks) == 1  # W = 1 forked nothing, W = 2 one child
     assert outputs[1] == outputs[2] and outputs[1]
+    if name == "bms-select":  # the workers' stacking draws reach the parent's fit
+        assert any(file.endswith("stacking_weights.csv") for file in outputs[2])
 
 
 def test_a_forked_heads_divergence_is_raised_as_itself(monkeypatch, tmp_path, capsys):

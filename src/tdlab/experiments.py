@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .capacity import LinearValueModel, feature_rank, srank, update_matrix, update_rank
 from .causal import build_synthetic_family, fit_reward_weights, intervention_robustness, linear_misa
-from .evidence import SAMPLER_METHODS, TASK_KINDS, algorithm1_sumloss, ensemble_weight_ranking, evidence_report
-from .evidence import model_selection_task
+from .evidence import SAMPLER_METHODS, TASK_KINDS, _estimate, algorithm1_sumloss, ensemble_weight_ranking
+from .evidence import evidence_report, model_selection_task
 from .flows import (
     DivergenceDetected,
     FlowConfig,
@@ -401,31 +401,26 @@ def _run_smooth_kernel(cfg, S, rng, art):
     rows = []
     for target, mse_table in zip(cfg["targets"], np.swapaxes(mse_tables, 0, 1)):
         for frac, mses in zip(cfg["fractions"], mse_table.T):
-            rows.append(
-                (
-                    target,
-                    frac,
-                    float(np.mean(mses)),
-                    float(np.std(mses, ddof=1) / np.sqrt(len(mses))) if len(mses) > 1 else 0.0,
-                )
-            )
+            mse = _estimate(mses)
+            rows.append((target, frac, mse.value, mse.stderr))
     art.csv("generalization", ("target", "train_fraction", "mean_mse", "stderr_mse"), rows)
 
 
 def _fork_map(fn, n: int) -> list:
     """``[fn(i) for i in range(n)]``, split over one forked worker per usable CPU.
 
-    With W = min(n, usable CPUs), this process computes items 0, W, 2W, …
-    and forked child w computes items w, w + W, … and sends them back over a
-    one-way pipe, so ``fn`` may be a closure and only its results are
-    pickled.  Each item must depend on its index alone; the list then equals
-    the serial one.  A child's exception is raised here as itself (one whose
-    ``__init__`` does not take its ``args`` needs a ``__reduce__`` to
-    unpickle, as ``DivergenceDetected`` has), and a child that exits without
-    a result raises ``RuntimeError``.  On any
-    failure the children still working are killed; every child is reaped
-    before the call returns.  W < 2, or a platform other than Linux, runs
-    the list serially in this process.
+    Returns ``[fn(i) for i in range(n)]``, or raises what one of those
+    calls raises.  With W = min(n, usable CPUs), this process computes items
+    0, W, 2W, … and forked child w computes items w, w + W, …, pickles its
+    whole share, sends it back over a one-way pipe and exits 0; so ``fn``
+    may be a closure and only its results are pickled.  Each item must
+    depend on its index alone, so a child that exits any other way (its
+    share raised, its results could not be pickled, or it was killed) has
+    its share computed here instead, and an error comes from this process's
+    own call, as a one-CPU run raises it.  On any failure here the children
+    still working are killed; every child is reaped before the call returns.
+    W < 2, or a platform other than Linux, runs the list serially in this
+    process.
 
     Processes, not threads: the items are Python code that holds the GIL.
     ``os.fork``, not ``multiprocessing``: importing that package costs
@@ -445,16 +440,11 @@ def _fork_map(fn, n: int) -> list:
                 os.close(read_end)
                 os.close(write_end)
                 raise
-            if pid == 0:  # the child: send its share and exit, whatever happens
+            if pid == 0:  # the child: send its whole share and exit 0; any failure exits 1
                 code = 1
                 try:
                     os.close(read_end)
-                    # pickled whole before anything is written, so an unpicklable
-                    # result is sent as a failure, not as a truncated stream
-                    try:
-                        payload = pickle.dumps((True, [fn(i) for i in range(w, n, workers)]))
-                    except Exception as exc:
-                        payload = pickle.dumps((False, exc))
+                    payload = pickle.dumps([fn(i) for i in range(w, n, workers)])
                     with open(write_end, "wb") as pipe:
                         pipe.write(payload)
                     code = 0
@@ -471,12 +461,8 @@ def _fork_map(fn, n: int) -> list:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(read_end)
             del children[0]
-            if code != 0:  # the child writes its whole payload before exiting 0
-                raise RuntimeError(f"forked worker {w} of {workers} exited with code {code} and no result")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results[w::workers] = value
+            # the child writes its whole share before exiting 0; on any other exit, recompute it here
+            results[w::workers] = pickle.loads(payload) if code == 0 else [fn(i) for i in range(w, n, workers)]
         return results
     finally:
         for _, pid, read_end in children:
@@ -504,19 +490,13 @@ def _run_bms_select(cfg, _, rng, art):
             model, data, k_values=k_values, n_seeds=n_seeds,
             ls_samples=cfg["ls_samples"], seed=base + j,
         )
-        alg1 = algorithm1_sumloss(
+        alg1 = _estimate(algorithm1_sumloss(
             model, data, seeds=base + 7919 * (j + 1) + np.arange(n_seeds), method=cfg["alg1_method"]
-        )
+        ))
         return rep.stacking_draw(base + 104729, j), (
             (j, rep.exact_log_ml, rep.L_hat.value, rep.L_hat.stderr)
             + tuple(rep.Lk_hat[k].value for k in k_values)
-            + (
-                rep.LS_hat.value,
-                rep.LS_hat.stderr,
-                rep.kl_gap,
-                float(np.mean(alg1)),
-                float(np.std(alg1, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
-            )
+            + (rep.LS_hat.value, rep.LS_hat.stderr, rep.kl_gap, alg1.value, alg1.stderr)
         )
 
     draws, rows = zip(*_fork_map(row, len(models)))

@@ -56,6 +56,8 @@ class DivergenceDetected(RuntimeError):
 
     Carries the first-crossing time and norm; integrated flows attach the
     trajectory recorded up to and including the crossing as ``trajectory``.
+    It is raised in the process that ran the flow and is not built to be
+    pickled: its ``__init__`` takes the time and norm, not the message.
     """
 
     def __init__(self, time: float, sup_norm: float):
@@ -65,10 +67,6 @@ class DivergenceDetected(RuntimeError):
         super().__init__(
             f"flow diverged at t={time:.6g} (sup norm {sup_norm:.3e} > {_DIVERGENCE_SUP:.0e})"
         )
-
-    def __reduce__(self):
-        # rebuilt from its own arguments, so a forked worker's divergence unpickles as itself
-        return type(self), (self.time, self.sup_norm), self.__dict__
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import re
@@ -486,12 +487,20 @@ def test_console_entry_point_runs():
     assert "two-state" in proc.stdout
 
 
-def _modules_after(code, package="scipy"):
-    """Names of the modules of ``package`` loaded after ``code`` runs in a fresh interpreter."""
-    code += f"; import sys; print(' '.join(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
+@functools.cache
+def _all_modules_after(code):
+    """Names of every module loaded after ``code`` runs in a fresh
+    interpreter: one interpreter per distinct ``code``, however many
+    packages the tests check in it."""
+    code += "; import sys; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def _modules_after(code, package="scipy"):
+    """Names of the modules of ``package`` loaded after ``code`` runs in a fresh interpreter."""
+    return [m for m in _all_modules_after(code) if (m + ".").startswith(package + ".")]
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -517,25 +526,14 @@ def test_package_namespace_holds_only_submodules_and_dunders():
     assert names == []
 
 
-def test_experiments_and_commands_run_where_scipy_cannot_be_imported(tmp_path):
-    """scipy is a test dependency only: in an interpreter where ``import scipy``
-    fails, all ten experiments run (at their small sizes), and so do ``list``
-    and ``validate`` of a config naming every experiment."""
-    config = tmp_path / "all.ini"
-    config.write_text("".join(f"[{name}]\n" for name in EXPERIMENT_ORDER))
-    code = "\n".join([
-        "import sys",
-        "sys.modules['scipy'] = None",
-        "from tdlab.cli import main",
-        "from tdlab.experiments import run_experiment",
-        f"for name, overrides in {[(name, _SMALL[name]) for name in EXPERIMENT_ORDER]!r}:",
-        f"    run_experiment(name, overrides, {str(tmp_path)!r} + '/' + name, 0)",
-        f"sys.exit(main(['list']) or main(['validate', '--config', {str(config)!r}]))",
-    ])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert f"ok ({len(EXPERIMENT_ORDER)} section(s))" in proc.stdout
-    assert all((tmp_path / name / "manifest.json").exists() for name in EXPERIMENT_ORDER)
+def test_experiments_and_commands_run_where_scipy_cannot_be_imported(whole_program_pass):
+    """scipy is a test dependency only: in the suite's one whole-program pass
+    (``conftest.whole_program_pass``), whose interpreter cannot import scipy,
+    ``list``, ``validate`` of a config naming every experiment and all ten
+    experiments (at their defaults) exit 0, and each run writes its manifest."""
+    assert whole_program_pass["codes"] == [0] * (2 + len(EXPERIMENT_ORDER))
+    assert whole_program_pass["validated"]
+    assert whole_program_pass["unwritten"] == []
 
 
 def test_exact_and_sampled_evidence_load_no_scipy():

@@ -1,7 +1,8 @@
 """``experiments._fork_map`` splits bms-select's models, misa-robustness's
 seeds and four-rooms-features' heads over forked workers: the same list as
-the serial loop, the same CSV bytes, a child's failure raised in the parent,
-and no child left running or unreaped."""
+the serial loop, the same CSV bytes, a child that fails or dies has its
+share recomputed in the parent (so errors arrive as a one-CPU run raises
+them), and no child is left running or unreaped."""
 
 import os
 import signal
@@ -56,6 +57,25 @@ def test_fork_map_equals_the_serial_list(monkeypatch, n, workers):
     assert [pid == os.getpid() for *_, pid in results] == [i % w == 0 for i in range(n)]
 
 
+def failing_in_child_1(failure, called):
+    """An ``fn`` whose item 1 is in child 1's share for W = 2 and 3: it
+    raises ``failure`` wherever it runs, or (``"killed"``) SIGKILLs a forked
+    child that runs it, or (``"unpicklable"``) every item returns a closure.
+    The parent appends each item it calls to ``called``."""
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            called.append(i)
+        elif i == 1 and failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if i == 1 and isinstance(failure, Exception):
+            raise failure
+        return (i, fn) if failure == "unpicklable" else i
+
+    return fn
+
+
 @pytest.mark.parametrize("error", [
     ValueError("model 3: covariance is not positive semidefinite"),
     FloatingPointError("gd diverged at step 7: loss inf"),
@@ -64,37 +84,32 @@ def test_fork_map_equals_the_serial_list(monkeypatch, n, workers):
     np.linalg.LinAlgError("Singular matrix"),
 ])
 def test_a_childs_exception_is_raised_in_the_parent_as_itself(monkeypatch, error):
-    """The numerical errors a runner lets through (``NUMERICAL_ERRORS``) among them."""
-    force_workers(monkeypatch, 2)
-
-    def fn(i):
-        if i == 3:  # child 1's share
-            raise error
-        return i
-
-    with pytest.raises(type(error)) as raised:
-        _fork_map(fn, 5)
-    assert type(raised.value) is type(error) and str(raised.value) == str(error)
-    assert raised.value is not error  # it came back through the pipe
-
-
-def test_a_child_that_exits_without_a_result_raises_promptly(monkeypatch):
-    force_workers(monkeypatch, 2)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="forked worker 1 of 2 exited with code 1 and no result"):
-        _fork_map(lambda i: os._exit(1) if i == 1 else i, 4)
-    assert time.monotonic() - start < 10
+    """The numerical errors a runner lets through (``NUMERICAL_ERRORS``)
+    among them: child 1's item raises, so the parent recomputes child 1's
+    share and its own call raises the serial loop's error."""
+    for workers in (2, 3):
+        force_workers(monkeypatch, workers)
+        called = []
+        fn = failing_in_child_1(error, called)
+        with pytest.raises(type(error)) as raised:
+            _fork_map(fn, 5)
+        assert raised.value is error
+        assert called == [*range(0, 5, workers), 1]  # its own share, then child 1's up to the raise
 
 
-def test_a_result_that_cannot_be_pickled_fails_promptly(monkeypatch):
-    """The child pickles its whole share before it writes: an unpicklable
-    result comes back as the pickling error, not as a truncated stream.
-    This process's own share is not pickled."""
-    force_workers(monkeypatch, 2)
-    start = time.monotonic()
-    with pytest.raises(TypeError, match="cannot pickle 'generator' object"):
-        _fork_map(lambda i: (j for j in range(i)), 2)
-    assert time.monotonic() - start < 10
+@pytest.mark.parametrize("failure", ["killed", "unpicklable"])
+def test_a_killed_child_or_an_unpicklable_share_returns_the_serial_list(monkeypatch, failure):
+    """Child 1 is SIGKILLed at item 1, or cannot pickle its share: the
+    parent computes that share itself and returns the serial list, at once."""
+    for workers in (2, 3):
+        force_workers(monkeypatch, workers)
+        called = []
+        fn = failing_in_child_1(failure, called)
+        start = time.monotonic()
+        results = _fork_map(fn, 5)
+        assert time.monotonic() - start < 10
+        assert 1 in called
+        assert results == [fn(i) for i in range(5)]
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["parent-share", "child-share"])
@@ -140,8 +155,9 @@ def test_runners_write_the_serial_bytes_with_forked_workers(monkeypatch, tmp_pat
 
 def test_a_forked_heads_divergence_is_raised_as_itself(monkeypatch, tmp_path, capsys):
     """At alpha 50 only the M = 1 head diverges.  With two workers it runs in
-    the child, and its ``DivergenceDetected`` comes back as the serial run's,
-    partial trajectory included; the CLI exits 3 and names it."""
+    the child, which exits 1; the parent recomputes that head and raises the
+    serial run's ``DivergenceDetected``, partial trajectory included; the CLI
+    exits 3 and names it."""
     overrides = {"m_heads": (200, 1), "alpha": 50.0, "t_end": 2.0}
     raised = {}
     for workers in (1, 2):
@@ -157,42 +173,30 @@ def test_a_forked_heads_divergence_is_raised_as_itself(monkeypatch, tmp_path, ca
     assert f"DivergenceDetected: {serial}" in capsys.readouterr().err
 
 
-_FORKED_RUNS = """
-import os, sys
-from tdlab.experiments import run_experiment
-os.sched_getaffinity = lambda pid: {0, 1}
-run_experiment("four-rooms-features", {"t_end": 2.0}, sys.argv[1] + "/four-rooms", 0)
-run_experiment("bms-select", {"n_estimator_seeds": 2, "k_values": (2,), "ls_samples": 2}, sys.argv[1] + "/bms", 0)
-print(sorted(name for name in sys.modules if name.partition(".")[0] == "multiprocessing"))
-"""
-
-
-def test_forked_runs_leave_multiprocessing_unloaded(tmp_path):
-    """``_fork_map`` forks with ``os.fork`` and a pipe: importing
-    ``multiprocessing`` would add ~0.8 MB to a forked run's peak RSS."""
-    proc = subprocess.run([sys.executable, "-c", _FORKED_RUNS, str(tmp_path)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["[]"]
-
-
 _FORK_AFTER_BLAS_THREADS = """
 import os, sys
 from tdlab.experiments import run_experiment
 overrides = {"n_estimator_seeds": 2, "k_values": (2,), "ls_samples": 2}
 print(len(os.listdir("/proc/self/task")))  # OpenBLAS starts its threads when numpy loads
 os.sched_getaffinity = lambda pid: {0, 1}
+run_experiment("four-rooms-features", {"t_end": 2.0}, sys.argv[1] + "/four-rooms", 0)
 run_experiment("bms-select", overrides, sys.argv[1] + "/forked", 0)
 os.sched_getaffinity = lambda pid: {0}
 run_experiment("bms-select", overrides, sys.argv[1] + "/serial", 0)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "multiprocessing"))
 """
 
 
-def test_bms_select_forks_safely_after_openblas_started_its_threads(tmp_path):
-    """With the BLAS thread count unset, the process that forks already runs
-    OpenBLAS's threads; the forked run finishes and writes the serial bytes."""
+@pytest.fixture(scope="module")
+def forked_runs_after_blas_threads(tmp_path_factory):
+    """One interpreter, with the BLAS thread count unset, runs four-rooms
+    forked and bms-select forked and serially; returns its thread count
+    before the forks, the ``multiprocessing`` modules it loaded and its
+    output directory."""
+    out = tmp_path_factory.mktemp("forked_runs")
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     proc = subprocess.Popen(
-        [sys.executable, "-c", _FORK_AFTER_BLAS_THREADS, str(tmp_path)],
+        [sys.executable, "-c", _FORK_AFTER_BLAS_THREADS, str(out)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
     )
     try:
@@ -200,10 +204,25 @@ def test_bms_select_forks_safely_after_openblas_started_its_threads(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # the forked worker too
         proc.communicate()
-        pytest.fail("bms-select did not finish within 120 s of forking")
+        pytest.fail("the forked runs did not finish within 120 s")
     assert proc.returncode == 0, stderr[-2000:]
-    if int(stdout.split()[0]) < 2:
+    threads, multiprocessing_modules = stdout.splitlines()
+    return int(threads), multiprocessing_modules, out
+
+
+def test_forked_runs_leave_multiprocessing_unloaded(forked_runs_after_blas_threads):
+    """``_fork_map`` forks with ``os.fork`` and a pipe: importing
+    ``multiprocessing`` would add ~0.8 MB to a forked run's peak RSS."""
+    _, multiprocessing_modules, _ = forked_runs_after_blas_threads
+    assert multiprocessing_modules == "[]"
+
+
+def test_bms_select_forks_safely_after_openblas_started_its_threads(forked_runs_after_blas_threads):
+    """With the BLAS thread count unset, the process that forks already runs
+    OpenBLAS's threads; the forked run finishes and writes the serial bytes."""
+    threads, _, out = forked_runs_after_blas_threads
+    if threads < 2:
         pytest.skip("the BLAS started no threads before the fork")
-    forked, serial = (sorted((tmp_path / run).glob("*.csv")) for run in ("forked", "serial"))
+    forked, serial = (sorted((out / run).glob("*.csv")) for run in ("forked", "serial"))
     assert [path.name for path in forked] == [path.name for path in serial] != []
     assert [path.read_bytes() for path in forked] == [path.read_bytes() for path in serial]

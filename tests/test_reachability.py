@@ -2,12 +2,11 @@
 or the demos, or it is listed below with the test or config key that
 reaches it.
 
-One fresh interpreter, in which ``import scipy`` fails and one CPU is
-usable (so ``_fork_map`` runs every item in this process), runs ``tdlab
-list``, ``tdlab validate`` on a config that sets every key of every
-experiment to its default, ``tdlab run`` of each experiment at its defaults
-and then the four demos, under a ``sys.setprofile`` tracer that records
-each tdlab code object it sees called.  A code object is keyed by
+The suite's one whole-program pass (``conftest.whole_program_pass``: in a
+fresh interpreter where ``import scipy`` fails and one CPU is usable, ``tdlab
+list``, ``tdlab validate`` of every default, ``tdlab run`` of each
+experiment at its defaults and the four demos) records each tdlab code
+object it sees called.  A code object is keyed by
 ``(co_filename, co_firstlineno)``, which for a decorated function is its
 first decorator's line.  Every ``def`` that ``ast`` finds in the package
 (methods, properties and nested closures too) and that the pass never
@@ -17,15 +16,11 @@ a deletion that leaves an entry behind.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import tdlab
 
 SRC = Path(tdlab.__file__).parent
-DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 # qualname (module-prefixed; nested closures as ``outer.<locals>.inner``) -> what reaches it
 UNREACHED = {
@@ -54,48 +49,7 @@ UNREACHED = {
     # refusals and failures
     "experiments.Range.__str__": "a config value out of its range (test_cli::test_out_of_range_value_is_config_error)",
     "cli._numerical_failure": "exit 3 (test_cli::test_numerical_failure_exits_three_and_names_the_error)",
-    "flows.DivergenceDetected.__reduce__": "a forked head's divergence (test_fork_map::test_a_forked_heads_divergence_is_raised_as_itself)",
 }
-
-TRACED_PASS = """
-import contextlib, io, os, runpy, sys, tempfile
-from pathlib import Path
-
-sys.modules["scipy"] = None  # the experiments, the CLI and the demos need numpy only
-os.sched_getaffinity = lambda pid: {0}  # one usable CPU: _fork_map runs serially, here
-src, out_path, demos = sys.argv[1], sys.argv[2], sys.argv[3:]
-seen = set()
-
-
-def record(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename.startswith(src):
-        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-
-sys.setprofile(record)
-from tdlab.cli import main
-from tdlab.experiments import EXPERIMENT_ORDER, EXPERIMENTS
-
-
-def ini_value(value):
-    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-    config = Path(tmp, "defaults.ini")  # every key of every experiment, at its default
-    config.write_text("".join(
-        f"[{name}]\\n" + "".join(f"{key} = {ini_value(v)}\\n" for key, v in EXPERIMENTS[name].defaults.items())
-        for name in EXPERIMENT_ORDER
-    ))
-    codes = [main(["list"]), main(["validate", "--config", str(config)])]
-    codes += [main(["run", name, "--out", str(Path(tmp, name))]) for name in EXPERIMENT_ORDER]
-    for demo in demos:
-        runpy.run_path(demo, run_name="__main__")
-sys.setprofile(None)
-assert codes == [0] * len(codes), codes
-Path(out_path).write_text(repr(sorted(seen)))
-"""
-
 
 def defined_functions() -> dict:
     """``(path, first line) -> qualname`` of every ``def`` under ``src/tdlab``.
@@ -122,15 +76,8 @@ def defined_functions() -> dict:
     return found
 
 
-def test_every_function_is_reached_or_listed(tmp_path):
-    out = tmp_path / "seen.txt"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACED_PASS, str(SRC), str(out), *map(str, DEMOS)],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    seen = set(ast.literal_eval(out.read_text()))
+def test_every_function_is_reached_or_listed(whole_program_pass):
+    seen = whole_program_pass["seen"]
     defined = defined_functions()
     unreached = sorted(name for key, name in defined.items() if key not in seen)
     assert unreached == sorted(UNREACHED), {

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _COV_TOL = 1e-10
-SAMPLER_METHODS = ("gd", "exact")  # sample_then_optimize's and algorithm1_sumloss's
+SAMPLER_METHODS = ("gd", "exact")  # algorithm1_sumloss's
 TASK_KINDS = ("feature_dimension", "prior_variance", "rff_frequency")  # model_selection_task's
 
 
@@ -409,32 +409,6 @@ def _prior_draw(model: BlrModel, y: np.ndarray, d: int, seed) -> tuple[np.ndarra
     rng = np.random.default_rng(seed)
     theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
     return theta0, y + np.sqrt(model.noise_variance) * rng.standard_normal(y.size)
-
-
-def sample_then_optimize(
-    model: BlrModel, data: OrderedDataset, seed: int, lr: float = 1e-3, steps: int = 5000,
-    upto: int | None = None, method: str = "gd",
-) -> np.ndarray:
-    """Posterior sampling by regularized least squares from a prior draw.
-
-    Draws ``theta0`` from the prior and a noised copy of the targets, then
-    minimizes ``||y~ - Phi theta||^2 + (sN^2/s0^2) ||theta - theta0||^2``
-    (gradient descent, or the closed-form solution with ``method="exact"``).
-    The exact minimizer is distributed as the posterior given the prefix.
-    """
-    if lr <= 0 or steps < 0:
-        raise ValueError("lr must be positive and steps nonnegative")
-    if method not in SAMPLER_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    m = data.n if upto is None else int(upto)
-    if not 0 <= m <= data.n:
-        raise ValueError(f"upto must lie in [0, {data.n}], got {m}")
-    phi, y = data.features_and_targets(model)
-    theta0, y_tilde = _prior_draw(model, y, phi.shape[1], seed)
-    phi, y_tilde = phi[:m], y_tilde[:m]
-    if method == "exact":  # the posterior mean under prior mean theta0 and targets y~
-        return theta0 + _posteriors(model, phi, y_tilde - phi @ theta0, [m])[0][0]
-    return _gd_minimize(phi, y_tilde, model.noise_variance / model.prior_variance, theta0, theta0, lr, steps)
 
 
 def algorithm1_sumloss(

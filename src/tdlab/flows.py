@@ -546,19 +546,13 @@ def random_cumulant_flow(phi0, w0, cumulants, P, cfg: FlowConfig) -> FlowTraject
     return _coupled_flow(phi0, w0, cumulants, P, cfg)
 
 
-def limiting_ensemble_flow(
-    phi0, P, R, gamma: float, t: float, noise: np.ndarray | None = None
-) -> np.ndarray:
-    """Infinite-ensemble feature trajectory at time ``t``.
+def limiting_ensemble_flow(phi0, P, gamma: float, t: float) -> np.ndarray:
+    """Infinite-ensemble feature trajectory at time ``t``: the scaled-learning-rate limit.
 
-    Without ``noise`` this is the scaled-learning-rate limit
-    ``exp(-t(I - gamma P)) Phi0``; with a noise vector ``eps`` (one entry per
-    feature) it is the scaled-initialization limit
-    ``exp(-t(I - gamma P))(Phi0 - Psi R eps^T) + Psi R eps^T``.  ``t`` must be finite.
+    That is ``exp(-t(I - gamma P)) Phi0``.  ``t`` must be finite.
     """
     phi0 = np.asarray(phi0, dtype=float)
     P = np.asarray(P, dtype=float)
-    R = np.asarray(R, dtype=float)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     if not np.isfinite(t):
@@ -566,13 +560,7 @@ def limiting_ensemble_flow(
     n = phi0.shape[0]
     if P.shape != (n, n):
         raise ValueError("P dimension does not match phi0")
-    offset = 0.0
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (phi0.shape[1],):
-            raise ValueError(f"noise must have one entry per feature, shape ({phi0.shape[1]},)")
-        offset = np.outer(resolvent(P, gamma) @ R, noise)
-    return _closed_form_grid(gamma * P - np.eye(n), offset, phi0, [0, 1], t)[-1]
+    return _closed_form_grid(gamma * P - np.eye(n), 0.0, phi0, [0, 1], t)[-1]
 
 
 def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:

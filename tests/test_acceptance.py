@@ -185,7 +185,7 @@ def test_03_wider_ensembles_track_the_limiting_flow():
     P = transition_matrix(mdp, uniform_policy(mdp))
     gamma, K, t_end = 0.9, 3, 5.0
     phi0 = rng.standard_normal((5, K))
-    target = limiting_ensemble_flow(phi0, P, np.zeros(5), gamma, t=t_end)
+    target = limiting_ensemble_flow(phi0, P, gamma, t=t_end)
     means = []
     for M in (5, 20, 100, 400):
         errs = []

@@ -23,7 +23,6 @@ from tdlab.evidence import (
     kl_gap,
     make_rff_feature_map,
     model_selection_task,
-    sample_then_optimize,
 )
 
 
@@ -132,33 +131,6 @@ def test_moment_matched_estimator_edge_cases():
     assert np.isfinite(estimate_LS(tiny, data, 8, seed=0))
 
 
-def test_sample_then_optimize_gd_reaches_exact_solution():
-    model, data = random_task(7, n=10, d=3)
-    exact = sample_then_optimize(model, data, seed=11, method="exact")
-    gd = sample_then_optimize(model, data, seed=11, lr=1e-3, steps=20000, method="gd")
-    assert np.max(np.abs(gd - exact)) < 1e-6
-
-
-def test_sample_then_optimize_samples_the_posterior():
-    model, data = random_task(8, n=15, d=3)
-    post = blr_posterior(model, data)
-    draws = np.array(
-        [sample_then_optimize(model, data, seed=s, method="exact") for s in range(2000)]
-    )
-    scale = np.sqrt(np.max(np.diag(post.covariance)))
-    assert np.max(np.abs(np.mean(draws, axis=0) - post.mean)) < 0.05 * max(scale, 1.0)
-    emp_cov = np.cov(draws.T)
-    assert np.max(np.abs(emp_cov - post.covariance)) < 0.05 * np.max(np.abs(post.covariance)) + 0.02
-
-
-def test_sample_then_optimize_empty_prefix_returns_prior_draw():
-    model, data = random_task(9)
-    theta = sample_then_optimize(model, data, seed=3, upto=0, method="exact")
-    rng = np.random.default_rng(3)
-    expected = np.sqrt(model.prior_variance) * rng.standard_normal(data.inputs.shape[1])
-    assert_allclose(theta, expected, atol=1e-12)
-
-
 def test_sumloss_estimator_agrees_with_posterior_sampling():
     """The iterated-optimization score and the direct posterior-sample score
     estimate the same quantity; their means should agree within noise."""
@@ -216,18 +188,6 @@ def test_every_entry_point_on_zero_and_one_points(n):
     assert_allclose(weights, reference_stacking_weights([model], data, seed), **close)
 
 
-def ridge_minimizer_reference(model, data, seed, upto):
-    """Sample-then-optimize by the ridge normal equations on the first ``upto`` points."""
-    phi, y = data.features_and_targets(model)
-    phi, y = phi[:upto], y[:upto]
-    d = phi.shape[1]
-    rng = np.random.default_rng(seed)
-    theta0 = np.sqrt(model.prior_variance) * rng.standard_normal(d)
-    y_tilde = y + np.sqrt(model.noise_variance) * rng.standard_normal(upto)
-    lam = model.noise_variance / model.prior_variance
-    return np.linalg.solve(phi.T @ phi + lam * np.eye(d), phi.T @ y_tilde + lam * theta0)
-
-
 def algorithm1_reference(model, data, seed):
     """Algorithm 1 in exact mode, solving the normal equations afresh after every point."""
     phi, y = data.features_and_targets(model)
@@ -245,7 +205,7 @@ def algorithm1_reference(model, data, seed):
 
 
 def test_exact_minimizers_read_off_the_posterior_match_the_normal_equations():
-    """Algorithm 1 and sample-then-optimize in exact mode equal per-prefix ridge solves."""
+    """Algorithm 1 in exact mode, one seed or several at once, equals per-prefix ridge solves."""
     fd_models, fd_data = model_selection_task("feature_dimension", seed=0)
     rff_models, rff_data = model_selection_task("rff_frequency", seed=0)
     cases = [(m, fd_data) for m in fd_models if m.feature_map in (5, 30)] + [(rff_models[3], rff_data)]
@@ -258,10 +218,6 @@ def test_exact_minimizers_read_off_the_posterior_match_the_normal_equations():
         batched = algorithm1_sumloss(model, data, seeds=seeds, method="exact")
         assert isinstance(batched, np.ndarray) and batched.shape == (len(seeds),)
         assert_allclose(batched, expected, rtol=1e-10, atol=0)
-        for upto in (0, 1, 7, 15, 30):
-            theta = sample_then_optimize(model, data, seed=seeds[1], upto=upto, method="exact")
-            ref = ridge_minimizer_reference(model, data, seeds[1], upto)
-            assert np.max(np.abs(theta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_sumloss_gd_converges_to_exact_mode():
@@ -293,12 +249,10 @@ def test_sumloss_gd_fits_only_the_scored_prefixes(monkeypatch):
 
 
 def test_gd_refuses_a_non_finite_loss():
-    """At lr = 1 the loss overflows; both gd entry points raise instead of returning NaN."""
+    """At lr = 1 the loss overflows; gd Algorithm 1 raises instead of returning NaN."""
     models, data = model_selection_task("prior_variance")
     with pytest.raises(FloatingPointError, match=r"diverged at step \d+: loss (inf|nan)"):
         algorithm1_sumloss(models[0], data, seeds=[0], method="gd", lr=1.0, steps_per_point=500)
-    with pytest.raises(FloatingPointError, match=r"diverged at step \d+: loss (inf|nan)"):
-        sample_then_optimize(models[0], data, seed=0, lr=1.0, steps=500, method="gd")
 
 
 def test_gd_divergence_names_the_step_and_the_loss():
@@ -310,18 +264,31 @@ def test_gd_divergence_names_the_step_and_the_loss():
 @pytest.mark.parametrize("method", SAMPLER_METHODS)
 @pytest.mark.parametrize("bad", [{"steps_per_point": -5}, {"lr": -1e-3}, {"lr": 0.0}])
 def test_sumloss_refuses_a_nonpositive_lr_and_negative_steps(method, bad):
-    """The same rule and wording as :func:`sample_then_optimize`, in both modes."""
+    """One rule and wording in both modes, checked before any data is read."""
     model, data = random_task(9, n=6)
     with pytest.raises(ValueError, match="lr must be positive and steps nonnegative"):
         algorithm1_sumloss(model, data, seeds=[0], method=method, **bad)
 
 
-@pytest.mark.parametrize("method", ["gd", "exact"])
-@pytest.mark.parametrize("upto", [-1, 11])
-def test_sample_then_optimize_refuses_upto_outside_the_data(method, upto):
-    model, data = random_task(9, n=10)
-    with pytest.raises(ValueError, match=r"upto must lie in \[0, 10\]"):
-        sample_then_optimize(model, data, seed=0, upto=upto, method=method)
+_REFUSALS = {  # a call on random_task(9, n=6)'s (model, data) -> a regex its ValueError matches
+    "coordinate_subset": (
+        lambda model, data: BlrModel(feature_map=5).features(data.inputs),
+        "coordinate subset 5 out of range for 4 inputs",
+    ),
+    "upto_negative": (lambda model, data: blr_posterior(model, data, upto=-1), r"upto must lie in \[0, n\]"),
+    "upto_past_n": (lambda model, data: blr_posterior(model, data, upto=7), r"upto must lie in \[0, n\]"),
+    "k_zero": (lambda model, data: estimate_Lk(model, data, (0,)), "k and n_seeds must be positive"),
+    "no_seeds": (lambda model, data: estimate_Lk(model, data, (1,), n_seeds=0), "k and n_seeds must be positive"),
+    "sumloss_method": (
+        lambda model, data: algorithm1_sumloss(model, data, seeds=[0], method="newton"), "unknown method 'newton'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_evidence_refuses_subsets_prefixes_and_counts_outside_the_data(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*random_task(9, n=6))
 
 
 def test_sotl_decomposition_identity_for_sgd_epoch():

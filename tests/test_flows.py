@@ -268,9 +268,7 @@ _CLOSED_FORM_RUNS = {
     "mc": lambda P, R, V0, cfg: mc_value_flow(V0, P, R, cfg),
     "nstep": lambda P, R, V0, cfg: nstep_value_flow(V0, P, R, 3, cfg),
     "td_lambda": lambda P, R, V0, cfg: td_lambda_value_flow(V0, P, R, 0.7, cfg),
-    "limiting": lambda P, R, V0, cfg: limiting_ensemble_flow(
-        np.outer(V0, [1.0, -2.0]), P, R, cfg.gamma, t=cfg.t_end
-    ),
+    "limiting": lambda P, R, V0, cfg: limiting_ensemble_flow(np.outer(V0, [1.0, -2.0]), P, cfg.gamma, t=cfg.t_end),
     "second_order": lambda P, R, V0, cfg: second_order_check(
         V0, P, R, FlowConfig(gamma=cfg.gamma, t_end=5.0, dt=0.1, method="euler")
     ),
@@ -817,23 +815,12 @@ def test_flow_meta_holds_only_what_the_run_computed(name, run, keys):
 
 
 def test_limiting_ensemble_flow_matches_expm():
-    P, R, _, gamma = small_problem(15)
+    P, _, _, gamma = small_problem(15)
     rng = np.random.default_rng(15)
     phi0 = rng.standard_normal((5, 4))
     A = np.eye(5) - gamma * P
-    got = limiting_ensemble_flow(phi0, P, R, gamma, t=2.5)
+    got = limiting_ensemble_flow(phi0, P, gamma, t=2.5)
     assert_allclose(got, expm(-2.5 * A) @ phi0, atol=1e-12)
-
-
-def test_limiting_ensemble_flow_with_noise_offset():
-    P, R, _, gamma = small_problem(16)
-    rng = np.random.default_rng(16)
-    phi0 = rng.standard_normal((5, 4))
-    eps = rng.standard_normal(4)
-    A = np.eye(5) - gamma * P
-    offset = np.outer(resolvent(P, gamma) @ R, eps)
-    got = limiting_ensemble_flow(phi0, P, R, gamma, t=1.5, noise=eps)
-    assert_allclose(got, expm(-1.5 * A) @ (phi0 - offset) + offset, atol=1e-12)
 
 
 def test_wide_ensembles_approach_the_limit():
@@ -841,7 +828,7 @@ def test_wide_ensembles_approach_the_limit():
     rng = np.random.default_rng(17)
     K, t = 3, 5.0
     phi0 = rng.standard_normal((5, K))
-    target = limiting_ensemble_flow(phi0, P, np.zeros(5), gamma, t=t)
+    target = limiting_ensemble_flow(phi0, P, gamma, t=t)
     errs = []
     for M in (5, 400):
         err = 0.0
@@ -855,11 +842,11 @@ def test_wide_ensembles_approach_the_limit():
 
 
 def test_limiting_flows_refuse_a_non_finite_time():
-    P, R, _, gamma = small_problem(15)
+    P, _, _, gamma = small_problem(15)
     phi0 = np.random.default_rng(15).standard_normal((5, 4))
     for t in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="t must be finite"):
-            limiting_ensemble_flow(phi0, P, R, gamma, t=t)
+            limiting_ensemble_flow(phi0, P, gamma, t=t)
 
 
 def test_limiting_cumulant_covariance_formula():
@@ -877,6 +864,58 @@ def test_limiting_cumulant_covariance_rejects_asymmetric():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         limiting_cumulant_covariance(P, gamma, bad)
+
+
+_RK4 = FlowConfig(gamma=0.9, t_end=1.0, dt=0.1, method="rk4")
+_REFUSALS = {  # a call on small_problem(P, R, V0, gamma) -> (the error, a regex its message matches)
+    "value_dimensions": (
+        lambda P, R, V0, g: td_value_flow(V0, P, R[:4], _RK4), ValueError, "V0, P, R dimensions do not agree",
+    ),
+    "value_euler": (
+        lambda P, R, V0, g: td_value_flow(V0, P, R, FlowConfig(gamma=g, method="euler")),
+        ValueError, "value flows support closed_form and rk4 only",
+    ),
+    "nstep_n": (lambda P, R, V0, g: nstep_value_flow(V0, P, R, 0, _RK4), ValueError, "n must be a positive integer"),
+    "td_lambda_one": (
+        lambda P, R, V0, g: td_lambda_value_flow(V0, P, R, 1.0, _RK4), ValueError, r"lambda must lie in \[0, 1\)",
+    ),
+    "td_lambda_negative": (
+        lambda P, R, V0, g: td_lambda_value_flow(V0, P, R, -0.1, _RK4), ValueError, r"lambda must lie in \[0, 1\)",
+    ),
+    "coupled_w0": (
+        lambda P, R, V0, g: coupled_feature_flow(np.ones((5, 2)), np.ones((3, 4)), P, R, _RK4),
+        ValueError, r"w0 must have shape \(2, M\), got \(3, 4\)",
+    ),
+    "coupled_targets": (
+        lambda P, R, V0, g: random_cumulant_flow(np.ones((5, 2)), np.ones((2, 4)), np.ones((5, 3)), P, _RK4),
+        ValueError, r"targets must have shape \(5, 4\), got \(5, 3\)",
+    ),
+    "coupled_P": (
+        lambda P, R, V0, g: coupled_feature_flow(np.ones((4, 2)), np.ones((2, 3)), P, R[:4], _RK4),
+        ValueError, "P dimension does not match phi0",
+    ),
+    "limiting_gamma": (
+        lambda P, R, V0, g: limiting_ensemble_flow(np.ones((5, 2)), P, 1.0, t=1.0),
+        ValueError, r"gamma must lie in \[0, 1\)",
+    ),
+    "limiting_P": (
+        lambda P, R, V0, g: limiting_ensemble_flow(np.ones((4, 2)), P, g, t=1.0),
+        ValueError, "P dimension does not match phi0",
+    ),
+    "covariance_not_square": (
+        lambda P, R, V0, g: limiting_cumulant_covariance(P, g, np.ones((5, 4))), ValueError, "Sigma must be square",
+    ),
+    "covariance_indefinite": (
+        lambda P, R, V0, g: limiting_cumulant_covariance(P, g, -np.eye(5)),
+        np.linalg.LinAlgError, r"covariance not PSD \(min eigenvalue -\d",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_flows_refuse_shapes_methods_and_parameters_they_cannot_run(call, error, message):
+    with pytest.raises(error, match=message):
+        call(*small_problem(40))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ a deletion that leaves an entry behind.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import tdlab
@@ -43,13 +44,13 @@ UNREACHED = {
     "flows._rk4": "four-rooms-features beta != 0 (test_flows::test_coupled_flow_with_learned_weights_matches_step_loop)",
     "causal._beta_continued_fraction": "misa-robustness with even n_envs: an odd numerator dof (test_causal::test_f_upper_tail_matches_scipy_fdtrc)",
     "evidence._gd_minimize": "bms-select alg1_method = gd (test_evidence::test_sumloss_gd_converges_to_exact_mode)",
-    "evidence.sample_then_optimize": "bms-select alg1_method = gd (test_evidence::test_sample_then_optimize_gd_reaches_exact_solution)",
     "evidence.make_rff_feature_map": "bms-select kind = rff_frequency (test_fork_map, test_evidence)",
     "evidence.make_rff_feature_map.<locals>.fmap": "bms-select kind = rff_frequency (test_fork_map, test_evidence)",
     # refusals and failures
     "experiments.Range.__str__": "a config value out of its range (test_cli::test_out_of_range_value_is_config_error)",
     "cli._numerical_failure": "exit 3 (test_cli::test_numerical_failure_exits_three_and_names_the_error)",
 }
+
 
 def defined_functions() -> dict:
     """``(path, first line) -> qualname`` of every ``def`` under ``src/tdlab``.
@@ -84,3 +85,20 @@ def test_every_function_is_reached_or_listed(whole_program_pass):
         "unreached and not listed": sorted(set(unreached) - set(UNREACHED)),
         "listed but reached (or gone)": sorted(set(UNREACHED) - set(unreached)),
     }
+
+
+def test_every_cited_test_exists():
+    """Each ``module::test_name`` a reason above quotes is a function defined in
+    ``tests/module.py``, read with ``ast`` (nothing is imported), so a deleted or
+    renamed test cannot leave a reason that cites it."""
+    tests = Path(__file__).parent
+    cited = {match for reason in UNREACHED.values() for match in re.findall(r"(\w+)::(\w+)", reason)}
+    assert cited
+    missing = [
+        f"{module}::{name}" for module, name in sorted(cited)
+        if name not in {
+            node.name for node in ast.walk(ast.parse((tests / f"{module}.py").read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+    ]
+    assert not missing, missing

@@ -17,8 +17,9 @@ recurrence and each block of snapshots one broadcast, whenever a norm bound
 shows that no step can cross the divergence threshold; the other linear flows
 (every flow but the coupled one with ``beta != 0``) step by composed affine
 maps (:func:`_affine_strides`): one RK4 or Euler step of ``x' = A x + c`` is
-exactly ``x <- M x + m``, so the recorded snapshots come from powers of that
-map rather than a step loop; and the nonlinear flow takes every RK4 step.
+exactly ``x <- M x + m``, so each recorded snapshot is one product with the
+map's power for its step gap, composed once per distinct gap; and the
+nonlinear flow takes every RK4 step.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -36,12 +37,9 @@ from .spectral import _basis_of, _span_basis, eigenbasis_coefficients, grassmann
 _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
 _MAX_STEPS = 10**7
-# a block of stacked powers spans at most this many steps and holds at most
-# this many floats, so composing its powers never costs more than it saves;
-# snapshot stacks are also mapped and measured this many snapshots at a time,
-# so no temporary grows with the trajectory
+# snapshot stacks are made in the eigenbasis and measured this many snapshots
+# at a time, so no temporary grows with the trajectory
 _BLOCK_STEPS = 64
-_BLOCK_ENTRIES = 2**16
 # Higham (2005), Table 2.3 and eq. (2.5): theta_13, and the [13/13] Pade
 # coefficients divided by the first, so that expm of the zero matrix is exactly I
 _THETA13 = 5.371920351148152
@@ -224,10 +222,11 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     step loop: the eigenbasis of ``B`` (:func:`_eigenbasis_strides`, which
     falls back to the next), composed affine maps
     (:func:`_affine_strides`), or every step of a nonlinear flow.  A route's
-    ``whole(x, j)`` returns ``b`` snapshots from ``j`` on, computed together,
-    or ``None`` where those ``b`` strides must be stepped one step at a time
-    and checked after each step, so divergence is raised at the step where
-    it happens, with the trajectory recorded up to it attached.  Returns
+    ``whole(x, j)`` returns ``b`` snapshots from ``j`` on, computed together
+    (up to ``_BLOCK_STEPS`` in the eigenbasis, one on the affine maps), or
+    ``None`` where those ``b`` strides must be stepped one step at a time and
+    checked after each step, so divergence is raised at the step where it
+    happens, with the trajectory recorded up to it attached.  Returns
     ``build(times, snapshots, work)`` (a :class:`FlowTrajectory` by
     default), where ``work`` counts the ``steps`` taken and the
     ``stepwise_strides``; the partial trajectory is built the same way.
@@ -283,54 +282,39 @@ def _rk4(f, x, h: float):
 def _affine_strides(A, c, steps: np.ndarray, cfg: FlowConfig, floor: float):
     """The composed-affine-map route of ``x' = A x + c`` on the recorded step grid.
 
-    ``i`` steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so the power of
-    one stride is composed once and each recorded snapshot (or block of close
-    snapshots spanning up to ``_BLOCK_STEPS`` steps) costs one product.
-    Returns one step, and ``whole(x, j)``: the number ``b`` of snapshots from
-    ``j`` on that one product takes, and their states, or ``None`` if the
-    norm bound fails and those ``b`` strides must be stepped.  A stretch is
-    taken whole only if ``||M^i|| ||x|| + ||m_i||`` (infinity norms, summed
-    over a stack; a bound on ``record``'s sup norm when that multiplies by
-    entries of modulus at most one) and ``floor`` stay within 1e8 at every
-    step ``i`` inside it.
+    ``i`` steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so, as in
+    :func:`_closed_form_grid`, the map of each distinct step gap is composed
+    once and each recorded snapshot costs one product.  Returns one step, and
+    ``whole(x, j)``: ``1`` and snapshot ``j`` from the state ``x`` at snapshot
+    ``j - 1``, or ``None`` if the norm bound fails and that gap must be
+    stepped.  A gap is taken whole only if ``||M^i|| ||x|| + ||m_i||``
+    (infinity norms, summed over a stack; a bound on ``record``'s sup norm
+    when that multiplies by entries of modulus at most one) and ``floor``
+    stay within 1e8 at every step ``i`` inside it.
     """
     gaps = np.diff(steps).tolist()
     M, m = _step_map(A, c, cfg.dt, cfg.method)
-    J, n = (M.shape[0] if M.ndim == 3 else 1), M.shape[-1]
+    J = M.shape[0] if M.ndim == 3 else 1
 
     def sup(x):  # per system
         return np.abs(x).reshape(J, -1).max(axis=1)
 
-    stride, n_strides = gaps[0], gaps.count(gaps[0])
-    block = max(1, min(_BLOCK_STEPS // stride, _BLOCK_ENTRIES // (J * n * n), n_strides))
-    span = block * stride
-    # the norms of M^i and m_i bound every step of a stretch; every
-    # stride-th power (and the last, shorter gap's) moves the state
+    # each distinct gap keeps its map and the norms of M^i and m_i for the steps i inside it, which bound them
+    maps, span = dict.fromkeys(gaps), max(gaps)
     power_norms, offset_norms = np.empty((span, J)), np.empty((span, J))
-    at_stride = []
-    power, offset = M, m
+    power, offset = np.eye(M.shape[-1]), np.zeros_like(m)  # M^0 and m_0
     for i in range(1, span + 1):
-        if i > 1:
-            power, offset = M @ power, M @ offset + m
+        power, offset = M @ power, M @ offset + m
         power_norms[i - 1] = np.abs(power).sum(axis=-1).max(axis=-1)
         offset_norms[i - 1] = sup(offset)
-        if i % stride == 0:
-            at_stride.append((power, offset))
-        if i == gaps[-1]:
-            last = power[None], offset[None]
-    stacked = [np.stack(maps) for maps in zip(*at_stride)]
+        if i in maps:
+            maps[i] = power, offset, power_norms[:i], offset_norms[:i].sum(axis=1)
 
     def whole(x, j):
-        gap = gaps[j - 1]
-        if gap == stride:
-            b = min(block, n_strides - (j - 1))
-            powers, offsets = stacked[0][:b], stacked[1][:b]
-        else:
-            b, (powers, offsets) = 1, last
-        bound = power_norms[: b * gap] @ sup(x) + offset_norms[: b * gap].sum(axis=1)
-        if np.max(bound) <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP:
-            return b, powers @ x + offsets
-        return b, None
+        power, offset, norms, offset_sums = maps[gaps[j - 1]]
+        if (norms @ sup(x) + offset_sums).max() <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP:
+            return 1, (power @ x + offset)[None]
+        return 1, None
 
     return (lambda x: M @ x + m), whole
 

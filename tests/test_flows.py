@@ -464,7 +464,7 @@ def assert_matches_step_loop(traj, states, dt):
 
 @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
 def test_td_value_flow_matches_step_loop(columns):
-    # 2,500 steps: stride 3, stacked blocks, and a last gap of one step
+    # 2,500 steps: stride 3 and a last gap of one step, each gap's map composed once
     P, R, V0, gamma = small_problem(28)
     if columns:
         V0 = np.random.default_rng(28).standard_normal((5, columns))
@@ -984,6 +984,28 @@ def test_grassmann_metric_temporaries_stay_a_few_blocks_in_size():
     finally:
         tracemalloc.stop()
     assert peak <= traj.states.nbytes / 4
+
+
+def test_affine_route_keeps_one_map_per_step_gap():
+    """At kernel-circle's size (n = 50, 40 train states, 100 Euler steps of
+    dt = 1, stride 1), a ``kernel_td_flow`` run's traced peak stays under
+    0.5 MB: the (101, 50) trajectory, the (50, 50) step map and its
+    few-matrix set-up.  Stacked powers for a block of snapshots (26 x 50 x 50
+    floats, 0.52 MB) cross it.  A warm-up call first takes lazy set-up out of
+    the trace."""
+    mdp, train_idx = build_circle_mdp(50, reward_state=24, n_train=40)
+    P = transition_matrix(mdp, uniform_policy(mdp))
+    K_all = split_kernel(KernelSpec(lengthscale=1.0, embedding=circle_embedding(50)), train_idx)
+    cfg = FlowConfig(gamma=0.99, t_end=100.0, dt=1.0, method="euler")
+    kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
+    tracemalloc.start()
+    try:
+        traj = kernel_td_flow(np.zeros(50), K_all, P, mdp.rewards, train_idx, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["stepwise_strides"] == 0
+    assert peak <= 0.5e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_second_order_ratio_improves():

@@ -5,8 +5,9 @@ and its feature-flow workload keeps one snapshot stack alive at a time.
 ``BENCHMARK.json``, so a renamed or deleted public function makes a traced
 run die with a ``KeyError``; the tracer binds a ``cfg`` argument of every
 flow in ``tracing.RK4_FLOWS`` to count RK4 steps.  The golden check runs the
-ten experiments as perfbench does and compares them with its stored outputs,
-once per OpenBLAS kernel family with stored references that this CPU runs.
+ten experiments as perfbench does (the flow experiments at every stored seed)
+and compares them with its stored outputs, once per OpenBLAS kernel family
+with stored references that this CPU runs.
 perfbench's files are only read.
 """
 
@@ -73,6 +74,9 @@ def test_rk4_flows_take_a_cfg_parameter():
         assert "cfg" in inspect.signature(public_function(qualified)).parameters, qualified
 
 
+# the experiments that run learning-dynamics flows, golden-checked at every stored seed
+FLOW_EXPERIMENTS = ("two-state", "four-rooms-features", "random-cumulants", "kernel-circle", "second-order")
+
 _GOLDEN = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
@@ -81,26 +85,31 @@ kernel = {kernel!r}
 workloads.pin_environment(kernel)  # before numpy loads its BLAS
 import reference
 from tdlab.experiments import EXPERIMENT_ORDER, run_experiment
-ref = reference.Reference(0, kernel)
-for name in EXPERIMENT_ORDER:
-    out = {out!r} + "/" + name
-    run_experiment(name, dict(workloads.CONFIGS[name]), out, 0)
-    for miss in ref.check(name, out):
-        print(miss)
+for seed in range(10):
+    ref = reference.Reference(seed, kernel)
+    for name in EXPERIMENT_ORDER if seed == 0 else {flows!r}:
+        out = {out!r} + f"/{{seed}}/{{name}}"
+        run_experiment(name, dict(workloads.CONFIGS[name]), out, seed)
+        for miss in ref.check(name, out):
+            print(f"seed {{seed}}: {{miss}}")
 """
 
 
 @pytest.mark.parametrize("kernel", KERNEL_FAMILIES)
 def test_experiments_reproduce_the_perfbench_references(tmp_path, kernel):
-    """Seed 0 of every experiment, at perfbench's pinned configs, one BLAS thread
-    and one stored kernel family, matches that family's reference cell by cell
-    under ``reference.RULES``.  A family whose instructions this CPU lacks is
-    skipped.  A fresh interpreter per family, because the environment must be
-    pinned before numpy loads; ``-B`` keeps perfbench free of bytecode."""
+    """Seed 0 of every experiment, and seeds 1-9 of the flow experiments, at
+    perfbench's pinned configs, one BLAS thread and one stored kernel family,
+    match that family's reference cell by cell under ``reference.RULES``, as
+    perfbench checks whichever seed it runs.  A family whose instructions this
+    CPU lacks is skipped.  A fresh interpreter per family, because the
+    environment must be pinned before numpy loads; ``-B`` keeps perfbench free
+    of bytecode."""
     missing = KERNEL_FAMILIES[kernel] - cpu_flags()
     if missing:
         pytest.skip(f"this CPU lacks {', '.join(sorted(missing))} for OpenBLAS {kernel}")
-    code = _GOLDEN.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"), out=str(tmp_path), kernel=kernel)
+    code = _GOLDEN.format(
+        bench=str(ROOT / "perfbench"), src=str(ROOT / "src"), out=str(tmp_path), kernel=kernel, flows=FLOW_EXPERIMENTS
+    )
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "", f"reference misses:\n{proc.stdout}"

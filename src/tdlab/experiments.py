@@ -785,9 +785,10 @@ _DEFS = [
         },
         _run_misa,
         # random-data sizes: ICP compares >= 2 environments, each needing p + 2 = 5 rows
-        # for 3 variables; linear_misa checks alpha only after the data are drawn
+        # for 3 variables, and environment e draws from [seed, e] while the robustness
+        # curve draws from [seed, 10_000]; linear_misa checks alpha only after the data are drawn
         ranges={
-            "n_envs": Range(2), "n_steps": Range(5), "alpha": Range(0.0, 1.0, lo_open=True, hi_open=True),
+            "n_envs": Range(2, 10_000), "n_steps": Range(5), "alpha": Range(0.0, 1.0, lo_open=True, hi_open=True),
         },
     ),
     ExperimentDef(

@@ -18,8 +18,9 @@ shows that no step can cross the divergence threshold; the other linear flows
 (every flow but the coupled one with ``beta != 0``) step by composed affine
 maps (:func:`_affine_strides`): one RK4 or Euler step of ``x' = A x + c`` is
 exactly ``x <- M x + m``, so each recorded snapshot is one product with the
-map's power for its step gap, composed once per distinct gap; and the
-nonlinear flow takes every RK4 step.
+map's power for its step gap, composed once per distinct gap, taken whenever
+``sup |x|`` is within that gap's divergence limit; and the nonlinear flow
+takes every RK4 step.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -222,11 +223,12 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     step loop: the eigenbasis of ``B`` (:func:`_eigenbasis_strides`, which
     falls back to the next), composed affine maps
     (:func:`_affine_strides`), or every step of a nonlinear flow.  A route's
-    ``whole(x, j)`` returns ``b`` snapshots from ``j`` on, computed together
-    (up to ``_BLOCK_STEPS`` in the eigenbasis, one on the affine maps), or
-    ``None`` where those ``b`` strides must be stepped one step at a time and
-    checked after each step, so divergence is raised at the step where it
-    happens, with the trajectory recorded up to it attached.  Returns
+    ``whole(x, j)`` returns the snapshots from ``j`` on that it computes
+    together (up to ``_BLOCK_STEPS`` in the eigenbasis, one on the affine
+    maps), so their count is its length, or ``None`` where the gap up to
+    snapshot ``j`` must be stepped one step at a time and checked after each
+    step, so divergence is raised at the step where it happens, with the
+    trajectory recorded up to it attached.  Returns
     ``build(times, snapshots, work)`` (a :class:`FlowTrajectory` by
     default), where ``work`` counts the ``steps`` taken and the
     ``stepwise_strides``; the partial trajectory is built the same way.
@@ -241,20 +243,20 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     # overflow in a route's norm bound just fails it, and inside a step the divergence check fires
     with np.errstate(over="ignore", invalid="ignore"):
         if callable(flow):
-            step, whole = (lambda x: _rk4(flow, x, cfg.dt)), (lambda x, j: (1, None))
+            step, whole = (lambda x: _rk4(flow, x, cfg.dt)), (lambda x, j: None)
         elif len(flow) == 2:
             step, whole = _affine_strides(*flow, grid, cfg, floor)
         else:
             step, whole = _eigenbasis_strides(*flow, x0, grid, cfg, floor)
         x, j, stepwise = x0, 1, 0
         while j < len(steps):
-            b, X = whole(x, j)
+            X = whole(x, j)
             if X is not None:
-                snaps[j : j + b] = record(X)
-                x, j = X[-1], j + b
+                snaps[j : j + len(X)] = record(X)
+                x, j = X[-1], j + len(X)
                 continue
-            stepwise += b
-            for k in range(steps[j - 1] + 1, steps[j - 1 + b] + 1):
+            stepwise += 1
+            for k in range(steps[j - 1] + 1, steps[j] + 1):
                 x = step(x)
                 rec = record(x)
                 now = max(float(np.max(np.abs(rec))), floor)
@@ -285,36 +287,35 @@ def _affine_strides(A, c, steps: np.ndarray, cfg: FlowConfig, floor: float):
     ``i`` steps are ``x <- M^i x + m_i`` (:func:`_step_map`), so, as in
     :func:`_closed_form_grid`, the map of each distinct step gap is composed
     once and each recorded snapshot costs one product.  Returns one step, and
-    ``whole(x, j)``: ``1`` and snapshot ``j`` from the state ``x`` at snapshot
-    ``j - 1``, or ``None`` if the norm bound fails and that gap must be
-    stepped.  A gap is taken whole only if ``||M^i|| ||x|| + ||m_i||``
-    (infinity norms, summed over a stack; a bound on ``record``'s sup norm
-    when that multiplies by entries of modulus at most one) and ``floor``
-    stay within 1e8 at every step ``i`` inside it.
+    ``whole(x, j)``: snapshot ``j`` (a stack of one) from the state ``x`` at
+    snapshot ``j - 1``, or ``None`` if the norm bound fails and that gap must
+    be stepped.  The bound is ``||M^i|| ||x|| + ||m_i|| <= 1e8`` at every step
+    ``i`` inside the gap (infinity norms, each summed over a stack; a bound on
+    ``record``'s sup norm when that multiplies by entries of modulus at most
+    one), so the loop that composes the maps also keeps, per gap, the limit
+    ``min_i (1e8 - ||m_i||) / ||M^i||`` on ``||x||``, and ``whole`` makes one
+    comparison.  The limit is ``-inf`` when ``floor`` exceeds 1e8.  On a
+    stack ``||x||`` is the largest system's sup norm, which bounds each
+    one's, so the bound stays sound and is at most ``J`` times looser.
     """
     gaps = np.diff(steps).tolist()
     M, m = _step_map(A, c, cfg.dt, cfg.method)
     J = M.shape[0] if M.ndim == 3 else 1
-
-    def sup(x):  # per system
-        return np.abs(x).reshape(J, -1).max(axis=1)
-
-    # each distinct gap keeps its map and the norms of M^i and m_i for the steps i inside it, which bound them
-    maps, span = dict.fromkeys(gaps), max(gaps)
-    power_norms, offset_norms = np.empty((span, J)), np.empty((span, J))
+    # each distinct gap keeps its map and the largest sup |x| whose bound holds at every step inside it
+    maps, limit = dict.fromkeys(gaps), np.inf if floor <= _DIVERGENCE_SUP else -np.inf
     power, offset = np.eye(M.shape[-1]), np.zeros_like(m)  # M^0 and m_0
-    for i in range(1, span + 1):
+    for i in range(1, max(gaps) + 1):
         power, offset = M @ power, M @ offset + m
-        power_norms[i - 1] = np.abs(power).sum(axis=-1).max(axis=-1)
-        offset_norms[i - 1] = sup(offset)
+        norm = np.abs(power).sum(axis=-1).max(axis=-1).sum()
+        room = _DIVERGENCE_SUP - np.abs(offset).reshape(J, -1).max(axis=1).sum()
+        # a zero power norm bounds every x or none; a non-finite one (or NaN room) none
+        limit = np.minimum(limit, room / norm if 0 < norm < np.inf else np.inf if norm == 0 <= room else -np.inf)
         if i in maps:
-            maps[i] = power, offset, power_norms[:i], offset_norms[:i].sum(axis=1)
+            maps[i] = power, offset, limit
 
     def whole(x, j):
-        power, offset, norms, offset_sums = maps[gaps[j - 1]]
-        if (norms @ sup(x) + offset_sums).max() <= _DIVERGENCE_SUP and floor <= _DIVERGENCE_SUP:
-            return 1, (power @ x + offset)[None]
-        return 1, None
+        power, offset, limit = maps[gaps[j - 1]]
+        return (power @ x + offset)[None] if np.abs(x).max() <= limit else None
 
     return (lambda x: M @ x + m), whole
 
@@ -360,7 +361,7 @@ def _eigenbasis_strides(B, scales, c, x0, steps: np.ndarray, cfg: FlowConfig, fl
                 power *= x
                 total *= d
                 power += total
-                return len(power), (power @ U.T)[..., None]
+                return (power @ U.T)[..., None]
 
             return None, whole
     return _affine_strides(scales[:, None, None] * B, c, steps, cfg, floor)

@@ -56,6 +56,22 @@ def test_ties_count_for_neither_side_and_higher_can_be_better():
     assert (row["won"], row["lost"]) == (0, 8) and row["median_gap"] == -1.0 and not row["gain"]
 
 
+def test_per_pair_gaps_cancel_drift_that_both_sides_of_a_pair_share():
+    """The machine slows down across the batch for both checkouts alike: the
+    parent's spread hides the gap from the gain rule, and the per-pair gaps
+    show it."""
+    parent = [0.65 - 0.02 * i for i in range(10)]
+    change = [p - 0.05 + 0.001 * (-1) ** i for i, p in enumerate(parent)]
+    (row,) = bench_pairs.summarise(runs("pass_s", parent), runs("pass_s", change), {"pass_s": "lower"})
+    assert row["won"] == 10 and row["parent_iqr"] > row["median_gap"] and not row["gain"]
+    gaps = [a - b for a, b in zip(parent, change)]
+    assert row["pair_gaps"] == tuple(statistics.quantiles(gaps, n=4))
+    assert row["pair_gaps"] == pytest.approx((0.049, 0.05, 0.051), abs=1e-3)
+    assert row["pair_gaps"][2] - row["pair_gaps"][0] < 0.01 < row["parent_iqr"]
+    (row,) = bench_pairs.summarise(runs("ops", parent), runs("ops", change), {"ops": "higher"})
+    assert row["pair_gaps"] == pytest.approx([-g for g in reversed(statistics.quantiles(gaps, n=4))])
+
+
 def test_runs_that_are_not_correct_or_failed_are_flagged():
     assert not bench_pairs.flagged({"correct": True, "failed": 0})
     assert bench_pairs.flagged({"correct": False, "failed": 0})

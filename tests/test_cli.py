@@ -106,6 +106,7 @@ def test_non_finite_float_is_config_error(tmp_path, key, value):
 _OUT_OF_RANGE = [
     ("misa-robustness", "alpha", "5"), ("misa-robustness", "alpha", "0"),
     ("misa-robustness", "n_seeds", "0"), ("misa-robustness", "n_envs", "1"),
+    ("misa-robustness", "n_envs", "10001"),
     ("misa-robustness", "n_steps", "3"), ("bms-select", "n_estimator_seeds", "0"),
     ("bms-select", "k_values", "0"), ("bms-select", "k_values", "4,0"),
     ("bms-select", "ls_samples", "1"), ("bms-select", "task_seed", "-1"),

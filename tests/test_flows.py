@@ -728,24 +728,99 @@ def test_closed_form_flow_leaves_numpy_ma_unloaded(tmp_path):
         assert proc.stdout.split() == ["False"], call
 
 
-def test_transient_growth_falls_back_to_steps_and_still_matches():
+_JORDAN_P = np.array([[0.0, 1e4], [0.0, 0.0]])
+_JORDAN_B = 0.99 * _JORDAN_P - np.eye(2)
+_JORDAN_CUMULANTS = np.array([[0.5, -1.0], [1.0, 0.25]])
+# (flow from x0 under cfg, its vector field, x0, t_end, the transient peak of |x[0, 1]|)
+_TRANSIENT_GROWTH = {
+    # one system, 500 steps at stride 1: the bound ||M^i|| ||V|| peaks near
+    # 3.6e8 and the second column grows to 3.6e6
+    "value": (
+        lambda V0, cfg: td_value_flow(V0, _JORDAN_P, np.zeros(2), cfg),
+        lambda V: _JORDAN_B @ V, np.array([[1e5, 0.0], [0.0, 1e3]]), 5.0, 3e6,
+    ),
+    # a stack of J = 2 systems (w0 = I), 2,000 steps at stride 2: the states
+    # grow to 3.7e5, within the bound summed over one system but not over both
+    "stack": (
+        lambda phi0, cfg: random_cumulant_flow(phi0, np.eye(2), _JORDAN_CUMULANTS, _JORDAN_P, cfg),
+        lambda phi: _JORDAN_CUMULANTS + _JORDAN_B @ phi, np.array([[0.0, 0.0], [100.0, -100.0]]), 20.0, 3e5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _TRANSIENT_GROWTH)
+def test_transient_growth_falls_back_to_steps_and_still_matches(case):
     """A non-normal generator whose norm bound crosses 1e8 while the flow stays below it.
 
-    ``P`` is nilpotent, so ``gamma P - I`` is a Jordan block: the bound
-    ``||M^i|| ||V||`` peaks near 3.6e8 and the second column grows
-    transiently to 3.6e6, but no state crosses 1e8.  The stretches that
-    fail the bound are stepped one at a time, and the result is the same.
+    ``P`` is nilpotent, so ``gamma P - I`` is a Jordan block and the states
+    grow transiently, but no state crosses 1e8.  The gaps that fail the
+    bound are stepped one at a time, and the result is the same.  On a
+    stack the bound sums the norms over the systems: with one system's
+    norms alone the stack's gaps would all be taken whole.
     """
-    P = np.array([[0.0, 1e4], [0.0, 0.0]])
-    gamma, R = 0.99, np.zeros(2)
-    V0 = np.array([[1e5, 0.0], [0.0, 1e3]])
-    cfg = FlowConfig(gamma=gamma, t_end=5.0, dt=0.01, method="rk4")
-    traj = td_value_flow(V0, P, R, cfg)
-    states, crossed = step_loop(lambda V: gamma * P @ V - V, V0, cfg)
+    flow, f, x0, t_end, peak = _TRANSIENT_GROWTH[case]
+    cfg = FlowConfig(gamma=0.99, t_end=t_end, dt=0.01, method="rk4")
+    traj = flow(x0, cfg)
+    states, crossed = step_loop(f, x0, cfg)
     assert crossed is None
-    assert np.max(np.abs(states[:, 0, 1])) > 3e6
+    assert np.max(np.abs(states[:, 0, 1])) > peak
     assert traj.meta["stepwise_strides"] > 0
     assert_matches_step_loop(traj, states, cfg.dt)
+
+
+def test_affine_gaps_at_stride_one_are_the_steps_bit_for_bit(monkeypatch):
+    """At stride 1 a gap's map is ``M @ I`` and ``M @ 0 + m``, both exact, so
+    a gap taken whole is the step itself: forcing every affine gap to be
+    stepped leaves every bit of a random-cumulants-sized stack's snapshots,
+    and of kernel-circle's diverging run (gamma 0.99, lengthscale 100), its
+    crossing time and its sup norm."""
+    rng = np.random.default_rng(37)
+    mdp = random_mdp(rng, 10)
+    P = transition_matrix(mdp, uniform_policy(mdp))
+    phi0, w0, C = rng.standard_normal((10, 5)), rng.standard_normal((5, 5)), rng.standard_normal((10, 5))
+    cfg = FlowConfig(gamma=0.9, t_end=6.0, dt=0.01, method="rk4")
+    circle, train_idx = build_circle_mdp(50, reward_state=24, n_train=40)
+    P50 = transition_matrix(circle, uniform_policy(circle))
+    K_all = split_kernel(KernelSpec(lengthscale=100.0, embedding=circle_embedding(50)), train_idx)
+    euler = FlowConfig(gamma=0.99, t_end=100.0, dt=1.0, method="euler")
+
+    def run():
+        traj = random_cumulant_flow(phi0, w0, C, P, cfg)
+        with pytest.raises(DivergenceDetected) as info:
+            kernel_td_flow(np.zeros(50), K_all, P50, circle.rewards, train_idx, euler)
+        return traj, info.value
+
+    taken, taken_exc = run()
+    real = flows._affine_strides
+
+    def every_gap_stepped(*args):
+        step, _ = real(*args)
+        return step, lambda x, j: None
+
+    monkeypatch.setattr(flows, "_affine_strides", every_gap_stepped)
+    stepped, stepped_exc = run()
+    assert taken.meta["stepwise_strides"] == 0 and stepped.meta["stepwise_strides"] == 600
+    assert np.array_equal(taken.states, stepped.states)
+    assert (taken_exc.time, taken_exc.sup_norm) == (stepped_exc.time, stepped_exc.sup_norm)
+    partial, stepped_partial = taken_exc.trajectory, stepped_exc.trajectory
+    assert partial.meta["steps"] == stepped_partial.meta["steps"]
+    assert partial.meta["stepwise_strides"] < stepped_partial.meta["stepwise_strides"]
+    assert np.array_equal(partial.states, stepped_partial.states)
+
+
+def test_a_zero_step_map_admits_every_state_or_none():
+    """Euler with ``A = -I`` and ``dt = 1`` steps ``x <- c``: every power of
+    the step map is exactly 0, so a gap's limit is +inf while ``c`` stays
+    within 1e8 and -inf beyond, with no division warning."""
+    _, R, V0, _ = small_problem(38)
+    cfg = FlowConfig(gamma=0.5, t_end=2000.0, dt=1.0, method="euler")  # stride 2
+    traj = flows._propagate((-np.eye(5), R), V0, cfg)
+    assert traj.meta == {"steps": 2000, "stepwise_strides": 0}
+    assert np.array_equal(traj.states[1:], np.broadcast_to(R, (1000, 5)))
+    with pytest.raises(DivergenceDetected) as info:
+        flows._propagate((-np.eye(5), 2e8 * R / np.max(np.abs(R))), V0, cfg)
+    assert info.value.time == 1.0 and info.value.sup_norm == 2e8
+    assert info.value.trajectory.meta == {"steps": 1, "stepwise_strides": 1}
 
 
 _COUNTS = {"steps", "stepwise_strides"}

@@ -7,11 +7,12 @@ For each workload W in turn, pair i runs each checkout's ``perfbench/run.py
 first in even pairs and the change first in odd ones, and prints one line per
 run.  A run whose result is not ``correct`` or has ``failed > 0`` is flagged.
 Then, for every metric of W's results, it prints each side's median and
-quartiles, the pairs the change won (ties count for neither side) and whether
-a gain may be claimed: the change wins at least nine tenths of the pairs and
-the medians differ, in the better direction, by more than the parent's
-interquartile range.  The direction of each metric is read from the parent's
-``BENCHMARK.json``.  The last line is the ``BENCH_*.json`` record of every
+quartiles, the quartiles of the per-pair gaps (positive where the change did
+better; drift that both runs of a pair share cancels in them), the pairs the
+change won (ties count for neither side) and whether a gain may be claimed:
+the change wins at least nine tenths of the pairs and the medians differ, in
+the better direction, by more than the parent's interquartile range.  The
+direction of each metric is read from the parent's ``BENCHMARK.json``.  The last line is the ``BENCH_*.json`` record of every
 pair, with no claim (``"claim": null``, ``"verdict": "no gain"``); a record
 that claims a gain names its workload and metric there instead.  The exit
 code is 1 if any run was flagged.
@@ -52,14 +53,15 @@ def summarise(parent: list[dict], change: list[dict], better: dict) -> list[dict
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
-        won = sum(sign * (b - a) < 0 for a, b in zip(p, c))
-        lost = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        gaps = [sign * (a - b) for a, b in zip(p, c)]  # positive where the change did better
+        won = sum(gap > 0 for gap in gaps)
+        lost = sum(gap < 0 for gap in gaps)
         pq, cq = quartiles(p), quartiles(c)
         gap = sign * (pq[1] - cq[1])  # positive when the change's median is better
         iqr = pq[2] - pq[0]
         rows.append({
             "metric": name, "parent": pq, "change": cq, "pairs": len(p), "won": won, "lost": lost,
-            "parent_iqr": iqr, "median_gap": gap,
+            "parent_iqr": iqr, "median_gap": gap, "pair_gaps": quartiles(gaps),
             "gain": won >= math.ceil(0.9 * len(p)) and gap > iqr,
         })
     return rows
@@ -121,12 +123,13 @@ def main(argv=None) -> int:
                       f"failed={result['failed']}{'  FLAGGED' if flag else ''}", flush=True)
             record["pairs"].append(pair)
         for row in summarise(values["parent"], values["change"], better):
-            (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
+            (p1, pm, p3), (c1, cm, c3), (g1, gm, g3) = row["parent"], row["change"], row["pair_gaps"]
             print(f"{workload} {row['metric']}: parent {pm:.6g} [{p1:.6g} .. {p3:.6g}], "
                   f"change {cm:.6g} [{c1:.6g} .. {c3:.6g}], "
                   f"change better in {row['won']}/{row['pairs']} pairs (worse in {row['lost']}), "
                   f"median gap {row['median_gap']:+.6g} vs parent IQR {row['parent_iqr']:.6g}: "
-                  f"gain {'holds' if row['gain'] else 'not shown'}")
+                  f"gain {'holds' if row['gain'] else 'not shown'}; "
+                  f"per-pair gap {gm:+.6g} [{g1:+.6g} .. {g3:+.6g}]")
     print(json.dumps(record))
     return 1 if any_flagged else 0
 

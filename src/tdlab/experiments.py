@@ -227,9 +227,9 @@ def _run_four_rooms(cfg, inputs, rng, art):
 
     Every head's ``phi0`` and ``w0`` are drawn first, in ``m_heads`` order, so
     the flows are independent and ``_fork_map`` splits them over forked
-    workers.  A flow returns only its snapshot times and distances: its
-    snapshot stack goes before the next flow in the same process makes its
-    own, and the rows are built once every flow is done."""
+    workers.  A flow measures each block of snapshots as the engine makes it
+    and returns only its snapshot times and distances, so no process holds a
+    snapshot stack; the rows are built once every flow is done."""
     flow_cfgs, mdp, P, target = inputs
     K = cfg["k_features"]
     starts = [
@@ -238,8 +238,8 @@ def _run_four_rooms(cfg, inputs, rng, art):
     ]
 
     def convergence(h):
-        traj = coupled_feature_flow(*starts[h], P, mdp.rewards, flow_cfgs[h])
-        return traj.times, grassmann_convergence_metric(traj, target)
+        traj = coupled_feature_flow(*starts[h], P, mdp.rewards, flow_cfgs[h], target=target)
+        return traj.times, traj.states
 
     rows = [
         (M, t, d)

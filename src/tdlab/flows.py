@@ -8,19 +8,21 @@ including the random-cumulant variant) integrate with RK4.  Every exact
 evaluation ``exp(t G)(x0 - x*) + x*`` goes through :func:`_closed_form_grid`,
 whose matrix exponential is :func:`expm` (Higham's scaling and squaring,
 in numpy).  Every fixed-step run goes through one engine, :func:`_propagate`,
-which walks the step grid, fills the snapshot stack, reports divergence
-instead of overflowing and builds the trajectory, partial or complete.  It
-takes one of three routes, all taking the same steps as a step loop: the
-frozen-weight coupled flow with a symmetric ``P`` steps in the eigenbasis of
-``gamma P - I`` (:func:`_eigenbasis_strides`), where every mode is a scalar
-recurrence and each block of snapshots one broadcast, whenever a norm bound
-shows that no step can cross the divergence threshold; the other linear flows
-(every flow but the coupled one with ``beta != 0``) step by composed affine
-maps (:func:`_affine_strides`): one RK4 or Euler step of ``x' = A x + c`` is
-exactly ``x <- M x + m``, so each recorded snapshot is one product with the
-map's power for its step gap, composed once per distinct gap, taken whenever
-``sup |x|`` is within that gap's divergence limit; and the nonlinear flow
-takes every RK4 step.
+which walks the step grid, hands each block of recorded snapshots to a
+measure as it makes them (by default the snapshots are kept; the coupled
+flow given a target keeps one Grassmann distance per snapshot instead),
+reports divergence instead of overflowing and builds the trajectory, partial
+or complete.  It takes one of three routes, all taking the same steps as a
+step loop: the frozen-weight coupled flow with a symmetric ``P`` steps in the
+eigenbasis of ``gamma P - I`` (:func:`_eigenbasis_strides`), where every mode
+is a scalar recurrence and each block of snapshots one broadcast, whenever a
+norm bound shows that no step can cross the divergence threshold; the other
+linear flows (every flow but the coupled one with ``beta != 0``) step by
+composed affine maps (:func:`_affine_strides`): one RK4 or Euler step of
+``x' = A x + c`` is exactly ``x <- M x + m``, so each recorded snapshot is
+one product with the map's power for its step gap, composed once per
+distinct gap, taken whenever ``sup |x|`` is within that gap's divergence
+limit; and the nonlinear flow takes every RK4 step.
 
 Trajectories are recorded on a thinned grid of at most ~1024 snapshots;
 closed-form evaluation is exact at every recorded time regardless of ``dt``.
@@ -38,8 +40,8 @@ from .spectral import _basis_of, _span_basis, eigenbasis_coefficients, grassmann
 _DIVERGENCE_SUP = 1e8
 _MAX_SNAPSHOTS = 1024
 _MAX_STEPS = 10**7
-# snapshot stacks are made in the eigenbasis and measured this many snapshots
-# at a time, so no temporary grows with the trajectory
+# snapshots are made in the eigenbasis and measured this many at a time, so no
+# temporary grows with the trajectory
 _BLOCK_STEPS = 64
 # Higham (2005), Table 2.3 and eq. (2.5): theta_13, and the [13/13] Pade
 # coefficients divided by the first, so that expm of the zero matrix is exactly I
@@ -112,11 +114,12 @@ class FlowTrajectory:
     """Time grid plus state snapshots.
 
     ``meta`` holds only what the run computed: the value flows'
-    ``fixed_point``, the coupled flows' per-snapshot ``weights`` and kernel
-    TD's per-snapshot ``train_residual_sup``, and for every RK4 or Euler run
-    the integrator counts ``steps`` and ``stepwise_strides``.  The partial
-    trajectory a :class:`DivergenceDetected` carries holds the counts, and a
-    coupled flow's its ``weights`` too.
+    ``fixed_point``, the coupled flows' per-snapshot ``weights`` (not when
+    ``states`` are distances to a target) and kernel TD's per-snapshot
+    ``train_residual_sup``, and for every RK4 or Euler run the integrator
+    counts ``steps`` and ``stepwise_strides``.  The partial trajectory a
+    :class:`DivergenceDetected` carries holds the counts, and a coupled
+    flow's its ``weights`` too.
     """
 
     times: np.ndarray
@@ -206,7 +209,9 @@ def _step_map(A: np.ndarray, c: np.ndarray, h: float, method: str):
     return M, h * (S @ c)
 
 
-def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0, build=FlowTrajectory):
+def _propagate(
+    flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0, build=FlowTrajectory, measure=lambda x: x
+):
     """Fixed-step integration of ``flow`` from ``x0``: the one stepping engine.
 
     ``flow`` is a pair ``(A, c)`` for the linear flow ``dx/dt = A x + c``,
@@ -218,6 +223,10 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     ``x0`` of shape ``(J, n, 1)``, as ``c`` and ``x0`` are for a triple.
     ``record`` maps states (stacked too) to the recorded snapshots; the
     divergence check reads the larger of their sup norm and ``floor``.
+    ``measure`` maps each stack of recorded snapshots, as it is made (x0's,
+    each block a route computes together, each stepped one, the diverging
+    one), to what is kept for them, one entry per snapshot; by default the
+    snapshots themselves.
 
     Each flow takes one of three routes, which all take the same steps as a
     step loop: the eigenbasis of ``B`` (:func:`_eigenbasis_strides`, which
@@ -231,13 +240,14 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
     trajectory recorded up to it attached.  Returns
     ``build(times, snapshots, work)`` (a :class:`FlowTrajectory` by
     default), where ``work`` counts the ``steps`` taken and the
-    ``stepwise_strides``; the partial trajectory is built the same way.
+    ``stepwise_strides`` and ``snapshots`` is what ``measure`` kept; the
+    partial trajectory is built the same way.
     """
     grid = _recorded_steps(cfg)
     times, steps = cfg.dt * grid, grid.tolist()
-    first = record(x0)
-    snaps = np.empty((len(steps),) + first.shape)
-    snaps[0] = first
+    first = measure(record(x0)[None])
+    snaps = np.empty((len(steps),) + first.shape[1:])
+    snaps[:1] = first
     if len(steps) == 1:
         return build(times, snaps, {"steps": 0, "stepwise_strides": 0})
     # overflow in a route's norm bound just fails it, and inside a step the divergence check fires
@@ -252,7 +262,7 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
         while j < len(steps):
             X = whole(x, j)
             if X is not None:
-                snaps[j : j + len(X)] = record(X)
+                snaps[j : j + len(X)] = measure(record(X))
                 x, j = X[-1], j + len(X)
                 continue
             stepwise += 1
@@ -262,12 +272,12 @@ def _propagate(flow, x0, cfg: FlowConfig, record=lambda x: x, floor: float = 0.0
                 now = max(float(np.max(np.abs(rec))), floor)
                 if not now <= _DIVERGENCE_SUP:
                     exc = DivergenceDetected(k * cfg.dt, now)
-                    snaps[j] = rec
+                    snaps[j : j + 1] = measure(rec[None])
                     work = {"steps": k, "stepwise_strides": stepwise}
                     exc.trajectory = build(np.append(times[:j], exc.time), snaps[: j + 1], work)
                     raise exc
                 if k == steps[j]:
-                    snaps[j] = rec
+                    snaps[j : j + 1] = measure(rec[None])
                     j += 1
     return build(times, snaps, {"steps": steps[-1], "stepwise_strides": stepwise})
 
@@ -441,6 +451,7 @@ def _coupled_flow(
     targets: np.ndarray,
     P: np.ndarray,
     cfg: FlowConfig,
+    target=None,
 ) -> FlowTrajectory:
     """Shared engine: ``dPhi = alpha (T + (gamma P - I) Phi W) W^T``, ``dW = beta Phi^T (...)``.
 
@@ -449,7 +460,9 @@ def _coupled_flow(
     :func:`_propagate` steps in the eigenbasis of ``B = gamma P - I`` or by
     composed affine maps (:func:`_eigenbasis_strides` chooses); with ``beta
     != 0`` it steps the nonlinear flow.  One builder makes the complete and
-    the partial trajectory.
+    the partial trajectory.  With a ``target`` subspace, :func:`_propagate`
+    measures each block of snapshots as it is made (:func:`_grassmann_distances`
+    of the features) and keeps only the distances, with the counts as ``meta``.
     """
     phi0 = np.asarray(phi0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -500,10 +513,17 @@ def _coupled_flow(
         phi, weights = unpack(states)
         return FlowTrajectory(times=times, states=phi, meta=dict(work, weights=weights))
 
-    return _propagate(flow, x0, cfg, record, floor, trajectory)
+    if target is None:
+        return _propagate(flow, x0, cfg, record, floor, trajectory)
+    basis = _basis_of(target)
+
+    def measure(snaps):
+        return _grassmann_distances(unpack(snaps)[0], basis)
+
+    return _propagate(flow, x0, cfg, record, floor, measure=measure)
 
 
-def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
+def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig, target=None) -> FlowTrajectory:
     """Semi-gradient feature/weight flow summed over ensemble heads.
 
     Every head regresses the same reward: the per-head TD error is
@@ -518,11 +538,19 @@ def coupled_feature_flow(phi0, w0, P, R, cfg: FlowConfig) -> FlowTrajectory:
     every stride.
     Raises :class:`DivergenceDetected`, with the partial trajectory attached,
     when the sup norm of ``Phi`` and the weights crosses 1e8.
+
+    With a ``target`` subspace of ``Phi``'s shape, each block of snapshots is
+    measured as it is made and dropped: ``states`` holds, per snapshot, the
+    Grassmann distance of ``Phi``'s span to ``target`` (NaN where the span is
+    rank deficient), each the value :func:`grassmann_convergence_metric`
+    gives on the whole trajectory, and ``meta`` only the counts.  No
+    ``(snapshots, n, K)`` stack is held, and divergence is detected at the
+    same step.
     """
     R = np.asarray(R, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     targets = np.tile(R[:, None], (1, w0.shape[1]))
-    return _coupled_flow(phi0, w0, targets, P, cfg)
+    return _coupled_flow(phi0, w0, targets, P, cfg, target)
 
 
 def random_cumulant_flow(phi0, w0, cumulants, P, cfg: FlowConfig) -> FlowTrajectory:
@@ -564,14 +592,25 @@ def limiting_cumulant_covariance(P, gamma: float, Sigma) -> np.ndarray:
     return cov
 
 
+def _grassmann_distances(snapshots: np.ndarray, target_basis: np.ndarray) -> np.ndarray:
+    """Grassmann distance of each ``(n, K)`` snapshot's span in a stack to the
+    target basis, NaN where the span is rank deficient.  A stacked QR and a
+    stacked SVD factor matrix by matrix, so every distance is the one a
+    single-snapshot call gives, wherever the stack's edges fall."""
+    bases, full = _span_basis(snapshots)
+    # a rank-deficient snapshot still has an orthonormal Q; its distance is discarded
+    return np.where(full, grassmann_distance(bases, target_basis), np.nan)
+
+
 def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
     """Per-snapshot Grassmann distance of the snapshot span to a target.
 
     Snapshots must be ``(n, K)`` matrices.  Rank-deficient snapshots yield a
-    NaN entry instead of an error.  Snapshots go through a stacked QR and a
-    stacked SVD ``_BLOCK_STEPS`` at a time, so the temporaries stay a block's
-    size; both factor matrix by matrix, so every distance is the one a
-    single-snapshot call gives.
+    NaN entry instead of an error.  Snapshots are measured
+    (:func:`_grassmann_distances`) ``_BLOCK_STEPS`` at a time, so the
+    temporaries stay a block's size.  A flow that only needs the distances
+    asks :func:`coupled_feature_flow` for them with ``target``, which
+    measures each block as it is made and holds no snapshot stack.
     """
     target_basis = _basis_of(target)
     K = target_basis.shape[1]
@@ -580,9 +619,7 @@ def grassmann_convergence_metric(traj: FlowTrajectory, target) -> np.ndarray:
         raise ValueError(f"snapshots must be (n, {K}) matrices, with the target's columns, not {states.shape[1:]}")
     metric = np.empty(len(states))
     for i in range(0, len(states), _BLOCK_STEPS):
-        bases, full = _span_basis(states[i : i + _BLOCK_STEPS])
-        # a rank-deficient snapshot still has an orthonormal Q; its distance is discarded
-        metric[i : i + _BLOCK_STEPS] = np.where(full, grassmann_distance(bases, target_basis), np.nan)
+        metric[i : i + _BLOCK_STEPS] = _grassmann_distances(states[i : i + _BLOCK_STEPS], target_basis)
     return metric
 
 

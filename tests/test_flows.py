@@ -845,6 +845,8 @@ def _meta_runs():
         yield f"{name}-rk4", lambda flow=flow: flow(V0, P, R, rk4), {"fixed_point"} | _COUNTS
     yield "coupled-frozen", lambda: coupled_feature_flow(phi0, w0, P, R, rk4), {"weights"} | _COUNTS
     yield "coupled-learned", lambda: coupled_feature_flow(phi0, w0, P, R, learned), {"weights"} | _COUNTS
+    target = subspace_from_span(rng.standard_normal((5, 3)))
+    yield "coupled-measured", lambda: coupled_feature_flow(phi0, w0, P, R, rk4, target=target), _COUNTS
     yield "random_cumulant", lambda: random_cumulant_flow(phi0, w0, cumulants, P, rk4), {"weights"} | _COUNTS
     mdp, train_idx = build_circle_mdp(50, reward_state=24, n_train=40)
     P50 = transition_matrix(mdp, uniform_policy(mdp))
@@ -965,6 +967,10 @@ _REFUSALS = {  # a call on small_problem(P, R, V0, gamma) -> (the error, a regex
         lambda P, R, V0, g: random_cumulant_flow(np.ones((5, 2)), np.ones((2, 4)), np.ones((5, 3)), P, _RK4),
         ValueError, r"targets must have shape \(5, 4\), got \(5, 3\)",
     ),
+    "coupled_target": (
+        lambda P, R, V0, g: coupled_feature_flow(np.ones((5, 2)), np.ones((2, 3)), P, R, _RK4, target=np.eye(5)),
+        ValueError, r"subspace dimensions differ: \(1, 5, 2\) vs \(5, 5\)",
+    ),
     "coupled_P": (
         lambda P, R, V0, g: coupled_feature_flow(np.ones((4, 2)), np.ones((2, 3)), P, R[:4], _RK4),
         ValueError, "P dimension does not match phi0",
@@ -1059,6 +1065,59 @@ def test_grassmann_metric_temporaries_stay_a_few_blocks_in_size():
     finally:
         tracemalloc.stop()
     assert peak <= traj.states.nbytes / 4
+
+
+def streamed_metric_case(kind):
+    """A frozen or learned coupled flow on one route of the engine: its inputs,
+    and the calls of ``_eigenbasis_strides``, ``_affine_strides`` and an
+    ``n x n`` ``eigh`` that :func:`spy_on_routes` counts for one run."""
+    rng = np.random.default_rng(38)
+    if kind == "diverging":  # the affine route's fallback, stepped to the crossing at step 28
+        P, R, phi0, w0, cfg, _ = symmetric_divergence_config("growing-mode")
+        return phi0, w0, P, R, cfg, (1, 1, 1)
+    if kind == "affine":  # a non-symmetric walk
+        P, R = random_walk_matrix(rng, 8), rng.standard_normal(8)
+        cfg = FlowConfig(gamma=0.9, alpha=0.5, t_end=3.0, dt=0.01, method="rk4")
+        return rng.standard_normal((8, 3)), rng.standard_normal((3, 4)), P, R, cfg, (1, 1, 0)
+    if kind == "learned":  # beta != 0: every RK4 step, stride 3
+        P, R, _, gamma = small_problem(32)
+        cfg = FlowConfig(gamma=gamma, alpha=0.3, beta=0.2, t_end=2.5, dt=1e-3, method="rk4")
+        return rng.standard_normal((5, 2)), rng.standard_normal((2, 3)), P, R, cfg, (0, 0, 0)
+    # the eigenbasis route: 251 snapshots, x0's and then four blocks whose edges are not the metric's
+    P, R = symmetric_walk(7), rng.standard_normal(7)
+    phi0 = rng.standard_normal((7, 3))
+    if kind == "rank-deficient":  # equal columns at t = 0 only: the frozen weights move them apart
+        phi0[:, 2] = phi0[:, 0]
+    cfg = FlowConfig(gamma=0.99, alpha=1.0 / 3, t_end=2.5, dt=0.01, method="rk4")
+    return phi0, rng.standard_normal((3, 3)), P, R, cfg, (1, 0, 1)
+
+
+@pytest.mark.parametrize("kind", ["eigenbasis", "affine", "learned", "rank-deficient", "diverging"])
+def test_streamed_metric_equals_the_metric_of_the_materialized_flow(monkeypatch, kind):
+    """``coupled_feature_flow(..., target=T)`` measures each block of snapshots
+    as the engine makes it, and its distances equal, bit for bit,
+    :func:`grassmann_convergence_metric` of the materialized trajectory on
+    every route, NaN at the same snapshots.  A diverging flow raises at the
+    same time with the same sup norm, and its partial distances are the
+    metric of the materialized partial trajectory."""
+    phi0, w0, P, R, cfg, route = streamed_metric_case(kind)
+    target = subspace_from_span(np.random.default_rng(39).standard_normal(phi0.shape))
+
+    def run(**target):
+        try:
+            return coupled_feature_flow(phi0, w0, P, R, cfg, **target), None
+        except DivergenceDetected as exc:
+            return exc.trajectory, (exc.time, exc.sup_norm)
+
+    calls = spy_on_routes(monkeypatch, len(P))
+    streamed, crossed = run(target=target)
+    assert tuple(calls.values()) == route
+    traj, crossed_whole = run()
+    assert crossed == crossed_whole and (crossed is not None) == (kind == "diverging")
+    assert np.array_equal(streamed.times, traj.times)
+    assert np.array_equal(streamed.states, grassmann_convergence_metric(traj, target), equal_nan=True)
+    assert streamed.meta == {key: traj.meta[key] for key in _COUNTS}
+    assert list(np.flatnonzero(np.isnan(streamed.states))) == ([0] if kind == "rank-deficient" else [])
 
 
 def test_affine_route_keeps_one_map_per_step_gap():
